@@ -135,10 +135,8 @@ def glbc_bound(d: int, k: int, j: int, partial_f) -> int:
     for i in range(-1, k):
         fi = fv[i + 1]
         sign = (-1) ** (k - i + 1)
-        if j <= d - k:
-            bracket = _c(j - i - 1, j - k) * _c(d - i + 1, j - i)
-        else:
-            bracket = _c(j - i - 1, j - k) * _c(d - i + 1, j - i)
+        bracket = _c(j - i - 1, j - k) * _c(d - i + 1, j - i)
+        if j > d - k:
             bracket -= _c(k, d - j + 1) * _c(d - i, d - k + 1)
             for L in range(d - j, k):
                 bracket += (-1) ** (k - L) * _c(L, d - j) * _c(d - i, d - L + 1)

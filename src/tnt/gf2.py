@@ -1,192 +1,146 @@
-"""Dense GF(2) linear algebra on bit-packed numpy arrays.
+"""Dense GF(2) linear algebra on Python-int rows.
 
-Rows are stored as uint64 words, little-endian within each word: column j
-lives in word ``j >> 6`` at bit ``j & 63``.  All operations are
-deterministic; elimination scans columns left to right.
+A row is one int: bit j is column j.  Elimination reduces each row against
+a dict of pivot rows keyed on ``bit_length()``, so the pivot of a row is its
+highest set column.  All operations are deterministic and leave their
+inputs unmodified; rows hold no bits at or above ``ncols``.
 """
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = [
     "GF2Matrix",
-    "pack_bool",
+    "bits_of",
     "rank_of_words",
     "rref_of_words",
     "nullspace_of_words",
     "left_nullspace_of_words",
 ]
 
-_WORD = 64
 
-
-def _nwords(ncols: int) -> int:
-    return max(1, (ncols + _WORD - 1) >> 6)
-
-
-def pack_bool(bits: np.ndarray) -> np.ndarray:
-    """Pack a boolean vector into uint64 words (little bit order)."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    pad = (-len(bits)) % (_WORD)
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    if len(bits) == 0:
-        bits = np.zeros(_WORD, dtype=np.uint8)
-    packed = np.packbits(bits, bitorder="little")
-    return packed.view(np.uint64).copy()
-
-
-def rank_of_words(words: np.ndarray, ncols: int) -> int:
-    """GF(2) rank; ``words`` is not modified."""
-    if words.shape[0] == 0 or ncols == 0:
-        return 0
-    return len(_eliminate(words.copy(), ncols, full=False))
-
-
-def rref_of_words(words: np.ndarray, ncols: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    w = words.copy()
-    pivots = _eliminate(w, ncols, full=True)
-    return w[: len(pivots)], pivots
-
-
-def left_nullspace_of_words(words: np.ndarray, ncols: int) -> np.ndarray:
-    """Basis of the left null space of ``words``.
-
-    Returns packed rows over the row-index space of ``words``: each basis
-    vector marks a set of rows of ``words`` that sums to zero.
-    """
-    nr = words.shape[0]
-    if nr == 0:
-        return np.zeros((0, 1), dtype=np.uint64)
-    dw = words.shape[1]
-    idw = _nwords(nr)
-    aug = np.zeros((nr, dw + idw), dtype=np.uint64)
-    aug[:, :dw] = words
-    rows = np.arange(nr)
-    aug[rows, dw + (rows >> 6)] |= np.uint64(1) << (rows & 63).astype(np.uint64)
-    _eliminate_aug(aug, ncols, dw)
-    zero = ~np.any(aug[:, :dw], axis=1)
-    return aug[zero, dw:].copy()
-
-
-def nullspace_of_words(words: np.ndarray, ncols: int) -> np.ndarray:
-    """Basis of the right null space, one packed row per basis vector."""
-    if ncols == 0:
-        return np.zeros((0, 1), dtype=np.uint64)
-    at = _transpose(words, ncols)  # row i of at = column i of words
-    return left_nullspace_of_words(at, words.shape[0])
-
-
-def _transpose(words: np.ndarray, ncols: int) -> np.ndarray:
-    nrows = words.shape[0]
-    out = np.zeros((ncols, _nwords(nrows)), dtype=np.uint64)
-    one = np.uint64(1)
-    for i in range(nrows):
-        row = words[i]
-        w_i, b_i = i >> 6, np.uint64(i & 63)
-        for w in range(words.shape[1]):
-            x = int(row[w])
-            base = w << 6
-            while x:
-                b = x & -x
-                j = base + b.bit_length() - 1
-                if j < ncols:
-                    out[j, w_i] |= one << b_i
-                x ^= b
+def bits_of(x: int) -> list[int]:
+    """Indices of the set bits of ``x``, ascending."""
+    out = []
+    while x:
+        b = x.bit_length() - 1
+        out.append(b)
+        x ^= 1 << b
+    out.reverse()
     return out
 
 
-def _eliminate(words: np.ndarray, ncols: int, full: bool) -> list[int]:
-    """In-place row reduction; returns the pivot column list."""
-    nrows = words.shape[0]
-    r = 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        if r == nrows:
-            break
-        w = col >> 6
-        bit = np.uint64(1 << (col & 63))
-        hits = np.nonzero(words[r:, w] & bit)[0]
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            # hits[1:] sit strictly beyond p, so the swap cannot touch them,
-            # and the row moved to p had this bit clear
-            words[[r, p]] = words[[p, r]]
-        if full:
-            rows = np.nonzero(words[:, w] & bit)[0]
-            rows = rows[rows != r]
+def _pivots(words) -> dict[int, int]:
+    """Echelon basis of the row span: ``bit_length()`` of each row -> row."""
+    piv: dict[int, int] = {}
+    for x in words:
+        while x:
+            h = x.bit_length()
+            p = piv.get(h)
+            if p is None:
+                piv[h] = x
+                break
+            x ^= p
+    return piv
+
+
+def rank_of_words(words: list[int], ncols: int) -> int:
+    """GF(2) rank of the rows ``words`` over ``ncols`` columns."""
+    return len(_pivots(words))
+
+
+def rref_of_words(words: list[int], ncols: int) -> tuple[list[int], list[int]]:
+    """Reduced echelon form.  Returns (nonzero rows, pivot columns), both
+    ordered by ascending pivot column; each pivot column is set in its own
+    row only."""
+    piv = _pivots(words)
+    order = sorted(piv)
+    rows: list[int] = []
+    for h in order:
+        x = piv[h]
+        # rows[k] holds no pivot column but its own, so clearing one pivot
+        # column never sets another; higher pivots lie above x's top bit
+        for k, y in enumerate(rows):
+            if (x >> (order[k] - 1)) & 1:
+                x ^= y
+        rows.append(x)
+    return rows, [h - 1 for h in order]
+
+
+def left_nullspace_of_words(words: list[int], ncols: int) -> list[int]:
+    """Basis of the left null space of ``words``.
+
+    Each basis vector is an int over the row indices of ``words``: bit r
+    set means row r is in a set of rows that sums to zero.
+    """
+    nr = len(words)
+    piv: dict[int, int] = {}
+    out = []
+    for r, x in enumerate(words):
+        # data above bit nr, the row's identity below it
+        x = (x << nr) | (1 << r)
+        while x >> nr:
+            h = x.bit_length()
+            p = piv.get(h)
+            if p is None:
+                piv[h] = x
+                break
+            x ^= p
         else:
-            rows = r + hits[1:]
-        if rows.size:
-            words[rows] ^= words[r]
-        pivots.append(col)
-        r += 1
-    return pivots
+            out.append(x)
+    return out
 
 
-def _eliminate_aug(aug: np.ndarray, data_cols: int, data_words: int) -> None:
-    # eliminate using only the first data_cols columns as pivot candidates
-    nrows = aug.shape[0]
-    r = 0
-    for col in range(data_cols):
-        if r == nrows:
-            break
-        w = col >> 6
-        bit = np.uint64(1 << (col & 63))
-        hits = np.nonzero(aug[r:, w] & bit)[0]
-        if hits.size == 0:
+def nullspace_of_words(words: list[int], ncols: int) -> list[int]:
+    """Basis of the right null space, one row per free column, ascending."""
+    rows, pivots = rref_of_words(words, ncols)
+    pivset = set(pivots)
+    out = []
+    for f in range(ncols):
+        if f in pivset:
             continue
-        p = r + int(hits[0])
-        if p != r:
-            aug[[r, p]] = aug[[p, r]]
-        rows = r + hits[1:]
-        if rows.size:
-            aug[rows] ^= aug[r]
-        r += 1
+        v = 1 << f
+        for x, p in zip(rows, pivots):
+            if (x >> f) & 1:
+                v |= 1 << p
+        out.append(v)
+    return out
 
 
 class GF2Matrix:
-    """A dense GF(2) matrix with bit-packed rows."""
+    """A dense GF(2) matrix with one int per row."""
 
     __slots__ = ("nrows", "ncols", "words")
 
-    def __init__(self, nrows: int, ncols: int, words: np.ndarray | None = None):
+    def __init__(self, nrows: int, ncols: int, words: list[int] | None = None):
         self.nrows = nrows
         self.ncols = ncols
-        if words is None:
-            words = np.zeros((nrows, _nwords(ncols)), dtype=np.uint64)
-        self.words = words
+        self.words = [0] * nrows if words is None else words
 
     @classmethod
     def from_rows(cls, rows, ncols: int) -> "GF2Matrix":
         """Build from an iterable of column-index iterables."""
-        rows = list(rows)
-        m = cls(len(rows), ncols)
-        one = np.uint64(1)
-        for i, support in enumerate(rows):
+        words = []
+        for support in rows:
+            x = 0
             for j in support:
-                m.words[i, j >> 6] |= one << np.uint64(j & 63)
-        return m
+                x |= 1 << j
+            words.append(x)
+        return cls(len(words), ncols, words)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
     def get(self, i: int, j: int) -> int:
-        return int((self.words[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
+        return (self.words[i] >> j) & 1
 
     def set(self, i: int, j: int, value: int = 1) -> None:
-        bit = np.uint64(1) << np.uint64(j & 63)
         if value:
-            self.words[i, j >> 6] |= bit
+            self.words[i] |= 1 << j
         else:
-            self.words[i, j >> 6] &= ~bit
+            self.words[i] &= ~(1 << j)
 
     def copy(self) -> "GF2Matrix":
-        return GF2Matrix(self.nrows, self.ncols, self.words.copy())
+        return GF2Matrix(self.nrows, self.ncols, list(self.words))
 
     def rank(self) -> int:
         return rank_of_words(self.words, self.ncols)
@@ -194,29 +148,22 @@ class GF2Matrix:
     def nullspace(self) -> "GF2Matrix":
         """Matrix whose rows are a basis of the right kernel."""
         ns = nullspace_of_words(self.words, self.ncols)
-        return GF2Matrix(ns.shape[0], self.ncols, ns) if self.ncols else GF2Matrix(0, 0)
+        return GF2Matrix(len(ns), self.ncols, ns)
 
     def row_support(self, i: int) -> list[int]:
-        out = []
-        for w in range(self.words.shape[1]):
-            x = int(self.words[i, w])
-            base = w << 6
-            while x:
-                b = x & -x
-                j = base + b.bit_length() - 1
-                if j < self.ncols:
-                    out.append(j)
-                x ^= b
-        return out
+        return bits_of(self.words[i])
 
     def transpose(self) -> "GF2Matrix":
-        return GF2Matrix(self.ncols, self.nrows, _transpose(self.words, self.ncols))
+        cols = [0] * self.ncols
+        for i, x in enumerate(self.words):
+            for j in bits_of(x):
+                cols[j] |= 1 << i
+        return GF2Matrix(self.ncols, self.nrows, cols)
 
     def stack(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.ncols != other.ncols:
             raise ValueError("column mismatch")
-        words = np.vstack([self.words, other.words]) if self.nrows or other.nrows else self.words
-        return GF2Matrix(self.nrows + other.nrows, self.ncols, words)
+        return GF2Matrix(self.nrows + other.nrows, self.ncols, self.words + other.words)
 
     def __repr__(self) -> str:
         return f"GF2Matrix({self.nrows}x{self.ncols})"

@@ -2,14 +2,12 @@
 
 Betti numbers come from boundary-matrix ranks: beta_j = f_j - rank d_j -
 rank d_{j+1}.  A per-complex :class:`ChainEngine` caches face indices,
-bit-packed boundary rows, and boundary-space bases so that full
-subcomplexes (vertex spans) can be processed without rebuilding chain
-complexes: faces of a span keep their positions in the ambient index, so
-span boundary ranks are ranks of selected row subsets.
+int boundary rows, and boundary-space bases so that full subcomplexes
+(vertex spans) can be processed without rebuilding chain complexes: faces
+of a span keep their positions in the ambient index, so span boundary
+ranks are ranks of selected row subsets.
 """
 from __future__ import annotations
-
-import numpy as np
 
 from . import gf2
 from .complexes import SimplicialComplex, Simplex, simplex
@@ -53,11 +51,11 @@ class HomologyReport:
 
 
 class ChainEngine:
-    """Chain-level view of a complex: face indices and packed boundary rows.
+    """Chain-level view of a complex: face indices and int boundary rows.
 
-    ``brows[j]`` has one packed row per j-face holding the incidence with
-    the (j-1)-faces; ranks and boundary-space bases are cached.  Use
-    :func:`engine` to get the per-complex cached instance.
+    ``boundary_rows(j)`` has one int per j-face, bit c set for each
+    (j-1)-face c in its boundary; ranks and boundary-space bases are
+    cached.  Use :func:`engine` to get the per-complex cached instance.
     """
 
     def __init__(self, K: SimplicialComplex):
@@ -67,27 +65,22 @@ class ChainEngine:
         self.faces = [K.faces(j) for j in range(d + 1)]
         self.index = [{f: i for i, f in enumerate(fs)} for fs in self.faces]
         self.f = tuple(len(fs) for fs in self.faces)
-        self.brows: list[np.ndarray | None] = [None] * (d + 1)
-        self._vmask: list[np.ndarray] | None = None
+        self.brows: list[list[int] | None] = [None] * (d + 1)
+        self._vfaces: list[list[int]] | None = None
         self._vpos: dict[int, int] | None = None
         self._ranks: dict[int, int] = {}
-        self._bbasis: dict[int, np.ndarray] = {}
+        self._bbasis: dict[int, list[int]] = {}
 
-    def boundary_rows(self, j: int) -> np.ndarray:
-        """Packed rows of d_j, one row per j-face over (j-1)-face columns."""
+    def boundary_rows(self, j: int) -> list[int]:
+        """Rows of d_j, one int per j-face over (j-1)-face columns."""
         if j < 1 or j > self.dim:
-            return np.zeros((0, 1), dtype=np.uint64)
+            return []
         if self.brows[j] is None:
             lower = self.index[j - 1]
-            fj = self.faces[j]
-            rows = np.zeros((len(fj), max(1, (self.f[j - 1] + 63) >> 6)), dtype=np.uint64)
-            one = np.uint64(1)
-            for i, face in enumerate(fj):
-                for k in range(len(face)):
-                    sub = face[:k] + face[k + 1 :]
-                    c = lower[sub]
-                    rows[i, c >> 6] |= one << np.uint64(c & 63)
-            self.brows[j] = rows
+            self.brows[j] = [
+                sum(1 << lower[face[:k] + face[k + 1 :]] for k in range(len(face)))
+                for face in self.faces[j]
+            ]
         return self.brows[j]
 
     def rank(self, j: int) -> int:
@@ -98,11 +91,11 @@ class ChainEngine:
             self._ranks[j] = gf2.rank_of_words(self.boundary_rows(j), self.f[j - 1])
         return self._ranks[j]
 
-    def boundary_basis(self, i: int) -> np.ndarray:
+    def boundary_basis(self, i: int) -> list[int]:
         """RREF basis rows of the boundary space B_i over the i-face columns."""
         if i not in self._bbasis:
             if i + 1 > self.dim:
-                self._bbasis[i] = np.zeros((0, 1), dtype=np.uint64)
+                self._bbasis[i] = []
             else:
                 rref, piv = gf2.rref_of_words(self.boundary_rows(i + 1), self.f[i])
                 self._bbasis[i] = rref
@@ -115,68 +108,72 @@ class ChainEngine:
             return ()
         return tuple(self.f[j] - self.rank(j) - self.rank(j + 1) for j in range(d + 1))
 
-    # -- vertex-span machinery (needs at most 64 vertices) ----------------
+    # -- vertex-span machinery ---------------------------------------------
 
-    def _vertex_masks(self):
-        if self._vmask is None:
-            verts = self.K.vertices
-            if len(verts) > 64:
-                raise ValueError("span engine supports at most 64 vertices")
-            vpos = {v: i for i, v in enumerate(verts)}
-            masks = []
+    def _vertex_faces(self):
+        """Per dimension and vertex position, the int of faces holding it."""
+        if self._vfaces is None:
+            vpos = {v: i for i, v in enumerate(self.K.vertices)}
+            vfaces = []
             for fs in self.faces:
-                arr = np.zeros(len(fs), dtype=np.uint64)
+                masks = [0] * len(vpos)
                 for i, face in enumerate(fs):
-                    m = 0
                     for v in face:
-                        m |= 1 << vpos[v]
-                    arr[i] = m
-                masks.append(arr)
-            self._vmask = masks
+                        masks[vpos[v]] |= 1 << i
+                vfaces.append(masks)
+            self._vfaces = vfaces
             self._vpos = vpos
-        return self._vmask, self._vpos
+        return self._vfaces, self._vpos
 
     def word_of(self, w) -> int:
         """Bitmask over vertex positions for a vertex set ``w``."""
-        _, vpos = self._vertex_masks()
+        _, vpos = self._vertex_faces()
         m = 0
         for v in w:
             m |= 1 << vpos[v]
         return m
 
-    def span_selection(self, wmask: int, jmax: int) -> list[np.ndarray]:
-        """Index arrays of the faces lying inside the vertex-mask, per dim."""
-        vmask, _ = self._vertex_masks()
-        notw = np.uint64(~wmask & 0xFFFFFFFFFFFFFFFF)
-        out = []
-        for j in range(min(jmax, self.dim) + 1):
-            out.append(np.nonzero((vmask[j] & notw) == 0)[0])
+    def _outside(self, wmask: int, j: int) -> int:
+        """The j-faces with a vertex outside the vertex mask, as an int."""
+        vfaces, vpos = self._vertex_faces()
+        masks = vfaces[j]
+        out = 0
+        for p in gf2.bits_of(~wmask & ((1 << len(vpos)) - 1)):
+            out |= masks[p]
         return out
 
-    def span_rank(self, sel_j: np.ndarray, j: int) -> int:
+    def span_selection(self, wmask: int, jmax: int) -> list[list[int]]:
+        """Indices of the faces lying inside the vertex mask, per dim."""
+        return [
+            gf2.bits_of(((1 << self.f[j]) - 1) & ~self._outside(wmask, j))
+            for j in range(min(jmax, self.dim) + 1)
+        ]
+
+    def span_rank(self, sel_j: list[int], j: int) -> int:
         """Rank of d_j restricted to a span.
 
         Faces of span faces stay in the span, so the selected rows of the
         ambient d_j already have support inside the span's columns and the
         restricted rank equals the rank of the row subset.
         """
-        if j < 1 or j > self.dim or sel_j.size == 0:
+        if j < 1 or j > self.dim or not sel_j:
             return 0
-        return gf2.rank_of_words(self.boundary_rows(j)[sel_j], self.f[j - 1])
+        rows = self.boundary_rows(j)
+        return gf2.rank_of_words([rows[k] for k in sel_j], self.f[j - 1])
 
     def span_betti(self, wmask: int, imax: int | None = None) -> tuple[int, ...]:
         """Betti numbers of the span of a vertex mask (empty span gives ())."""
         jcap = self.dim if imax is None else min(imax + 1, self.dim)
         sel = self.span_selection(wmask, jcap)
-        top = max((j for j in range(len(sel)) if sel[j].size), default=-1)
+        top = max((j for j in range(len(sel)) if sel[j]), default=-1)
         ranks = [self.span_rank(sel[j], j) if j <= top else 0 for j in range(len(sel) + 1)]
         out = []
         for j in range(top + 1):
             nxt = ranks[j + 1] if j + 1 < len(ranks) else 0
-            out.append(int(sel[j].size) - ranks[j] - nxt)
+            out.append(len(sel[j]) - ranks[j] - nxt)
         return tuple(out)
 
-    def span_kernel_dim(self, wmask: int, i: int, sel: list[np.ndarray] | None = None) -> int:
+    def span_kernel_dim(self, wmask: int, i: int, sel: list[list[int]] | None = None) -> int:
         """dim ker(H_i(span) -> H_i(K)) via the masked boundary basis.
 
         A cycle of the span bounds in K exactly when it lies in B_i(K) with
@@ -187,17 +184,13 @@ class ChainEngine:
             return 0
         if sel is None:
             sel = self.span_selection(wmask, min(i + 1, self.dim))
-        if i >= len(sel) or sel[i].size == 0:
+        if i >= len(sel) or not sel[i]:
             return 0
         basis = self.boundary_basis(i)
-        r_amb = basis.shape[0]
-        if r_amb == 0:
+        if not basis:
             return 0
-        keep = np.ones(self.f[i], dtype=bool)
-        keep[sel[i]] = False  # columns outside the span
-        outside = gf2.pack_bool(keep)
-        masked = basis & outside[np.newaxis, :]
-        z_cap_b = r_amb - gf2.rank_of_words(masked, self.f[i])
+        outside = self._outside(wmask, i)
+        z_cap_b = len(basis) - gf2.rank_of_words([b & outside for b in basis], self.f[i])
         b_span = self.span_rank(sel[i + 1], i + 1) if i + 1 < len(sel) else 0
         return z_cap_b - b_span
 
@@ -219,9 +212,7 @@ def boundary_matrix(K: SimplicialComplex, j: int) -> gf2.GF2Matrix:
     eng = engine(K)
     if j == 0:
         return gf2.GF2Matrix(0, eng.f[0])
-    rows = eng.boundary_rows(j)
-    words = gf2._transpose(rows, eng.f[j - 1])
-    return gf2.GF2Matrix(eng.f[j - 1], eng.f[j], words)
+    return gf2.GF2Matrix(eng.f[j], eng.f[j - 1], eng.boundary_rows(j)).transpose()
 
 
 def betti_numbers(K: SimplicialComplex) -> HomologyReport:
@@ -258,40 +249,14 @@ def induced_kernel_dim(K: SimplicialComplex, A: SimplicialComplex, i: int) -> in
     # Z_i(A) embedded in the ambient i-chain coordinates
     emb = [eng_k.index[i][f] for f in eng_a.faces[i]]
     if i == 0:
-        z_rows = gf2.GF2Matrix.from_rows([[c] for c in emb], fi_k).words
+        z_rows = [1 << c for c in emb]
     else:
         ker = gf2.left_nullspace_of_words(eng_a.boundary_rows(i), eng_a.f[i - 1])
-        z_rows = np.zeros((ker.shape[0], max(1, (fi_k + 63) >> 6)), dtype=np.uint64)
-        one = np.uint64(1)
-        for r in range(ker.shape[0]):
-            for local in _support(ker[r], eng_a.f[i]):
-                c = emb[local]
-                z_rows[r, c >> 6] |= one << np.uint64(c & 63)
-    dim_u = z_rows.shape[0]
+        z_rows = [sum(1 << emb[local] for local in gf2.bits_of(z)) for z in ker]
     basis = eng_k.boundary_basis(i)
-    dim_w = basis.shape[0]
-    if dim_u and dim_w:
-        stacked = np.vstack([z_rows, basis])
-        dim_sum = gf2.rank_of_words(stacked, fi_k)
-    else:
-        dim_sum = dim_u + dim_w
-    z_cap_b = dim_u + dim_w - dim_sum
+    z_cap_b = len(z_rows) + len(basis) - gf2.rank_of_words(z_rows + basis, fi_k)
     b_a = eng_a.rank(i + 1)
     return z_cap_b - b_a
-
-
-def _support(word_row: np.ndarray, ncols: int) -> list[int]:
-    out = []
-    for w in range(word_row.shape[0]):
-        x = int(word_row[w])
-        base = w << 6
-        while x:
-            b = x & -x
-            j = base + b.bit_length() - 1
-            if j < ncols:
-                out.append(j)
-            x ^= b
-    return out
 
 
 def relative_mu_contribution(K: SimplicialComplex, v: int, lower) -> tuple[int, ...]:

@@ -251,23 +251,23 @@ def tightness_verify(
         subsets = sorted(rng.sample(subsets, min(sample, len(subsets))), key=lambda w: (len(w), w))
         exhaustive = False
     eng = homology.engine(M)
+    jcap = min(i_max + 1, M.dim)
     checked = 0
     for w in subsets:
         checked += 1
         if len(w) == 0:
             continue
         wmask = eng.word_of(w)
-        jcap = min(i_max + 1, M.dim)
         sel = eng.span_selection(wmask, jcap)
         # i = 0: the span must stay connected
         comps = len(w) - eng.span_rank(sel[1] if len(sel) > 1 else sel[0][:0], 1)
         if comps > 1:
             return TightnessReport(False, (w, 0, comps - 1), checked, exhaustive, i_max, ambient.kind)
-        top = max((j for j in range(len(sel)) if sel[j].size), default=-1)
+        top = max((j for j in range(len(sel)) if sel[j]), default=-1)
         ranks = [eng.span_rank(sel[j], j) if j <= top else 0 for j in range(len(sel) + 1)]
         for i in range(1, min(i_max, top) + 1):
             nxt = ranks[i + 1] if i + 1 < len(ranks) else 0
-            beta_i = int(sel[i].size) - ranks[i] - nxt
+            beta_i = len(sel[i]) - ranks[i] - nxt
             if beta_i <= 0:
                 continue
             kd = eng.span_kernel_dim(wmask, i, sel)

@@ -66,6 +66,32 @@ def oracle_betti(K: SimplicialComplex) -> tuple[int, ...]:
     return tuple(out)
 
 
+def dense_span_kernel_dim(K: SimplicialComplex, W, i: int) -> int:
+    """dim ker(H_i(span W) -> H_i(K)) from dense boundary matrices.
+
+    With D the matrix of d_{i+1} (one row per (i+1)-face, one column per
+    i-face), B_i(K) has dimension rank D, the boundaries supported inside
+    span W form the kernel of D restricted to the columns outside W, and
+    B_i(span W) is spanned by the rows of the (i+1)-faces inside W.
+    """
+    if not K.facets or i + 1 > K.dim:
+        return 0
+    w = set(W)
+    lower = sorted({f for fac in K.facets for f in combinations(fac, i + 1)})
+    upper = sorted({f for fac in K.facets for f in combinations(fac, i + 2)})
+    index = {f: c for c, f in enumerate(lower)}
+    D = []
+    for f in upper:
+        row = [0] * len(lower)
+        for k in range(len(f)):
+            row[index[f[:k] + f[k + 1 :]]] = 1
+        D.append(row)
+    outside = [c for c, f in enumerate(lower) if not w.issuperset(f)]
+    r_out = dense_gf2_rank([[row[c] for c in outside] for row in D])
+    inside = [row for f, row in zip(upper, D) if w.issuperset(f)]
+    return dense_gf2_rank(D) - r_out - dense_gf2_rank(inside)
+
+
 # -- small-complex isomorphism (brute force over signatures) -------------------
 
 

@@ -386,3 +386,10 @@ def test_module_entry(tmp_path):
     proc = run_tree([sys.executable, "-m", "tnt", "bounds", "heawood", "--chi", "2"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "bound 4" in proc.stdout
+
+
+def test_import_without_numpy(tmp_path):
+    code = "import sys, tnt, tnt.cli; print('numpy' in sys.modules)"
+    proc = run_tree([sys.executable, "-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -216,14 +216,14 @@ def test_dataset_caching():
 
 
 def test_packaged_data_matches_repo_data():
+    # dataset() reads exactly the files shipped in the package's data directory
     import tnt
+    from tnt import load_complex
 
     pkg_dir = Path(tnt.__file__).parent / "data"
-    repo_dir = Path(tnt.__file__).parent.parent.parent / "data"
-    if not repo_dir.is_dir():
-        pytest.skip("repo data directory not present in this layout")
-    for name in ("M6_16.facets", "walkup_P.facets"):
-        assert (pkg_dir / name).read_bytes() == (repo_dir / name).read_bytes()
+    assert sorted(p.name for p in pkg_dir.iterdir()) == ["M6_16.facets", "walkup_P.facets"]
+    for name in ("M6_16", "walkup_P"):
+        assert load_complex(str(pkg_dir / f"{name}.facets")) == dataset(name)
 
 
 def test_m6_16_dataset_shape():

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from conftest import dense_gf2_rank
@@ -8,7 +7,6 @@ from tnt.gf2 import (
     GF2Matrix,
     left_nullspace_of_words,
     nullspace_of_words,
-    pack_bool,
     rank_of_words,
     rref_of_words,
 )
@@ -23,10 +21,11 @@ def to_matrix(dense, nc):
 
 
 def test_pack_bool_little_endian():
-    words = pack_bool([1, 0, 0, 1])
-    assert int(words[0]) == 0b1001
-    words = pack_bool([0] * 64 + [1])
-    assert int(words[0]) == 0 and int(words[1]) == 1
+    # bit j of a row int is column j, with no word boundary at 64
+    assert GF2Matrix.from_rows([[0, 3]], 4).words == [0b1001]
+    m = GF2Matrix.from_rows([[64], [129, 0]], 130)
+    assert m.words == [1 << 64, (1 << 129) | 1]
+    assert m.row_support(1) == [0, 129]
 
 
 def test_get_set_round_trip():
@@ -54,9 +53,12 @@ def test_rank_does_not_mutate():
     rng = random.Random(2)
     dense = random_dense(rng, 8, 70)
     m = to_matrix(dense, 70)
-    before = m.words.copy()
+    before = list(m.words)
     m.rank()
-    assert np.array_equal(m.words, before)
+    rref_of_words(m.words, 70)
+    left_nullspace_of_words(m.words, 70)
+    m.nullspace()
+    assert m.words == before
 
 
 def test_rref_pivots_and_idempotence():
@@ -70,9 +72,11 @@ def test_rref_pivots_and_idempotence():
         assert sorted(pivots) == pivots
         # each pivot column has exactly one set bit across the rref rows
         for k, col in enumerate(pivots):
-            w, b = col >> 6, col & 63
-            bits = [(int(rows[i, w]) >> b) & 1 for i in range(rows.shape[0])]
+            bits = [(row >> col) & 1 for row in rows]
             assert sum(bits) == 1 and bits[k] == 1
+        # the rows span the same space and are already reduced
+        assert rank_of_words(rows + m.words, nc) == len(rows) == rank_of_words(rows, nc)
+        assert rref_of_words(rows, nc) == (rows, pivots)
 
 
 def test_nullspace_annihilates_rows():
@@ -106,11 +110,12 @@ def test_left_nullspace_marks_zero_row_combinations():
         dense = random_dense(rng, nr, nc)
         m = to_matrix(dense, nc)
         ln = left_nullspace_of_words(m.words, nc)
-        assert ln.shape[0] == nr - m.rank()
-        for i in range(ln.shape[0]):
+        assert len(ln) == nr - m.rank()
+        assert rank_of_words(ln, nr) == len(ln)
+        for z in ln:
             acc = [0] * nc
             for r in range(nr):
-                if (int(ln[i, r >> 6]) >> (r & 63)) & 1:
+                if (z >> r) & 1:
                     acc = [a ^ b for a, b in zip(acc, dense[r])]
             assert not any(acc)
 
@@ -138,7 +143,10 @@ def test_stack():
 
 
 def test_zero_and_empty_edges():
-    assert rank_of_words(np.zeros((0, 1), dtype=np.uint64), 5) == 0
+    assert rank_of_words([], 5) == 0
+    assert rref_of_words([], 5) == ([], [])
+    assert left_nullspace_of_words([], 5) == []
+    assert nullspace_of_words([], 3) == [1, 2, 4]
     z = GF2Matrix(3, 17)
     assert z.rank() == 0
     assert z.nullspace().nrows == 17

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import oracle_betti, random_sphere
+from conftest import dense_span_kernel_dim, oracle_betti, random_sphere
 from tnt import (
     SimplicialComplex,
     betti_numbers,
@@ -232,6 +232,46 @@ def test_engine_caching():
 
 
 def test_engine_vertex_cap():
+    # vertex masks are Python ints: the span engine has no vertex cap
     big = SimplicialComplex([[i, i + 1] for i in range(1, 70)])
-    with pytest.raises(ValueError):
-        engine(big).word_of((1,))
+    eng = engine(big)
+    assert eng.word_of((1, 70)) == 1 | 1 << 69
+    assert eng.span_betti(eng.word_of((1, 2, 68, 69, 70))) == (2, 0)
+
+
+def test_span_betti_beyond_64_vertices():
+    rng = random.Random(16)
+    S = stacked_sphere(3, 70, seed=16)
+    eng = engine(S)
+    for _ in range(6):
+        w = tuple(v for v in S.vertices if rng.random() < 0.5)
+        got = eng.span_betti(eng.word_of(w))
+        direct = oracle_betti(S.span(w))
+        assert got == direct + (0,) * (len(got) - len(direct))
+
+
+def test_span_kernel_matches_dense_oracle():
+    # an oracle that shares no code with gf2 or ChainEngine
+    rng = random.Random(17)
+    cases = []
+    for _ in range(12):
+        S = random_sphere(rng)
+        cases.append((S, tuple(v for v in S.vertices if rng.random() < 0.4)))
+    for d in (3, 4):
+        X = cross_polytope_boundary(d)
+        for _ in range(3):
+            # whole diagonals span a smaller sphere, which bounds in X
+            diags = sorted(rng.sample(range(d), rng.randint(1, d - 1)))
+            cases.append((X, tuple(v for k in diags for v in (2 * k + 1, 2 * k + 2))))
+    M = dataset("M6_16")
+    for _ in range(2):
+        cases.append((M, tuple(sorted(rng.sample(M.vertices, rng.randint(4, 12))))))
+    nonzero = 0
+    for S, w in cases:
+        eng = engine(S)
+        wmask = eng.word_of(w)
+        for i in range(S.dim + 1):
+            kd = eng.span_kernel_dim(wmask, i)
+            assert kd == dense_span_kernel_dim(S, w, i), (w, i)
+            nonzero += kd > 0
+    assert nonzero >= 6
