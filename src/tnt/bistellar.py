@@ -70,27 +70,25 @@ def move_fvector_delta(d: int, i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cofacets(M: SimplicialComplex, a: Simplex) -> list[Simplex]:
-    sa = set(a)
-    return [f for f in M.facets if sa <= set(f)]
-
-
 def _check_move(M: SimplicialComplex, move: BistellarMove) -> bool:
     """True when the move is applicable; False for an index-0 fresh-vertex move."""
     a, b = move.A, move.B
-    if not M.has_face(a):
+    sa, sb = set(a), set(b)
+    fsets = [set(f) for f in M.facets]
+    cof = [f for f, fs in zip(M.facets, fsets) if sa <= fs]
+    if not cof:
         raise InvalidMoveError("A not a face", f"A={a}")
     fresh = len(b) == 1 and b[0] not in M.vertices
     if fresh:
-        if a not in M.facets:
+        if a not in cof:
             raise InvalidMoveError("link mismatch", f"A={a} is not a facet, cannot subdivide")
         return True
-    if M.has_face(b):
+    if any(sb <= fs for fs in fsets):
         raise InvalidMoveError("B already a face", f"B={b}")
-    if not set(b) <= set(M.vertices):
+    # labels of B outside every cofacet of A are checked against all vertices
+    outside = sb.difference(*cof)
+    if outside and not outside <= set(M.vertices):
         raise InvalidMoveError("label not fresh", f"B={b} mixes new and existing labels")
-    cof = _cofacets(M, a)
-    sa = set(a)
     link_facets = {tuple(v for v in f if v not in sa) for f in cof}
     db = {b[:k] + b[k + 1 :] for k in range(len(b))}
     if link_facets != db:
@@ -122,47 +120,130 @@ def apply_move(M: SimplicialComplex, move: BistellarMove, check: bool = True) ->
     return SimplicialComplex(facets, _canonical=False)
 
 
+class _MoveState:
+    """The one mutable complex of a move search, updated move by move.
+
+    A move changes only the star of A u B, so applying it swaps d + 2
+    facets and touches only their faces, as in the BISTELLAR program of
+    Bjoerner and Lutz (Exp. Math. 9, 2000) and simpcomp's SCReduceComplex
+    (Effenberger and Spreer).  For each index i the state was built for it
+    keeps the faces of size d - i + 1 with their top-dimensional cofacets,
+    and the faces among them with exactly i + 1 of those; vertex stars
+    cover every facet.  Only valid moves may be applied.  A valid move
+    never swallows a lower-dimensional facet: one inside dA * B would
+    contain B, which is no face.
+    """
+
+    def __init__(self, M: SimplicialComplex, indices: Iterable[int]):
+        self.d = d = M.dim
+        self.indices = sorted({i for i in indices if 1 <= i <= d})
+        self.facets: set[Simplex] = set()
+        self.star: dict[int, set[Simplex]] = {}
+        self._cof: dict[Simplex, set[Simplex]] = {}
+        self._ready: dict[int, set[Simplex]] = {i: set() for i in self.indices}
+        self._sorted: list[Simplex] | None = None
+        for f in M.facets:
+            self._add(f)
+
+    def _add(self, f: Simplex) -> None:
+        self.facets.add(f)
+        for v in f:
+            self.star.setdefault(v, set()).add(f)
+        if len(f) == self.d + 1:
+            for i in self.indices:
+                ready = self._ready[i]
+                for a in combinations(f, self.d - i + 1):
+                    cof = self._cof.get(a)
+                    if cof is None:
+                        cof = self._cof[a] = set()
+                    cof.add(f)
+                    if len(cof) == i + 1:
+                        ready.add(a)
+                    elif len(cof) == i + 2:
+                        ready.discard(a)
+
+    def _remove(self, f: Simplex) -> None:
+        self.facets.remove(f)
+        for v in f:
+            st = self.star[v]
+            st.remove(f)
+            if not st:
+                del self.star[v]
+        if len(f) == self.d + 1:
+            for i in self.indices:
+                ready = self._ready[i]
+                for a in combinations(f, self.d - i + 1):
+                    cof = self._cof[a]
+                    cof.remove(f)
+                    if len(cof) == i + 1:
+                        ready.add(a)
+                    elif len(cof) == i:
+                        ready.discard(a)
+                    if not cof:
+                        del self._cof[a]
+
+    def apply(self, move: BistellarMove) -> None:
+        union = tuple(sorted(move.A + move.B))
+        for w in move.B:
+            self._remove(tuple(x for x in union if x != w))
+        for v in move.A:
+            self._add(tuple(x for x in union if x != v))
+        self._sorted = None
+
+    def has_face(self, s: Simplex) -> bool:
+        stars = [self.star.get(v) for v in s]
+        return all(stars) and bool(set.intersection(*stars))
+
+    def cofacets(self, a: Simplex) -> set[Simplex]:
+        """Every facet containing ``a``, whose vertices must be present."""
+        return set.intersection(*(self.star[v] for v in a))
+
+    def move(self, a: Simplex, cof: set[Simplex], i: int) -> BistellarMove | None:
+        """The index-i move removing ``a``, whose top-dimensional cofacets
+        are ``cof``, or None.
+
+        When ``a`` has i + 1 of them and they span i + 1 vertices B besides
+        ``a``, they are a * F for the i + 1 distinct i-subsets F of B, so the
+        link of ``a`` in them is dB; the move applies when B is no face.
+        """
+        if len(cof) != i + 1:
+            return None
+        b = tuple(sorted(set().union(*cof).difference(a)))
+        if len(b) != i + 1 or self.has_face(b):
+            return None
+        return BistellarMove(a, b)
+
+    def moves(self, indices: Iterable[int] | None = None) -> list[BistellarMove]:
+        """Applicable moves of the given indices (ascending, among those the
+        state was built for; default all) in (index, A, B) order."""
+        out = []
+        for i in self.indices if indices is None else indices:
+            for a in sorted(self._ready[i]):
+                mv = self.move(a, self._cof[a], i)
+                if mv is not None:
+                    out.append(mv)
+        return out
+
+    def is_boundary_simplex(self) -> bool:
+        return len(self.star) == self.d + 2 == len(self.facets)
+
+    def sorted_facets(self) -> list[Simplex]:
+        if self._sorted is None:
+            self._sorted = sorted(self.facets)
+        return self._sorted
+
+    def complex(self) -> SimplicialComplex:
+        return SimplicialComplex(self.sorted_facets(), _canonical=True)
+
+
 def valid_moves(M: SimplicialComplex, index_filter: Iterable[int] | None = None) -> list[BistellarMove]:
     """All applicable moves of index 1..d in canonical (index, A, B) order.
 
-    Index-0 moves need a fresh label and are applied directly through
-    :func:`apply_move`; they are not enumerated here.
+    Only top-dimensional facets count as cofacets of A; B must be no face
+    at all.  Index-0 moves need a fresh label and are applied directly
+    through :func:`apply_move`; they are not enumerated here.
     """
-    d = M.dim
-    if d < 1:
-        return []
-    indices = sorted(set(range(1, d + 1)) if index_filter is None else
-                     {i for i in index_filter if 1 <= i <= d})
-    # cofacet table per candidate face size
-    out: list[BistellarMove] = []
-    for i in indices:
-        asize = d - i + 1
-        cof: dict[Simplex, list[Simplex]] = {}
-        for f in M.facets:
-            if len(f) != d + 1:
-                continue
-            for a in combinations(f, asize):
-                cof.setdefault(a, []).append(f)
-        for a in sorted(cof):
-            fs = cof[a]
-            if len(fs) != i + 1:
-                continue
-            union: set[int] = set()
-            for f in fs:
-                union.update(f)
-            bset = union - set(a)
-            if len(bset) != i + 1:
-                continue
-            b = tuple(sorted(bset))
-            if M.has_face(b):
-                continue
-            sa = set(a)
-            link_facets = {tuple(v for v in f if v not in sa) for f in fs}
-            db = {b[:k] + b[k + 1 :] for k in range(len(b))}
-            if link_facets == db:
-                out.append(BistellarMove(a, b))
-    out.sort(key=lambda m: (m.index, m.A, m.B))
-    return out
+    return _MoveState(M, range(1, M.dim + 1) if index_filter is None else index_filter).moves()
 
 
 def is_boundary_simplex(M: SimplicialComplex) -> bool:
@@ -242,7 +323,7 @@ def stackedness_certificate(
     if not 1 <= k <= (d + 1) // 2:
         raise ValueError(f"k must be in [1, {(d + 1) // 2}] for dimension {d}, got {k}")
     rng = random.Random(seed)
-    lower = list(range(d - k + 1, d))
+    lower = range(d - k + 1, d)
     spent = 0
 
     def finish(moves: list[BistellarMove], end: SimplicialComplex) -> MoveCertificate:
@@ -251,19 +332,19 @@ def stackedness_certificate(
         return cert
 
     while spent < budget:
-        cur = S
+        state = _MoveState(S, range(d - k + 1, d + 1))
         moves: list[BistellarMove] = []
-        seen = {cur.canonical_hash()}
+        # facet sets decide exactly what their canonical hashes decide
+        seen = {frozenset(state.facets)}
         spent_at_restart = spent
         while spent < budget:
-            if is_boundary_simplex(cur):
-                return finish(moves, cur)
-            tops = valid_moves(cur, [d])
-            picked = None
+            if state.is_boundary_simplex():
+                return finish(moves, state.complex())
+            tops = state.moves([d])
             if tops:
                 picked = rng.choice(tops)
             else:
-                cands = valid_moves(cur, lower) if lower else []
+                cands = state.moves(lower)
                 fresh = []
                 best_score = -1
                 if len(cands) > 16:
@@ -271,11 +352,12 @@ def stackedness_certificate(
                 for mv in cands:
                     if spent >= budget:
                         break
-                    probe = apply_move(cur, mv, check=False)
+                    state.apply(mv)
                     spent += 1
-                    if probe.canonical_hash() in seen:
+                    score = -1 if frozenset(state.facets) in seen else len(state.moves([d]))
+                    state.apply(mv.inverse())
+                    if score < 0:
                         continue
-                    score = len(valid_moves(probe, [d]))
                     if score > best_score:
                         best_score = score
                         fresh = [mv]
@@ -284,13 +366,12 @@ def stackedness_certificate(
                 if not fresh:
                     break
                 picked = rng.choice(fresh)
-            nxt = apply_move(cur, picked, check=False)
+            state.apply(picked)
             spent += 1
-            h = nxt.canonical_hash()
-            if h in seen:
+            key = frozenset(state.facets)
+            if key in seen:
                 break
-            seen.add(h)
-            cur = nxt
+            seen.add(key)
             moves.append(picked)
         if spent == spent_at_restart:
             # the restart made no applications at all: the position is a
@@ -486,32 +567,21 @@ def _energy(fv: tuple[int, ...]) -> int:
     return fv[0] * _F0_WEIGHT + sum(fv)
 
 
-def _sample_move(M: SimplicialComplex, rng: random.Random, tries: int) -> BistellarMove | None:
-    d = M.dim
-    facets = M.facets
+def _sample_move(state: _MoveState, rng: random.Random, tries: int) -> BistellarMove | None:
+    d = state.d
+    facets = state.sorted_facets()
     for _ in range(tries):
         f = facets[rng.randrange(len(facets))]
         # max of two draws biases toward high indices, which shrink the
         # complex; low indices stay reachable for mixing
         i = max(rng.randint(1, d), rng.randint(1, d))
         a = tuple(sorted(rng.sample(f, d - i + 1)))
-        cof = _cofacets(M, a)
-        if len(cof) != i + 1:
-            continue
-        union: set[int] = set()
-        for g in cof:
-            union.update(g)
-        bset = union - set(a)
-        if len(bset) != i + 1:
-            continue
-        b = tuple(sorted(bset))
-        if M.has_face(b):
-            continue
-        sa = set(a)
-        link_facets = {tuple(v for v in g if v not in sa) for g in cof}
-        db = {b[:j] + b[j + 1 :] for j in range(len(b))}
-        if link_facets == db:
-            return BistellarMove(a, b)
+        cof = state.cofacets(a)
+        # a lower-dimensional cofacet would leave a non-sphere link
+        if len(cof) == i + 1 and all(len(g) == d + 1 for g in cof):
+            mv = state.move(a, cof, i)
+            if mv is not None:
+                return mv
     return None
 
 
@@ -547,50 +617,56 @@ def vertex_reduce(
         # index-1 moves add the most faces of any vertex-preserving move
         t_start = max(4.0, float(sum(deltas[1]))) if d >= 1 else 4.0
 
-    cur = M
-    cur_f = M.f_vector()
-    cur_path: list[BistellarMove] = []
-    best = cur
-    best_f = cur_f
-    best_path: list[BistellarMove] = []
-    t = t_start
-    chunk = max(1, schedule.steps // max(1, schedule.restarts))
-
-    if not valid_moves(M):
+    state = _MoveState(M, range(1, d + 1))
+    # the pool of all moves stays valid while the state is unchanged
+    pool: list[BistellarMove] | None = state.moves()
+    if not pool:
         cert = MoveCertificate(M.canonical_hash(), [], M.canonical_hash())
         return M, cert
 
-    pool: list[BistellarMove] | None = None
+    # the best state is the first best_len moves of path
+    path: list[BistellarMove] = []
+    best_len = 0
+    cur_f = best_f = M.f_vector()
+    t = t_start
+    chunk = max(1, schedule.steps // max(1, schedule.restarts))
+
+    def rewind() -> None:
+        while len(path) > best_len:
+            state.apply(path.pop().inverse())
+
     for step in range(schedule.steps):
         if target_f0 is not None and best_f[0] <= target_f0:
             break
         if step and step % chunk == 0:
-            cur, cur_f, cur_path = best, best_f, list(best_path)
+            rewind()
+            cur_f = best_f
             pool = None
             t = t_start
-        mv = _sample_move(cur, rng, tries=48)
+        mv = _sample_move(state, rng, tries=48)
         if mv is None:
-            # the pool stays valid while cur is unchanged
             if pool is None:
-                pool = valid_moves(cur)
+                pool = state.moves()
             if not pool:
                 break
             mv = rng.choice(pool)
         delta = deltas[mv.index]
         de = delta[0] * _F0_WEIGHT + sum(delta)
         if de <= 0 or rng.random() < math.exp(max(-de / t, -60.0)):
-            cur = apply_move(cur, mv, check=False)
+            state.apply(mv)
             pool = None
-            cur_f = tuple(a + b for a, b in zip(cur_f, deltas[mv.index]))
-            cur_path.append(mv)
+            cur_f = tuple(a + b for a, b in zip(cur_f, delta))
+            path.append(mv)
             if check_homology:
-                got = homology.betti_numbers(cur).betti
+                got = homology.betti_numbers(state.complex()).betti
                 if got != ref_betti:
                     raise AssertionError(f"move {mv} changed Betti numbers: {ref_betti} -> {got}")
             if _energy(cur_f) < _energy(best_f):
-                best, best_f, best_path = cur, cur_f, list(cur_path)
+                best_f, best_len = cur_f, len(path)
         t = max(t * schedule.cooling, schedule.t_min)
 
-    cert = MoveCertificate(M.canonical_hash(), best_path, best.canonical_hash())
+    rewind()
+    best = state.complex()
+    cert = MoveCertificate(M.canonical_hash(), path, best.canonical_hash())
     cert.replay(M)
     return best, cert

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -45,20 +44,15 @@ class RunConfig:
     budget: int = 100_000
     ceiling: int = 20
     samples: int | None = None
-    threads: int = 1
     as_json: bool = False
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        threads = getattr(args, "threads", None)
-        if threads is None:
-            threads = int(os.environ.get("TNT_THREADS", "1"))
         return cls(
             seed=getattr(args, "seed", None),
             budget=getattr(args, "budget", 100_000),
             ceiling=getattr(args, "ceiling", 20),
             samples=getattr(args, "samples", None),
-            threads=threads,
             as_json=getattr(args, "json", False),
         )
 
@@ -173,7 +167,7 @@ def _suite_m6_16(M: SimplicialComplex, cfg: RunConfig) -> tuple[list[dict], bool
     res = bounds.dehn_sommerville6_residual(fv, 4)
     add("dehn_sommerville_residual", res == 0, str(res))
     seed = cfg.seed if cfg.seed is not None else 1
-    mem = morse.walkup_class_membership(M, 2, budget=cfg.budget, seed=seed, threads=cfg.threads)
+    mem = morse.walkup_class_membership(M, 2, budget=cfg.budget, seed=seed)
     if mem.certified:
         add("links_2_stacked", True, "all 16 links certified")
     else:
@@ -550,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, seed=False):
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
-        sp.add_argument("--threads", type=int, default=None, help="worker threads (default: TNT_THREADS or 1)")
         if seed:
             sp.add_argument("--seed", type=int, default=None, help="seed for randomized search")
 

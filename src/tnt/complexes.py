@@ -86,13 +86,15 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         """Dimension, -1 for the empty complex."""
-        if not self.facets:
-            return -1
-        return max(len(f) for f in self.facets) - 1
+        if "dim" not in self._cache:
+            self._cache["dim"] = max(map(len, self.facets), default=0) - 1
+        return self._cache["dim"]
 
     @property
     def is_pure(self) -> bool:
-        return len({len(f) for f in self.facets}) <= 1
+        if "is_pure" not in self._cache:
+            self._cache["is_pure"] = len(set(map(len, self.facets))) <= 1
+        return self._cache["is_pure"]
 
     @property
     def vertices(self) -> tuple[int, ...]:

@@ -11,7 +11,6 @@ ambient polytope.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -307,7 +306,6 @@ def walkup_class_membership(
     budget: int = 100_000,
     seed: int = 0,
     ceiling: int = 10,
-    threads: int = 1,
 ) -> MembershipReport:
     """Certify that every vertex link is a k-stacked sphere.
 
@@ -326,15 +324,8 @@ def walkup_class_membership(
     bistellar_route = 1 <= k <= (link_dim + 1) // 2
     per_vertex: dict = {}
     if bistellar_route:
-        def task(v):
-            return stackedness_certificate(links[v], k, budget=budget, seed=seed * 65537 + v)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(task, verts))
-        else:
-            results = [task(v) for v in verts]
-        for v, cert in zip(verts, results):
+        for v in verts:
+            cert = stackedness_certificate(links[v], k, budget=budget, seed=seed * 65537 + v)
             per_vertex[v] = cert if cert is not None else "unknown"
         certified = all(isinstance(c, MoveCertificate) for c in per_vertex.values())
         return MembershipReport(certified, k, "bistellar", per_vertex)

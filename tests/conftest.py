@@ -92,6 +92,28 @@ def dense_span_kernel_dim(K: SimplicialComplex, W, i: int) -> int:
     return dense_gf2_rank(D) - r_out - dense_gf2_rank(inside)
 
 
+# -- move oracle ----------------------------------------------------------------
+
+
+def dense_valid_moves(K: SimplicialComplex, indices) -> list[tuple[int, tuple, tuple]]:
+    """(index, A, B) of every applicable move of the given indices, in
+    (index, A, B) order, read off links and face sets.
+
+    For index i, A is a (d - i)-face whose link facets of size i, the ones
+    that come from top-dimensional facets, are exactly the boundary of an
+    (i + 1)-set B that is no face of K.
+    """
+    d = K.dim
+    out = []
+    for i in sorted({i for i in indices if 1 <= i <= d}):
+        for a in K.faces(d - i):
+            top = {g for g in K.link(a).facets if len(g) == i}
+            b = tuple(sorted({v for g in top for v in g}))
+            if len(b) == i + 1 and b not in K.face_set(i) and top == set(combinations(b, i)):
+                out.append((i, a, b))
+    return out
+
+
 # -- small-complex isomorphism (brute force over signatures) -------------------
 
 

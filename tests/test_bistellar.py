@@ -3,8 +3,10 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_sphere
+from conftest import dense_valid_moves, random_sphere
 from tnt import (
     BistellarMove,
     MoveCertificate,
@@ -21,7 +23,7 @@ from tnt import (
     valid_moves,
     vertex_reduce,
 )
-from tnt.bistellar import AnnealSchedule, is_boundary_simplex
+from tnt.bistellar import AnnealSchedule, _MoveState, is_boundary_simplex
 from tnt.errors import InvalidMoveError
 
 
@@ -114,6 +116,65 @@ def test_valid_moves_index_filter():
     O = cross_polytope_boundary(3)
     assert valid_moves(O, index_filter=[2]) == []
     assert len(valid_moves(O, index_filter=[1, 2])) == 12
+
+
+def _triples(moves):
+    return [(m.index, m.A, m.B) for m in moves]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), d=st.sampled_from([2, 3, 4]), stacked=st.booleans())
+def test_move_state_walk_matches_dense_oracle(seed, d, stacked):
+    rng = random.Random(seed)
+    if stacked:
+        M = stacked_sphere(d, rng.randint(d + 2, d + 7), seed=seed)
+    else:
+        M = random_sphere(rng, d=d, walk=6)
+    every = range(1, d + 1)
+    state = _MoveState(M, every)
+    K = M
+    for _ in range(10):
+        got = state.moves()
+        assert _triples(got) == dense_valid_moves(K, every)
+        assert got == valid_moves(K)
+        sub = sorted(rng.sample(every, rng.randint(1, d)))
+        assert _triples(state.moves(sub)) == dense_valid_moves(K, sub)
+        if got and rng.random() < 0.8:
+            mv = got[rng.randrange(len(got))]
+        else:
+            # an index-0 move: subdivide a facet with a fresh vertex
+            mv = BistellarMove(K.facets[rng.randrange(len(K.facets))], (max(K.vertices) + 1,))
+        # a move and its inverse restore the state exactly
+        state.apply(mv)
+        state.apply(mv.inverse())
+        assert state.complex() == K
+        state.apply(mv)
+        K = apply_move(K, mv)
+        assert state.complex() == K
+        assert state.is_boundary_simplex() == is_boundary_simplex(K)
+
+
+def test_valid_moves_non_pure_rule():
+    # stacked 2-sphere on 5 vertices: 1 and 5 have link d(2 3 4), and the
+    # edges 23, 24, 34 flip onto the missing edge 15
+    S = stacked_sphere(2, 5, seed=0)
+    assert _triples(valid_moves(S)) == [
+        (1, (2, 3), (1, 5)), (1, (2, 4), (1, 5)), (1, (3, 4), (1, 5)),
+        (2, (1,), (2, 3, 4)), (2, (5,), (2, 3, 4)),
+    ]
+    # the lower facet 15 makes B = 15 a face, which kills the flips; as a
+    # cofacet of 1 and 5 it is ignored, so both vertex removals remain
+    K = SimplicialComplex(list(S.facets) + [(1, 5)])
+    assert not K.is_pure
+    every = range(1, 3)
+    expected = [(2, (1,), (2, 3, 4)), (2, (5,), (2, 3, 4))]
+    assert _triples(valid_moves(K)) == dense_valid_moves(K, every) == expected
+    state = _MoveState(K, every)
+    assert _triples(state.moves()) == expected
+    mv = BistellarMove((1,), (2, 3, 4))
+    state.apply(mv)
+    assert state.complex() == apply_move(K, mv, check=False)
+    assert state.complex().facets == ((1, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5))
 
 
 def test_single_stacked_sphere_has_two_vertex_removals():

@@ -10,6 +10,7 @@ from tnt import (
     boundary_matrix,
     boundary_simplex,
     cross_polytope_boundary,
+    cyclic_polytope_boundary,
     dataset,
     induced_kernel_dim,
     reduced_betti,
@@ -179,21 +180,39 @@ def test_induced_kernel_rejects_non_subcomplex():
 
 
 def test_induced_kernel_two_routes_agree():
-    # the masked-column fast path must equal the public formula route
+    # the masked-column fast path must equal the public formula route, on
+    # random subsets (kernels almost all zero) and on subsets with known
+    # non-zero kernels
     rng = random.Random(15)
+    cases = []
     for _ in range(25):
         S = random_sphere(rng)
+        w = tuple(v for v in S.vertices if rng.random() < 0.6)
+        if len(w) >= 2:
+            cases.append((S, w, None))
+    for d in (3, 4, 5):
+        # j whole diagonals span a (j-1)-sphere, null-homologous in the (d-1)-sphere
+        X = cross_polytope_boundary(d)
+        for j in range(2, d):
+            for J in combinations(range(1, d + 1), j):
+                w = tuple(v for i in J for v in (2 * i - 1, 2 * i))
+                cases.append((X, w, {j - 1: 1}))
+    C = cyclic_polytope_boundary(4, 6)
+    # the tightness witness W = {1, 3, 5} (i = 1) and its complement
+    cases += [(C, (1, 3, 5), {1: 1}), (C, (2, 4, 6), {1: 1})]
+    nonzero = 0
+    for S, w, known in cases:
         eng = engine(S)
-        verts = S.vertices
-        w = tuple(v for v in verts if rng.random() < 0.6)
-        if len(w) < 2:
-            continue
         wmask = eng.word_of(w)
         A = S.span(w)
         for i in range(1, S.dim + 1):
             fast = eng.span_kernel_dim(wmask, i)
             public = induced_kernel_dim(S, A, i)
             assert fast == public, (w, i, fast, public)
+            if known is not None:
+                assert fast == known.get(i, 0), (w, i, fast)
+            nonzero += fast > 0
+    assert nonzero >= 40
 
 
 def test_relative_mu_contribution_cases():
