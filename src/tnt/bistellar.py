@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
@@ -252,15 +252,16 @@ def is_boundary_simplex(M: SimplicialComplex) -> bool:
     return d >= 0 and len(M.vertices) == d + 2 and len(M.facets) == d + 2
 
 
+@dataclass(slots=True)
 class MoveCertificate:
     """A replayable move sequence between two hashed complexes."""
 
-    __slots__ = ("start", "moves", "end")
+    start: str
+    moves: Sequence[BistellarMove] = field(repr=False)
+    end: str
 
-    def __init__(self, start: str, moves: Sequence[BistellarMove], end: str):
-        self.start = start
-        self.moves = tuple(moves)
-        self.end = end
+    def __post_init__(self):
+        self.moves = tuple(self.moves)
 
     @property
     def max_index_used(self) -> int | None:
@@ -291,14 +292,6 @@ class MoveCertificate:
             obj = json.loads(obj)
         moves = [BistellarMove(tuple(m["A"]), tuple(m["B"])) for m in obj["moves"]]
         return cls(obj["start"], moves, obj["end"])
-
-    def __eq__(self, other):
-        if not isinstance(other, MoveCertificate):
-            return NotImplemented
-        return self.start == other.start and self.moves == other.moves and self.end == other.end
-
-    def __repr__(self) -> str:
-        return f"MoveCertificate(moves={len(self.moves)}, max_index={self.max_index_used})"
 
 
 def stackedness_certificate(
@@ -380,17 +373,12 @@ def stackedness_certificate(
     return None
 
 
+@dataclass(slots=True, eq=False)
 class ExactStackedness:
     """Outcome of the exhaustive ball search."""
 
-    __slots__ = ("status", "ball")
-
-    def __init__(self, status: str, ball: SimplicialComplex | None = None):
-        self.status = status  # "yes" | "no" | "aborted"
-        self.ball = ball
-
-    def __repr__(self) -> str:
-        return f"ExactStackedness({self.status!r})"
+    status: str  # "yes" | "no" | "aborted"
+    ball: SimplicialComplex | None = field(default=None, repr=False)
 
 
 def k_stacked_exact(S: SimplicialComplex, k: int, ceiling: int = 10) -> ExactStackedness:

@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from . import __version__, bounds, homology, morse
 from .bistellar import AnnealSchedule, stackedness_certificate, vertex_reduce
@@ -27,6 +26,7 @@ from .constructors import (
     simplicial_product,
     stacked_sphere,
 )
+from .errors import SearchLimitError
 from .morse import AmbientPolytope
 from .symmetry import automorphisms
 
@@ -34,27 +34,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
-
-
-@dataclass
-class RunConfig:
-    """Reproducibility knobs shared by the commands."""
-
-    seed: int | None = None
-    budget: int = 100_000
-    ceiling: int = 20
-    samples: int | None = None
-    as_json: bool = False
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(
-            seed=getattr(args, "seed", None),
-            budget=getattr(args, "budget", 100_000),
-            ceiling=getattr(args, "ceiling", 20),
-            samples=getattr(args, "samples", None),
-            as_json=getattr(args, "json", False),
-        )
 
 
 def _load(path: str) -> SimplicialComplex:
@@ -68,31 +47,28 @@ def _load(path: str) -> SimplicialComplex:
         raise SystemExit(EXIT_USAGE)
 
 
-def _report(payload: dict, M: SimplicialComplex | None, path: str | None, cfg: RunConfig) -> dict:
-    head = {"tool": "tnt", "version": __version__}
-    if path is not None:
-        head["input"] = path
-    if M is not None:
-        head["input_hash"] = M.canonical_hash()
-    if cfg.seed is not None:
-        head["seed"] = cfg.seed
-    payload["meta"] = head
-    return payload
-
-
-def _emit(payload: dict, cfg: RunConfig, text_lines: list[str]) -> None:
-    if cfg.as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
+def _emit(args, payload: dict, text_lines: list[str], M: SimplicialComplex | None = None) -> None:
+    """Print the report: with --json the payload under a meta header naming
+    the tool, the input file and hash (when ``M`` is given) and the seed."""
+    if not args.json:
         for line in text_lines:
             print(line)
+        return
+    head = {"tool": "tnt", "version": __version__}
+    if M is not None:
+        head["input"] = args.file
+        head["input_hash"] = M.canonical_hash()
+    seed = getattr(args, "seed", None)  # info and bounds take no --seed
+    if seed is not None:
+        head["seed"] = seed
+    payload["meta"] = head
+    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 # -- info -------------------------------------------------------------------
 
 
 def cmd_info(args) -> int:
-    cfg = RunConfig.from_args(args)
     M = _load(args.file)
     fv = M.f_vector()
     info: dict = {
@@ -127,100 +103,90 @@ def cmd_info(args) -> int:
             f"closed pseudomanifold: {pm['is_closed_pseudomanifold']} "
             f"(ridges in 2 facets: {pm['closed']}, facet graph connected: {pm['facet_graph_connected']})"
         )
-    _emit(_report(info, M, args.file, cfg), cfg, lines)
+    _emit(args, info, lines, M)
     return EXIT_PASS
 
 
 # -- verify suites ------------------------------------------------------------
 
 
-def _suite_m6_16(M: SimplicialComplex, cfg: RunConfig) -> tuple[list[dict], bool]:
+def _check(checks: list[dict], name: str, ok, detail: str = "") -> None:
+    checks.append({"check": name, "ok": bool(ok), "detail": detail})
+
+
+def _suite_m6_16(M: SimplicialComplex, args) -> tuple[list[dict], bool]:
     checks: list[dict] = []
     unknown = False
-
-    def add(name: str, ok: bool, detail=""):
-        checks.append({"check": name, "ok": bool(ok), "detail": detail})
-
     fv = M.f_vector()
-    add("f_vector", fv == (16, 112, 448, 980, 1232, 840, 240), str(fv))
-    add("euler_characteristic", M.euler_characteristic() == 4, str(M.euler_characteristic()))
+    _check(checks, "f_vector", fv == (16, 112, 448, 980, 1232, 840, 240), str(fv))
+    _check(checks, "euler_characteristic", M.euler_characteristic() == 4, str(M.euler_characteristic()))
     missing = M.missing_faces(1)
     diagonals = [(2 * i - 1, 2 * i) for i in range(1, 9)]
-    add("missing_edges_are_diagonals", missing == diagonals, str(missing))
+    _check(checks, "missing_edges_are_diagonals", missing == diagonals, str(missing))
     invol = morse.central_symmetry(M)
     expect = {}
     for a, b in diagonals:
         expect[a] = b
         expect[b] = a
-    add("central_involution", invol == expect, str(invol))
+    _check(checks, "central_involution", invol == expect, str(invol))
     try:
         auts = automorphisms(M)
-        add("automorphism_group_order", len(auts) == 2, str(len(auts)))
-    except Exception as e:  # search cap
-        add("automorphism_group_order", False, str(e))
+        _check(checks, "automorphism_group_order", len(auts) == 2, str(len(auts)))
+    except SearchLimitError as e:
+        _check(checks, "automorphism_group_order", False, str(e))
     ambient = AmbientPolytope.cross(diagonals)
-    add("two_hamiltonian_in_cross_polytope", morse.hamiltonian_check(M, 2, ambient))
+    _check(checks, "two_hamiltonian_in_cross_polytope", morse.hamiltonian_check(M, 2, ambient))
     betti = homology.betti_numbers(M).betti
-    add("betti_gf2", betti == (1, 0, 1, 0, 1, 0, 1), str(betti))
+    _check(checks, "betti_gf2", betti == (1, 0, 1, 0, 1, 0, 1), str(betti))
     b11 = bounds.six_manifold_bound(4, 16, 112)
-    add("triangle_bound_equality", b11 == 448 == fv[2], f"bound {b11}, f_2 {fv[2]}")
+    _check(checks, "triangle_bound_equality", b11 == 448 == fv[2], f"bound {b11}, f_2 {fv[2]}")
     res = bounds.dehn_sommerville6_residual(fv, 4)
-    add("dehn_sommerville_residual", res == 0, str(res))
-    seed = cfg.seed if cfg.seed is not None else 1
-    mem = morse.walkup_class_membership(M, 2, budget=cfg.budget, seed=seed)
+    _check(checks, "dehn_sommerville_residual", res == 0, str(res))
+    seed = args.seed if args.seed is not None else 1
+    mem = morse.walkup_class_membership(M, 2, budget=args.budget, seed=seed)
     if mem.certified:
-        add("links_2_stacked", True, "all 16 links certified")
+        _check(checks, "links_2_stacked", True, "all 16 links certified")
     else:
         unknown = True
         bad = [str(v) for v, item in mem.per_vertex.items() if not hasattr(item, "moves")]
-        add("links_2_stacked", False, f"unknown for links of: {', '.join(bad)}")
+        _check(checks, "links_2_stacked", False, f"unknown for links of: {', '.join(bad)}")
     return checks, unknown
 
 
-def _suite_walkup_m3(M: SimplicialComplex, cfg: RunConfig) -> tuple[list[dict], bool]:
+def _suite_walkup_m3(M: SimplicialComplex, args) -> tuple[list[dict], bool]:
     checks: list[dict] = []
-
-    def add(name: str, ok: bool, detail=""):
-        checks.append({"check": name, "ok": bool(ok), "detail": detail})
-
     pm = M.pseudomanifold_check() if M.is_pure else None
-    add("closed_pseudomanifold", pm is not None and pm.closed and pm.is_closed_pseudomanifold)
+    _check(checks, "closed_pseudomanifold", pm is not None and pm.closed and pm.is_closed_pseudomanifold)
     ref = dataset("walkup_M3")
-    add("matches_construction", M == ref, f"f = {M.f_vector()}")
-    add("two_neighborly", M.is_k_neighborly(2))
+    _check(checks, "matches_construction", M == ref, f"f = {M.f_vector()}")
+    _check(checks, "two_neighborly", M.is_k_neighborly(2))
     betti = homology.betti_numbers(M).betti
-    add("betti_gf2", betti == (1, 1, 1, 1), str(betti))
+    _check(checks, "betti_gf2", betti == (1, 1, 1, 1), str(betti))
     rep = morse.tightness_verify(M, AmbientPolytope.simplex(len(M.vertices)))
     detail = f"{rep.subsets_checked} subsets"
     if not rep.tight:
         w, i, kd = rep.witness
         detail = f"witness W={list(w)} i={i} kernel_dim={kd}"
-    add("tightness_exhaustive", rep.tight, detail)
+    _check(checks, "tightness_exhaustive", rep.tight, detail)
     return checks, False
 
 
-def _suite_lemma34(M: SimplicialComplex, cfg: RunConfig) -> tuple[list[dict], bool]:
+def _suite_lemma34(M: SimplicialComplex, args) -> tuple[list[dict], bool]:
     checks: list[dict] = []
-    unknown = False
-
-    def add(name: str, ok: bool, detail=""):
-        checks.append({"check": name, "ok": bool(ok), "detail": detail})
-
-    if cfg.seed is None:
+    if args.seed is None:
         print("error: --seed is required for the lemma34 suite", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     d = M.dim
-    cert = stackedness_certificate(M, 1, budget=cfg.budget, seed=cfg.seed)
+    cert = stackedness_certificate(M, 1, budget=args.budget, seed=args.seed)
     if cert is None:
-        add("stacked_certificate", False, "unknown within budget")
+        _check(checks, "stacked_certificate", False, "unknown within budget")
         return checks, True
-    add("stacked_certificate", True, f"{len(cert.moves)} moves")
-    rng = random.Random(cfg.seed)
-    samples = cfg.samples if cfg.samples is not None else 50
+    _check(checks, "stacked_certificate", True, f"{len(cert.moves)} moves")
+    rng = random.Random(args.seed)
     verts = M.vertices
     eng = homology.engine(M)
     violations = []
-    for _ in range(samples):
+    for _ in range(args.samples):
         w = tuple(v for v in verts if rng.random() < 0.5)
         if not w:
             continue
@@ -229,25 +195,23 @@ def _suite_lemma34(M: SimplicialComplex, cfg: RunConfig) -> tuple[list[dict], bo
             i = d - j
             if i < len(bet) and i >= 1 and bet[i] != 0:
                 violations.append({"W": list(w), "degree": i, "betti": bet[i]})
-    add("span_homology_vanishing", not violations, f"{samples} samples, {len(violations)} violations")
-    return checks, unknown
+    _check(checks, "span_homology_vanishing", not violations, f"{args.samples} samples, {len(violations)} violations")
+    return checks, False
 
 
 _SUITES = {"m6_16": _suite_m6_16, "walkup_m3": _suite_walkup_m3, "lemma34": _suite_lemma34}
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig.from_args(args)
     if args.suite not in _SUITES:
         print(f"error: unknown suite {args.suite!r}; available: {', '.join(sorted(_SUITES))}", file=sys.stderr)
         return EXIT_USAGE
     M = _load(args.file)
-    checks, unknown = _SUITES[args.suite](M, cfg)
+    checks, unknown = _SUITES[args.suite](M, args)
     ok = all(c["ok"] for c in checks)
-    payload = _report({"suite": args.suite, "checks": checks, "pass": ok}, M, args.file, cfg)
     lines = [f"[{'PASS' if c['ok'] else 'FAIL'}] {c['check']}" + (f": {c['detail']}" if c["detail"] else "") for c in checks]
     lines.append(f"suite {args.suite}: {'pass' if ok else 'FAIL'}")
-    _emit(payload, cfg, lines)
+    _emit(args, {"suite": args.suite, "checks": checks, "pass": ok}, lines, M)
     if not ok:
         return EXIT_UNKNOWN if unknown else EXIT_FAIL
     return EXIT_PASS
@@ -257,7 +221,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    cfg = RunConfig.from_args(args)
     kind = args.kind
     try:
         if kind == "boundary-simplex":
@@ -271,9 +234,9 @@ def cmd_construct(args) -> int:
         elif kind == "stacked-sphere":
             if args.n is None:
                 raise ValueError("stacked-sphere needs --n")
-            if cfg.seed is None:
+            if args.seed is None:
                 raise ValueError("stacked-sphere needs --seed")
-            M = stacked_sphere(args.d, args.n, seed=cfg.seed)
+            M = stacked_sphere(args.d, args.n, seed=args.seed)
         elif kind == "kuehnel":
             M = kuehnel_series(args.d)
         elif kind == "dataset":
@@ -301,39 +264,32 @@ def cmd_construct(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    cfg = RunConfig.from_args(args)
     M = _load(args.file)
-    if cfg.seed is None:
+    if args.seed is None:
         print("error: --seed is required for reduce", file=sys.stderr)
         return EXIT_USAGE
     schedule = AnnealSchedule(steps=args.steps)
-    best, cert = vertex_reduce(M, target_f0=args.target_f0, schedule=schedule, seed=cfg.seed)
+    best, cert = vertex_reduce(M, target_f0=args.target_f0, schedule=schedule, seed=args.seed)
     if args.out:
         save_complex(best, args.out)
     if args.cert:
         with open(args.cert, "w", encoding="utf-8") as fh:
             fh.write(cert.dumps() + "\n")
-    payload = _report(
-        {
-            "start_f": list(M.f_vector()),
-            "best_f": list(best.f_vector()),
-            "moves": len(cert.moves),
-            "target_f0": args.target_f0,
-            "reached": args.target_f0 is None or best.f_vector()[0] <= args.target_f0,
-            "result_hash": best.canonical_hash(),
-        },
-        M,
-        args.file,
-        cfg,
-    )
+    reached = args.target_f0 is None or best.f_vector()[0] <= args.target_f0
+    payload = {
+        "start_f": list(M.f_vector()),
+        "best_f": list(best.f_vector()),
+        "moves": len(cert.moves),
+        "target_f0": args.target_f0,
+        "reached": reached,
+        "result_hash": best.canonical_hash(),
+    }
     lines = [
         f"f0 {M.f_vector()[0]} -> {best.f_vector()[0]} in {len(cert.moves)} moves",
         f"best f = {best.f_vector()}",
     ]
-    _emit(payload, cfg, lines)
-    if args.target_f0 is not None and best.f_vector()[0] > args.target_f0:
-        return EXIT_UNKNOWN
-    return EXIT_PASS
+    _emit(args, payload, lines, M)
+    return EXIT_PASS if reached else EXIT_UNKNOWN
 
 
 # -- tight --------------------------------------------------------------------
@@ -362,24 +318,22 @@ def _ambient_from_args(M: SimplicialComplex, args) -> AmbientPolytope:
 
 
 def cmd_tight(args) -> int:
-    cfg = RunConfig.from_args(args)
     M = _load(args.file)
     try:
         ambient = _ambient_from_args(M, args)
         rep = morse.tightness_verify(
-            M, ambient, i_max=args.imax, ceiling=cfg.ceiling, sample=cfg.samples, seed=cfg.seed
+            M, ambient, i_max=args.imax, ceiling=args.ceiling, sample=args.samples, seed=args.seed
         )
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    payload = _report(rep.to_json(), M, args.file, cfg)
     if rep.tight:
         scope = "exhaustive" if rep.exhaustive else "sampled"
         lines = [f"tight ({scope}: {rep.subsets_checked} subsets, i_max {rep.i_max})"]
     else:
         w, i, kd = rep.witness
         lines = [f"NOT tight: witness W={list(w)} at i={i}, kernel dim {kd}"]
-    _emit(payload, cfg, lines)
+    _emit(args, rep.to_json(), lines, M)
     return EXIT_PASS if rep.tight else EXIT_FAIL
 
 
@@ -387,12 +341,11 @@ def cmd_tight(args) -> int:
 
 
 def cmd_morse(args) -> int:
-    cfg = RunConfig.from_args(args)
     M = _load(args.file)
-    if cfg.seed is None:
+    if args.seed is None:
         print("error: --seed is required for morse", file=sys.stderr)
         return EXIT_USAGE
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     chi = M.euler_characteristic()
     betti = homology.betti_numbers(M).betti
     hist: dict[tuple[int, ...], int] = {}
@@ -406,23 +359,18 @@ def cmd_morse(args) -> int:
         alt = sum((-1) ** i * m for i, m in enumerate(mu))
         if alt != chi or any(m < b for m, b in zip(mu, betti)):
             violations.append({"ordering": order, "mu": list(mu)})
-    payload = _report(
-        {
-            "orderings": args.orderings,
-            "histogram": {" ".join(map(str, k)): v for k, v in sorted(hist.items())},
-            "betti": list(betti),
-            "chi": chi,
-            "morse_relation_violations": violations,
-        },
-        M,
-        args.file,
-        cfg,
-    )
+    payload = {
+        "orderings": args.orderings,
+        "histogram": {" ".join(map(str, k)): v for k, v in sorted(hist.items())},
+        "betti": list(betti),
+        "chi": chi,
+        "morse_relation_violations": violations,
+    }
     lines = [f"mu histogram over {args.orderings} orderings:"]
     for k, v in sorted(hist.items()):
         lines.append(f"  {k}: {v}")
     lines.append(f"violations: {len(violations)}")
-    _emit(payload, cfg, lines)
+    _emit(args, payload, lines, M)
     return EXIT_PASS if not violations else EXIT_FAIL
 
 
@@ -430,30 +378,24 @@ def cmd_morse(args) -> int:
 
 
 def cmd_stacked(args) -> int:
-    cfg = RunConfig.from_args(args)
     M = _load(args.file)
-    if cfg.seed is None:
+    if args.seed is None:
         print("error: --seed is required for stacked", file=sys.stderr)
         return EXIT_USAGE
     try:
-        cert = stackedness_certificate(M, args.k, budget=cfg.budget, seed=cfg.seed)
+        cert = stackedness_certificate(M, args.k, budget=args.budget, seed=args.seed)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     if cert is None:
-        payload = _report({"k": args.k, "status": "unknown", "budget": cfg.budget}, M, args.file, cfg)
-        _emit(payload, cfg, [f"unknown: no certificate within {cfg.budget} move attempts"])
+        payload = {"k": args.k, "status": "unknown", "budget": args.budget}
+        _emit(args, payload, [f"unknown: no certificate within {args.budget} move attempts"], M)
         return EXIT_UNKNOWN
     if args.cert:
         with open(args.cert, "w", encoding="utf-8") as fh:
             fh.write(cert.dumps() + "\n")
-    payload = _report(
-        {"k": args.k, "status": "certified", "moves": len(cert.moves), "max_index_used": cert.max_index_used},
-        M,
-        args.file,
-        cfg,
-    )
-    _emit(payload, cfg, [f"certified {args.k}-stacked: {len(cert.moves)} moves"])
+    payload = {"k": args.k, "status": "certified", "moves": len(cert.moves), "max_index_used": cert.max_index_used}
+    _emit(args, payload, [f"certified {args.k}-stacked: {len(cert.moves)} moves"], M)
     return EXIT_PASS
 
 
@@ -461,18 +403,19 @@ def cmd_stacked(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = RunConfig.from_args(args)
     try:
+        fv = None
+        if args.bound in ("glbc", "ds6"):
+            if args.f is None:
+                raise ValueError(f"bounds {args.bound} needs --f")
+            fv = [int(x) for x in args.f.split(",")]
+        rep = None
         if args.bound == "tight-neighborly":
             val = bounds.tight_neighborly_bound(args.dim, args.beta1)
-            rep = bounds.BoundsReport(
-                "tight_neighborly", {"d": args.dim, "beta1": args.beta1}, val, args.f0
-            )
+            rep = bounds.BoundsReport("tight_neighborly", {"d": args.dim, "beta1": args.beta1}, val, args.f0)
         elif args.bound == "heawood":
-            val = bounds.heawood_bound(args.chi)
-            rep = bounds.BoundsReport("heawood", {"chi": args.chi}, val, args.f0)
+            rep = bounds.BoundsReport("heawood", {"chi": args.chi}, bounds.heawood_bound(args.chi), args.f0)
         elif args.bound == "glbc":
-            fv = [int(x) for x in args.f.split(",")]
             val = bounds.glbc_bound(args.dim, args.k, args.j, fv)
             rep = bounds.BoundsReport(
                 "glbc",
@@ -483,51 +426,32 @@ def cmd_bounds(args) -> int:
             )
         elif args.bound == "six":
             val = bounds.six_manifold_bound(args.chi, args.f0, args.f1, args.two_neighborly)
-            rep = bounds.BoundsReport(
-                "six_manifold",
-                {"chi": args.chi, "f0": args.f0, "f1": args.f1, "two_neighborly": args.two_neighborly},
-                val,
-                args.actual,
-            )
+            inputs = {"chi": args.chi, "f0": args.f0, "f1": args.f1, "two_neighborly": args.two_neighborly}
+            rep = bounds.BoundsReport("six_manifold", inputs, val, args.actual)
         elif args.bound == "binomial":
             chk = bounds.binomial_form_check(args.f0, args.dim, args.beta1)
-            payload = _report(
-                {
-                    "name": "binomial_form",
-                    "inputs": {"f0": args.f0, "d": args.dim, "beta1": args.beta1},
-                    "satisfied": chk.satisfied,
-                    "equality": chk.equality,
-                    "lhs": chk.lhs,
-                    "rhs": chk.rhs,
-                },
-                None,
-                None,
-                cfg,
-            )
-            _emit(payload, cfg, [f"{chk.lhs} >= {chk.rhs}: {chk.satisfied} (equality: {chk.equality})"])
-            return EXIT_PASS
-        elif args.bound == "ds6":
-            fv = [int(x) for x in args.f.split(",")]
+            payload = {
+                "name": "binomial_form",
+                "inputs": {"f0": args.f0, "d": args.dim, "beta1": args.beta1},
+                "satisfied": chk.satisfied,
+                "equality": chk.equality,
+                "lhs": chk.lhs,
+                "rhs": chk.rhs,
+            }
+            line = f"{chk.lhs} >= {chk.rhs}: {chk.satisfied} (equality: {chk.equality})"
+        else:  # ds6
             val = bounds.dehn_sommerville6_residual(fv, args.chi)
-            payload = _report(
-                {"name": "dehn_sommerville6_residual", "inputs": {"f": fv, "chi": args.chi}, "residual": val},
-                None,
-                None,
-                cfg,
-            )
-            _emit(payload, cfg, [f"residual: {val}"])
-            return EXIT_PASS
-        else:
-            print(f"error: unknown bound {args.bound!r}", file=sys.stderr)
-            return EXIT_USAGE
+            payload = {"name": "dehn_sommerville6_residual", "inputs": {"f": fv, "chi": args.chi}, "residual": val}
+            line = f"residual: {val}"
     except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    payload = _report(rep.to_json(), None, None, cfg)
-    line = f"{rep.name}: bound {rep.bound}"
-    if rep.actual is not None:
-        line += f", actual {rep.actual}, slack {rep.slack}" + (" (equality)" if rep.equality else "")
-    _emit(payload, cfg, [line])
+    if rep is not None:
+        payload = rep.to_json()
+        line = f"{rep.name}: bound {rep.bound}"
+        if rep.actual is not None:
+            line += f", actual {rep.actual}, slack {rep.slack}" + (" (equality)" if rep.equality else "")
+    _emit(args, payload, [line])
     return EXIT_PASS
 
 
@@ -556,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--suite", required=True, choices=sorted(_SUITES))
     sp.add_argument("--budget", type=int, default=100_000)
-    sp.add_argument("--samples", type=int, default=None)
+    sp.add_argument("--samples", type=int, default=50, help="random spans for the lemma34 suite")
     common(sp, seed=True)
     sp.set_defaults(func=cmd_verify)
 

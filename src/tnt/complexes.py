@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Simplex",
@@ -246,24 +247,7 @@ class SimplicialComplex:
 
     def connectivity(self) -> int:
         """Number of connected components of the 1-skeleton."""
-        verts = self.vertices
-        if not verts:
-            return 0
-        parent = {v: v for v in verts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for f in self.facets:
-            a = f[0]
-            for b in f[1:]:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        return len({find(v) for v in verts})
+        return _components(self.vertices, self.facets)
 
     def pseudomanifold_check(self) -> "PseudomanifoldReport":
         """Check the closed-pseudomanifold conditions.  Requires a pure complex."""
@@ -278,22 +262,7 @@ class SimplicialComplex:
                 ridge_facets.setdefault(r, []).append(i)
         closed = all(len(v) == 2 for v in ridge_facets.values())
         # facet adjacency via shared ridges
-        n = len(self.facets)
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for members in ridge_facets.values():
-            a = members[0]
-            for b in members[1:]:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        strongly_connected = len({find(i) for i in range(n)}) == 1
+        strongly_connected = _components(range(len(self.facets)), ridge_facets.values()) == 1
         return PseudomanifoldReport(
             dim=d,
             closed=closed,
@@ -314,36 +283,40 @@ class SimplicialComplex:
         return self._cache["hash"]
 
 
+def _components(nodes: Iterable, groups: Iterable[Sequence]) -> int:
+    """Connected components of ``nodes`` once the members of each group are joined."""
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in groups:
+        a = g[0]
+        for b in g[1:]:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    return len({find(x) for x in parent})
+
+
+@dataclass(slots=True, eq=False)
 class PseudomanifoldReport:
     """Result of :meth:`SimplicialComplex.pseudomanifold_check`."""
 
-    __slots__ = ("dim", "closed", "facet_graph_connected", "skeleton_components")
-
-    def __init__(self, dim: int, closed: bool, facet_graph_connected: bool, skeleton_components: int):
-        self.dim = dim
-        self.closed = closed
-        self.facet_graph_connected = facet_graph_connected
-        self.skeleton_components = skeleton_components
+    dim: int
+    closed: bool
+    facet_graph_connected: bool
+    skeleton_components: int
 
     @property
     def is_closed_pseudomanifold(self) -> bool:
         return self.closed and self.facet_graph_connected
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "closed": self.closed,
-            "facet_graph_connected": self.facet_graph_connected,
-            "skeleton_components": self.skeleton_components,
-            "is_closed_pseudomanifold": self.is_closed_pseudomanifold,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"PseudomanifoldReport(dim={self.dim}, closed={self.closed}, "
-            f"facet_graph_connected={self.facet_graph_connected}, "
-            f"skeleton_components={self.skeleton_components})"
-        )
+        return {**asdict(self), "is_closed_pseudomanifold": self.is_closed_pseudomanifold}
 
 
 # -- construction and serialization ---------------------------------------

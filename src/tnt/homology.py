@@ -9,6 +9,8 @@ ranks are ranks of selected row subsets.
 """
 from __future__ import annotations
 
+import dataclasses
+
 from . import gf2
 from .complexes import SimplicialComplex, Simplex, simplex
 
@@ -23,6 +25,7 @@ __all__ = [
 ]
 
 
+@dataclasses.dataclass(slots=True)
 class HomologyReport:
     """Betti numbers of a complex over GF(2).
 
@@ -31,23 +34,12 @@ class HomologyReport:
     degree -1 entry (1 for the empty complex, else 0).
     """
 
-    __slots__ = ("betti", "reduced", "field")
-
-    def __init__(self, betti: tuple[int, ...], reduced: tuple[int, ...], field: str = "GF2"):
-        self.betti = betti
-        self.reduced = reduced
-        self.field = field
+    betti: tuple[int, ...]
+    reduced: tuple[int, ...]
+    field: str = dataclasses.field(default="GF2", compare=False)
 
     def to_json(self) -> dict:
         return {"betti": list(self.betti), "reduced": list(self.reduced), "field": self.field}
-
-    def __eq__(self, other):
-        if not isinstance(other, HomologyReport):
-            return NotImplemented
-        return self.betti == other.betti and self.reduced == other.reduced
-
-    def __repr__(self) -> str:
-        return f"HomologyReport(betti={self.betti}, reduced={self.reduced}, field={self.field!r})"
 
 
 class ChainEngine:
@@ -161,17 +153,20 @@ class ChainEngine:
         rows = self.boundary_rows(j)
         return gf2.rank_of_words([rows[k] for k in sel_j], self.f[j - 1])
 
-    def span_betti(self, wmask: int, imax: int | None = None) -> tuple[int, ...]:
-        """Betti numbers of the span of a vertex mask (empty span gives ())."""
-        jcap = self.dim if imax is None else min(imax + 1, self.dim)
-        sel = self.span_selection(wmask, jcap)
+    def span_betti(
+        self, wmask: int, imax: int | None = None, sel: list[list[int]] | None = None
+    ) -> tuple[int, ...]:
+        """Betti numbers of the span of a vertex mask (empty span gives ()).
+
+        ``sel`` is the span's :meth:`span_selection`, computed unless
+        given.  Cut at dimension imax + 1, it gives exact entries up to
+        imax only: the top entry counts no boundaries from above.
+        """
+        if sel is None:
+            sel = self.span_selection(wmask, self.dim if imax is None else min(imax + 1, self.dim))
         top = max((j for j in range(len(sel)) if sel[j]), default=-1)
-        ranks = [self.span_rank(sel[j], j) if j <= top else 0 for j in range(len(sel) + 1)]
-        out = []
-        for j in range(top + 1):
-            nxt = ranks[j + 1] if j + 1 < len(ranks) else 0
-            out.append(len(sel[j]) - ranks[j] - nxt)
-        return tuple(out)
+        ranks = [self.span_rank(sel[j], j) for j in range(top + 1)] + [0]
+        return tuple(len(sel[j]) - ranks[j] - ranks[j + 1] for j in range(top + 1))
 
     def span_kernel_dim(self, wmask: int, i: int, sel: list[list[int]] | None = None) -> int:
         """dim ker(H_i(span) -> H_i(K)) via the masked boundary basis.

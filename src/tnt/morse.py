@@ -10,8 +10,9 @@ ambient polytope.
 """
 from __future__ import annotations
 
+import dataclasses
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -38,14 +39,12 @@ __all__ = [
 ]
 
 
+@dataclass(slots=True, eq=False)
 class MuVector:
     """Critical-point multiplicities of one vertex ordering."""
 
-    __slots__ = ("mu", "per_vertex")
-
-    def __init__(self, mu: tuple[int, ...], per_vertex: tuple[tuple[int, tuple[int, ...]], ...]):
-        self.mu = mu
-        self.per_vertex = per_vertex
+    mu: tuple[int, ...]
+    per_vertex: tuple[tuple[int, tuple[int, ...]], ...] = dataclasses.field(repr=False)
 
     def __iter__(self):
         return iter(self.mu)
@@ -60,9 +59,6 @@ class MuVector:
         if isinstance(other, MuVector):
             return self.mu == other.mu
         return self.mu == tuple(other)
-
-    def __repr__(self) -> str:
-        return f"MuVector({self.mu})"
 
 
 def mu_vector(M: SimplicialComplex, ordering: Sequence[int]) -> MuVector:
@@ -91,20 +87,16 @@ def mu_vector(M: SimplicialComplex, ordering: Sequence[int]) -> MuVector:
     return MuVector(tuple(mu), tuple(per_vertex))
 
 
-def _mu_of(mu) -> tuple[int, ...]:
-    return tuple(mu.mu) if isinstance(mu, MuVector) else tuple(mu)
-
-
 def is_polar(mu) -> bool:
     """One critical point each at the bottom and the top index."""
-    m = _mu_of(mu)
+    m = tuple(mu)
     return len(m) >= 1 and m[0] == 1 and m[-1] == 1
 
 
 def lacunary_tight_pattern(mu, d: int | None = None) -> bool:
     """The sufficient tightness pattern: polar, symmetric, and vanishing at
     the even middle indices (both middle entries when d is odd)."""
-    m = _mu_of(mu)
+    m = tuple(mu)
     if d is None:
         d = len(m) - 1
     if len(m) != d + 1 or not is_polar(m):
@@ -181,18 +173,59 @@ def _admissible_subsets(M: SimplicialComplex, ambient: AmbientPolytope) -> list[
     return sorted(subsets, key=lambda w: (len(w), w))
 
 
+def _sampled_subsets(
+    M: SimplicialComplex, ambient: AmbientPolytope, sample: int, rng: random.Random
+) -> list[tuple[int, ...]]:
+    """``min(sample, family size)`` distinct admissible subsets, uniform
+    over the family, in (size, lex) order.
+
+    Subsets are drawn one at a time until enough distinct ones are found,
+    so the family is never built: the cost grows with the sample, not with
+    the family.
+    """
+    if sample < 0:
+        raise ValueError("sample must be nonnegative")
+    verts = M.vertices
+    ds = ambient.diagonals
+    if ambient.kind == "simplex":
+        size = 2 ** len(verts)
+
+        def draw() -> tuple[int, ...]:
+            r = rng.getrandbits(len(verts))
+            return tuple(v for i, v in enumerate(verts) if r >> i & 1)
+    else:
+        size = 2 * 3 ** len(ds) - 2 ** len(ds)
+
+        def draw() -> tuple[int, ...]:
+            # one of the two families, then a uniform choice on each diagonal:
+            # a, b, or neither ("at most once") / both ("at least once")
+            while True:
+                both = rng.random() < 0.5
+                picks = [rng.randrange(3) for _ in ds]
+                # subsets meeting each diagonal once lie in both families,
+                # so only half of their draws are kept
+                if max(picks) < 2 and rng.random() < 0.5:
+                    continue
+                w = []
+                for (a, b), p in zip(ds, picks):
+                    w.extend(((a,), (b,), (a, b) if both else ())[p])
+                return tuple(sorted(w))
+    drawn: set[tuple[int, ...]] = set()
+    while len(drawn) < min(sample, size):
+        drawn.add(draw())
+    return sorted(drawn, key=lambda w: (len(w), w))
+
+
+@dataclass(slots=True, eq=False)
 class TightnessReport:
     """Verdict of the span-injectivity sweep."""
 
-    __slots__ = ("tight", "witness", "subsets_checked", "exhaustive", "i_max", "ambient_kind")
-
-    def __init__(self, tight, witness, subsets_checked, exhaustive, i_max, ambient_kind):
-        self.tight = tight
-        self.witness = witness  # (W, i, kernel_dim) or None
-        self.subsets_checked = subsets_checked
-        self.exhaustive = exhaustive
-        self.i_max = i_max
-        self.ambient_kind = ambient_kind
+    tight: bool
+    witness: tuple[tuple[int, ...], int, int] | None  # (W, i, kernel_dim)
+    subsets_checked: int
+    exhaustive: bool
+    i_max: int
+    ambient_kind: str
 
     def to_json(self) -> dict:
         w = None
@@ -206,11 +239,6 @@ class TightnessReport:
             "i_max": self.i_max,
             "ambient": self.ambient_kind,
         }
-
-    def __repr__(self) -> str:
-        if self.tight:
-            return f"TightnessReport(tight, {self.subsets_checked} subsets)"
-        return f"TightnessReport(witness={self.witness})"
 
 
 def tightness_verify(
@@ -231,24 +259,24 @@ def tightness_verify(
     order, or an exhaustive Tight verdict.
 
     Above ``ceiling`` vertices a seeded ``sample`` of admissible subsets
-    is required and the report is labeled non-exhaustive.
+    is required and the report is labeled non-exhaustive; the ceiling is
+    checked before any subset is built.
     """
     if M.connectivity() != 1:
         raise ValueError("tightness check requires a connected complex")
     ambient.validate_for(M)
     if i_max is None:
         i_max = M.dim
-    subsets = _admissible_subsets(M, ambient)
-    exhaustive = True
-    if len(M.vertices) > ceiling:
-        if sample is None or seed is None:
-            raise ValueError(
-                f"vertex count {len(M.vertices)} above enumeration ceiling {ceiling}; "
-                "pass sample= and seed= for a sampled run"
-            )
-        rng = random.Random(seed)
-        subsets = sorted(rng.sample(subsets, min(sample, len(subsets))), key=lambda w: (len(w), w))
-        exhaustive = False
+    exhaustive = len(M.vertices) <= ceiling
+    if exhaustive:
+        subsets = _admissible_subsets(M, ambient)
+    elif sample is None or seed is None:
+        raise ValueError(
+            f"vertex count {len(M.vertices)} above enumeration ceiling {ceiling}; "
+            "pass sample= and seed= for a sampled run"
+        )
+    else:
+        subsets = _sampled_subsets(M, ambient, sample, random.Random(seed))
     eng = homology.engine(M)
     jcap = min(i_max + 1, M.dim)
     checked = 0
@@ -258,16 +286,12 @@ def tightness_verify(
             continue
         wmask = eng.word_of(w)
         sel = eng.span_selection(wmask, jcap)
+        bet = eng.span_betti(wmask, sel=sel)
         # i = 0: the span must stay connected
-        comps = len(w) - eng.span_rank(sel[1] if len(sel) > 1 else sel[0][:0], 1)
-        if comps > 1:
-            return TightnessReport(False, (w, 0, comps - 1), checked, exhaustive, i_max, ambient.kind)
-        top = max((j for j in range(len(sel)) if sel[j]), default=-1)
-        ranks = [eng.span_rank(sel[j], j) if j <= top else 0 for j in range(len(sel) + 1)]
-        for i in range(1, min(i_max, top) + 1):
-            nxt = ranks[i + 1] if i + 1 < len(ranks) else 0
-            beta_i = len(sel[i]) - ranks[i] - nxt
-            if beta_i <= 0:
+        if bet[0] > 1:
+            return TightnessReport(False, (w, 0, bet[0] - 1), checked, exhaustive, i_max, ambient.kind)
+        for i in range(1, min(i_max + 1, len(bet))):
+            if bet[i] <= 0:
                 continue
             kd = eng.span_kernel_dim(wmask, i, sel)
             if kd > 0:
@@ -275,16 +299,14 @@ def tightness_verify(
     return TightnessReport(True, None, checked, exhaustive, i_max, ambient.kind)
 
 
+@dataclass(slots=True, eq=False)
 class MembershipReport:
     """Per-link stackedness summary for the class-membership check."""
 
-    __slots__ = ("certified", "k", "route", "per_vertex")
-
-    def __init__(self, certified: bool, k: int, route: str, per_vertex: dict):
-        self.certified = certified
-        self.k = k
-        self.route = route
-        self.per_vertex = per_vertex
+    certified: bool
+    k: int
+    route: str
+    per_vertex: dict = dataclasses.field(repr=False)
 
     def to_json(self) -> dict:
         pv = {}
@@ -294,10 +316,6 @@ class MembershipReport:
             else:
                 pv[str(v)] = {"status": item}
         return {"certified": self.certified, "k": self.k, "route": self.route, "links": pv}
-
-    def __repr__(self) -> str:
-        tag = "certified" if self.certified else "unknown"
-        return f"MembershipReport({tag}, k={self.k}, route={self.route})"
 
 
 def walkup_class_membership(
@@ -371,34 +389,21 @@ def central_symmetry(M: SimplicialComplex) -> dict[int, int] | None:
     return find_central_involution(M)
 
 
+@dataclass(slots=True, eq=False)
 class TightNeighborlyReport:
-    __slots__ = ("dim", "f0", "beta1", "bound", "equality", "two_neighborly", "field", "note")
+    """First-Betti-number vertex bound against the actual vertex count."""
 
-    def __init__(self, dim, f0, beta1, bound, equality, two_neighborly, note=""):
-        self.dim = dim
-        self.f0 = f0
-        self.beta1 = beta1
-        self.bound = bound
-        self.equality = equality
-        self.two_neighborly = two_neighborly
-        self.field = "GF2"
-        self.note = note
+    dim: int
+    f0: int
+    beta1: int
+    bound: int
+    equality: bool
+    two_neighborly: bool
+    field: str = dataclasses.field(default="GF2", init=False)
+    note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "f0": self.f0,
-            "beta1": self.beta1,
-            "bound": self.bound,
-            "equality": self.equality,
-            "two_neighborly": self.two_neighborly,
-            "field": self.field,
-            "note": self.note,
-        }
-
-    def __repr__(self) -> str:
-        rel = "=" if self.equality else ("<" if self.f0 < self.bound else ">")
-        return f"TightNeighborlyReport(f0={self.f0} {rel} bound={self.bound}, beta1={self.beta1})"
+        return asdict(self)
 
 
 def tight_neighborly_check(M: SimplicialComplex) -> TightNeighborlyReport:

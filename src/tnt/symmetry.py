@@ -31,12 +31,17 @@ def _signatures(K: SimplicialComplex):
 
 
 def _pair_counts(K: SimplicialComplex):
-    # cofacet count per vertex pair; 0 when the pair never shares a facet
+    """The cofacet count of a vertex pair, in either order; 0 when the
+    pair never shares a facet."""
     pc: dict[tuple[int, int], int] = {}
     for f in K.facets:
         for a, b in combinations(f, 2):
             pc[(a, b)] = pc.get((a, b), 0) + 1
-    return pc
+
+    def pair(a: int, b: int) -> int:
+        return pc.get((a, b) if a < b else (b, a), 0)
+
+    return pair
 
 
 def is_automorphism(K: SimplicialComplex, perm: dict[int, int]) -> bool:
@@ -61,11 +66,7 @@ def automorphisms(K: SimplicialComplex, order_cap: int = 10000) -> list[dict[int
     if n > _VERTEX_CAP:
         raise SearchLimitError(f"automorphism search supports at most {_VERTEX_CAP} vertices, got {n}")
     sig = _signatures(K)
-    pc = _pair_counts(K)
-
-    def pair(a: int, b: int) -> int:
-        return pc.get((a, b) if a < b else (b, a), 0)
-
+    pair = _pair_counts(K)
     # order vertices by signature rarity, then greedily by constraint to the prefix
     sig_count: dict = {}
     for v in verts:
@@ -135,11 +136,7 @@ def find_central_involution(K: SimplicialComplex) -> dict[int, int] | None:
     if n % 2 == 1 or n == 0:
         return None
     sig = _signatures(K)
-    pc = _pair_counts(K)
-
-    def pair(a: int, b: int) -> int:
-        return pc.get((a, b) if a < b else (b, a), 0)
-
+    pair = _pair_counts(K)
     edges = K.face_set(1)
 
     def feasible(v: int, w: int, image: dict[int, int]) -> bool:

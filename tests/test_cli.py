@@ -334,6 +334,20 @@ def test_bounds_ds6(capsys):
     assert payload["residual"] == 0
 
 
+@pytest.mark.parametrize("bound", ["glbc", "ds6"])
+def test_bounds_without_f_is_usage_error(bound, capsys):
+    argv = {"glbc": ["--dim", "5", "--k", "2", "--j", "5"], "ds6": ["--chi", "4"]}[bound]
+    assert run_cli(["bounds", bound, *argv, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--f" in captured.err
+
+
+def test_bounds_bad_f_is_usage_error(capsys):
+    assert run_cli(["bounds", "ds6", "--f", "16,x", "--chi", "4"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # -- entry points -------------------------------------------------------------------
 
 

@@ -1,4 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +27,9 @@ from tnt import (
     tightness_verify,
     walkup_class_membership,
 )
-from tnt.morse import _admissible_subsets
+from tnt.morse import _admissible_subsets, _sampled_subsets
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # -- mu vectors ----------------------------------------------------------------
@@ -147,6 +155,99 @@ def test_admissible_subsets_cross_ambient_count():
         len(set(w) & {1, 2}) <= 1 and len(set(w) & {3, 4}) <= 1 and len(set(w) & {5, 6}) <= 1
         for w in [(1, 2, 3)]
     )
+
+
+@pytest.mark.parametrize("kind", ["simplex", "cross"])
+def test_sampled_subsets_uniform(kind):
+    # single draws from many seeds: every admissible subset about equally often
+    if kind == "simplex":
+        M, amb = boundary_simplex(2), AmbientPolytope.simplex(3)
+    else:
+        M, amb = cross_polytope_boundary(2), AmbientPolytope.cross([(1, 2), (3, 4)])
+    family = _admissible_subsets(M, amb)
+    draws = 700 * len(family)
+    counts = Counter(w for s in range(draws) for w in _sampled_subsets(M, amb, 1, random.Random(s)))
+    assert set(counts) == set(family)
+    # 700 expected per subset, standard deviation below 27
+    assert all(560 < c < 840 for c in counts.values()), counts
+
+
+def test_sampled_subsets_small_family():
+    O = cross_polytope_boundary(3)
+    amb = AmbientPolytope.cross([(1, 2), (3, 4), (5, 6)])
+    family = _admissible_subsets(O, amb)
+    assert _sampled_subsets(O, amb, 1000, random.Random(1)) == family
+    dense = _sampled_subsets(O, amb, 40, random.Random(1))
+    assert len(set(dense)) == 40 and set(dense) <= set(family)
+    assert dense == sorted(dense, key=lambda w: (len(w), w))
+    assert _sampled_subsets(O, amb, 0, random.Random(1)) == []
+    with pytest.raises(ValueError):
+        _sampled_subsets(O, amb, -1, random.Random(1))
+
+
+# The child caps its own address space, so an input that starts enumerating
+# the 2^40 (simplex) or about 7e9 (cross) admissible subsets fails with a
+# MemoryError instead of exhausting the machine.
+LARGE_INPUT_SCRIPT = textwrap.dedent(
+    """
+    import random, resource, time
+    resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))
+    from tnt import AmbientPolytope, stacked_sphere, tightness_verify
+    from tnt.morse import _sampled_subsets
+
+    M = stacked_sphere(2, 40, seed=3)
+    assert len(M.vertices) == 40
+    edges = M.face_set(1)
+    # a perfect matching of non-edges: each vertex meets its least free non-neighbour
+    free, diagonals = list(M.vertices), []
+    while free:
+        a = free.pop(0)
+        b = next(v for v in free if (a, v) not in edges)
+        free.remove(b)
+        diagonals.append((a, b))
+    ambients = {"simplex": AmbientPolytope.simplex(40), "cross": AmbientPolytope.cross(diagonals)}
+
+    def admissible(w, kind):
+        if kind == "simplex":
+            return set(w) <= set(M.vertices)
+        hits = [len(set(w) & set(d)) for d in diagonals]
+        return max(hits) <= 1 or min(hits) >= 1
+
+    for kind, amb in ambients.items():
+        t = time.perf_counter()
+        try:
+            tightness_verify(M, amb)
+            raise AssertionError("no ceiling error")
+        except ValueError as e:
+            assert "ceiling" in str(e), e
+        assert time.perf_counter() - t < 2.0, "ceiling error was slow"
+
+        subs = _sampled_subsets(M, amb, 500, random.Random(11))
+        assert len(subs) == len(set(subs)) == 500
+        assert subs == sorted(subs, key=lambda w: (len(w), w))
+        assert all(admissible(w, kind) for w in subs)
+        assert subs == _sampled_subsets(M, amb, 500, random.Random(11))
+        assert subs != _sampled_subsets(M, amb, 500, random.Random(12))
+
+        rep = tightness_verify(M, amb, sample=200, seed=5)
+        assert not rep.exhaustive and 1 <= rep.subsets_checked <= 200
+        assert rep.to_json() == tightness_verify(M, amb, sample=200, seed=5).to_json()
+        if rep.witness is not None:
+            assert admissible(rep.witness[0], kind)
+    print("ok")
+    """
+)
+
+
+def test_tightness_large_input_is_lazy():
+    proc = subprocess.run(
+        [sys.executable, "-c", LARGE_INPUT_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
 def test_admissible_count_eight_diagonals():

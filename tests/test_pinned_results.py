@@ -1,30 +1,51 @@
-"""Results of the seeded bistellar searches, pinned.
+"""Results of the seeded searches and the CLI reports, pinned.
 
-Every value here was recorded with the immutable-complex implementation
+The search values were recorded with the immutable-complex implementation
 that rebuilt a ``SimplicialComplex`` for every probe and rescanned all
 faces for every move list.  The incremental move state must reproduce
 them exactly: same certificates, same anneal end states, same bytes from
-``tnt verify --json``.
+``tnt verify --json``.  The CLI and ``to_json`` digests were recorded with
+the hand-written report classes and the per-command report code, before
+they became dataclasses and one report path; they pin the public API,
+the exit codes and the report bytes of every command.
 """
 from __future__ import annotations
 
 import contextlib
 import hashlib
 import io
+import json
 import random
 
 import pytest
 
 from conftest import random_sphere
+import tnt
 from tnt import (
+    AmbientPolytope,
     AnnealSchedule,
+    BistellarMove,
+    ExactStackedness,
+    HomologyReport,
+    MembershipReport,
+    MoveCertificate,
+    MuVector,
+    PseudomanifoldReport,
+    TightNeighborlyReport,
+    TightnessReport,
+    betti_numbers,
     boundary_simplex,
+    cross_polytope_boundary,
+    cyclic_polytope_boundary,
     dataset,
     save_complex,
     simplicial_product,
     stacked_sphere,
     stackedness_certificate,
+    tight_neighborly_check,
+    tightness_verify,
     vertex_reduce,
+    walkup_class_membership,
 )
 from tnt.cli import main
 
@@ -81,6 +102,122 @@ VERIFY_JSON_SHA256 = {
     "lemma34": "406edd14fa5772ac5d77629c3286c67e0014e5e0f6889dc3fa53f5c3619d37d5",
 }
 
+# command -> (argv without --json, exit code, sha256 of --json stdout, sha256 of text stdout)
+CLI_SHA256 = {
+    "info": (
+        ["info", "M6_16.facets"], 0,
+        "39cd59859681b87df692bf756b092b7031688cfcbfc676154bf9a98c4087d629",
+        "e34e14e0f5650046a9ab2bb9aaa9b7f751e733715897bc64e10ab0aeb820b5df",
+    ),
+    "tight_walkup": (
+        ["tight", "walkup.facets"], 0,
+        "0095d6d5f7c9120da298be8188882cb2d04b776f5b6b68b2679410bf4467b469",
+        "83d5a3a29b7f768dbf1b8b61aadbfd7577bfa985febc4d77b46d962952c3ae3c",
+    ),
+    "tight_cyclic": (
+        ["tight", "cyclic.facets"], 1,
+        "d2fb7f61485fad7cf994b91d8354aaa78e129e4ebd135fbaf3e55e9775c31bf1",
+        "ed663c9ad8cdf096eb988c426d4e25131083fb8d510ba9f257265050f9e0537b",
+    ),
+    "tight_octa_cross": (
+        ["tight", "octa.facets", "--ambient", "cross"], 0,
+        "5d17eb4754feaf318569fe0a03ba41d01aa6048c143584b73b3de3c7cdb3f4de",
+        "128c97e65687d418f6a67d8446080a9f32baa9195682ba71bda177173474536e",
+    ),
+    "tight_sampled": (
+        ["tight", "M6_16.facets", "--ambient", "cross", "--ceiling", "10", "--samples", "40", "--seed", "5"], 0,
+        "1ae7290cf61cfea8a5a7ecbc0e13fefe060aba39f68744eba1405b5f8c7b0e44",
+        "1a8ecc425a89ce2a92670ca97b7500cc62aff74944483082d51f4c39b2f771f2",
+    ),
+    "morse": (
+        ["morse", "M6_16.facets", "--orderings", "5", "--seed", "2"], 0,
+        "84baad69efb39b9166aa39a57da112b2da89b7734fc02c9e84e3c6278dc5257a",
+        "a1586fd31733756a0ce56dc0c973cc51468f9e2258c7bb4a28c5c59295cb95ad",
+    ),
+    "stacked": (
+        ["stacked", "stacked.facets", "--k", "1", "--seed", "3"], 0,
+        "e8eac868af11a339787a9534da2d0cac36962e1b23113c1cafee3219b3cc6afb",
+        "88b5ffa71899116b3a92334ed97686dc203431fbe4ae55095b5fb0647a5bd3e2",
+    ),
+    "stacked_unknown": (
+        ["stacked", "octa.facets", "--k", "1", "--budget", "0", "--seed", "3"], 3,
+        "49b2c166d29a292d19a6d0664196033b3758dba4bcfa53c401842c3e7a27256b",
+        "5995ed8ff7efe76846baec65e55322d796edf258ebecea15d95236310439bb18",
+    ),
+    "reduce": (
+        ["reduce", "torus.facets", "--steps", "400", "--seed", "0"], 0,
+        "05d21c297786998738dae4783c5028f65a5f8dca182dfa48ab81721f1b6cbedc",
+        "068413c94ddc256f993efee3f64ad20470b2c82cbbcabb38b68375a2bfdb83e5",
+    ),
+    "reduce_unreached": (
+        ["reduce", "torus.facets", "--steps", "50", "--target-f0", "6", "--seed", "1"], 3,
+        "453f12c83ec85367e23d12c5f59659ce80b6c69955c52a69637e75924f37e8c9",
+        "1d5375bfff5bd9aa0ec334387aaa6360db52fe2a3fc487efab0afa95b8c5fa0d",
+    ),
+    "bounds_tight_neighborly": (
+        ["bounds", "tight-neighborly", "--dim", "3", "--beta1", "1", "--f0", "9"], 0,
+        "0f45e164b15d3b8ab913cea0ab853a1686da8c7b599ee91ed921936cb4bcd4ce",
+        "b5a416ad539f9b7fde72f83fe32721234d9346ed636fe01be2f164b4b75f05ef",
+    ),
+    "bounds_heawood": (
+        ["bounds", "heawood", "--chi", "0", "--f0", "7"], 0,
+        "7143664a5ee146a2b019ef85044a781c6f7b880c2b5a347661b0f7be91e2570b",
+        "c30f7192a678e2b32aeede20f3db338081b1e3def877488c495d6a2dfdd9623d",
+    ),
+    "bounds_glbc": (
+        ["bounds", "glbc", "--dim", "5", "--k", "2", "--j", "5", "--f", "1,7,21", "--actual", "7"], 0,
+        "92e58cf33951ee93d3dee21fc1c7dbd4fd2ac904b24ab3d4a7d0bd9b38a0426e",
+        "e3b02dc36c27502d24494a408b7ca5f1c1442e9353c9249dece4958d0a6f1dc0",
+    ),
+    "bounds_six": (
+        ["bounds", "six", "--chi", "4", "--f0", "16", "--f1", "112", "--actual", "448"], 0,
+        "ca5f05cc44b90cbd5ee00af45992f271f96965ceda6183d8e1363e55d1d5301d",
+        "bd8b85087c25becaa77df8c6d231295208444ca9b6683ce3a22170f2c5a8b3a0",
+    ),
+    "bounds_binomial": (
+        ["bounds", "binomial", "--f0", "15", "--dim", "4", "--beta1", "3"], 0,
+        "c5488ac12763d8a9b7b2eab6857b1edfe67ae97535b3e6955e8a1810361657a2",
+        "f39017b2c41e7177181df33c81afe735f24ffdde9613817391ded0c553907eb6",
+    ),
+    "bounds_ds6": (
+        ["bounds", "ds6", "--f", "16,112,448,980,1232,840,240", "--chi", "4"], 0,
+        "3e21a186704b1442392e8b367827e7813a6960b31f8680442272a90c8aace661",
+        "8a5fdb58bb2b803a6ef60a4ca354f0c5a6b930984e3d1e52d00f3bc2a6587a92",
+    ),
+}
+
+# sha256 of json.dumps(report.to_json()), key order included
+TO_JSON_SHA256 = {
+    "homology": "c4fd4cbba7b9d9005fb937c527d319627c0840c53bfd4fc11a6ca9ee88707bed",
+    "pseudomanifold": "c4c3fdfce7b41e640e05912cd2bfbbd7c2777439ad609eaac760b08fb733bdd2",
+    "tightness": "4ed42dfc6770d10dd9e0dca55f5c595b03a3a33d54fc61c32551053f4768449b",
+    "membership": "ce72b602587ea6bf85709d742c56f073b3e643b353f8164c50f200e39f0f40fc",
+    "membership_exact": "bd06105b67f8dc1e9a2759bb533b86c8e1f6ced2fba1cb9edaf1db69471271a4",
+    "tight_neighborly": "866fc2c1812d157e900a188551dcb5adfd687669ccd5feb4ad6a5943f73c37ec",
+    "certificate": "d057291f8f11e2dbc1e22f3157c2960afa97bb3a055f793d6f3e0bdd0a813b81",
+}
+
+PUBLIC_API = [
+    "__version__", "AmbientPolytope", "AnnealSchedule", "BinomialCheck", "BistellarMove",
+    "BoundsReport", "ExactStackedness", "HomologyReport", "InvalidMoveError", "MembershipReport",
+    "MoveCertificate", "MuVector", "PseudomanifoldReport", "SearchLimitError", "SimplicialComplex",
+    "TightNeighborlyReport", "TightnessReport", "TntError", "apply_move", "automorphism_group_order",
+    "automorphisms", "betti_numbers", "binomial_form_check", "boundary_complex", "boundary_matrix",
+    "boundary_simplex", "central_symmetry", "find_central_involution", "connected_sum",
+    "cross_polytope_boundary", "cyclic_polytope_boundary", "dataset", "dataset_names",
+    "dehn_sommerville6_residual", "from_facets", "from_json", "from_text", "glbc_bound",
+    "hamiltonian_check", "handle_addition", "heawood_bound", "induced_kernel_dim", "is_automorphism",
+    "is_boundary_simplex", "is_polar", "k_stacked_exact", "kuehnel_series", "lacunary_tight_pattern",
+    "load_complex", "move_fvector_delta", "mu_vector", "reduced_betti", "relative_mu_contribution",
+    "save_complex", "simplex", "simplicial_product", "six_manifold_bound", "stacked_sphere",
+    "stackedness_certificate", "stellar_subdivide", "tight_neighborly_bound", "tight_neighborly_check",
+    "tightness_verify", "to_json", "to_text", "valid_moves", "vertex_reduce", "walkup_class_membership",
+]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 def _digest(cert) -> str:
     return hashlib.sha256(cert.dumps().encode()).hexdigest()[:16]
@@ -136,3 +273,72 @@ def test_verify_json_bytes_pinned(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(buf):
             assert main(argv) == 0
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == VERIFY_JSON_SHA256[suite], suite
+
+
+def test_public_api_pinned():
+    assert tnt.__all__ == PUBLIC_API
+    assert all(hasattr(tnt, name) for name in PUBLIC_API)
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_inputs")
+    inputs = {
+        "M6_16.facets": dataset("M6_16"),
+        "walkup.facets": dataset("walkup_M3"),
+        "stacked.facets": stacked_sphere(4, 10, seed=5),
+        "cyclic.facets": cyclic_polytope_boundary(4, 6),
+        "octa.facets": cross_polytope_boundary(3),
+        "torus.facets": simplicial_product(boundary_simplex(2), boundary_simplex(2)),
+    }
+    for name, K in inputs.items():
+        save_complex(K, str(root / name))
+    return root
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SHA256))
+def test_cli_report_bytes_pinned(command, cli_inputs, monkeypatch):
+    # the report names its input path, so the files sit in the working directory
+    monkeypatch.chdir(cli_inputs)
+    argv, code, json_sha, text_sha = CLI_SHA256[command]
+    for extra, want in (["--json"], json_sha), ([], text_sha):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv + extra) == code
+        assert _sha256(buf.getvalue()) == want, (command, extra)
+
+
+def test_to_json_pinned():
+    M = dataset("M6_16")
+    reports = {
+        "homology": betti_numbers(M),
+        "pseudomanifold": M.pseudomanifold_check(),
+        "tightness": tightness_verify(cyclic_polytope_boundary(4, 6), AmbientPolytope.simplex(6)),
+        "membership": walkup_class_membership(dataset("walkup_M3"), 1, seed=2),
+        "membership_exact": walkup_class_membership(stacked_sphere(3, 8, seed=1), 2),
+        "tight_neighborly": tight_neighborly_check(dataset("walkup_M3")),
+        "certificate": stackedness_certificate(stacked_sphere(4, 10, seed=5), 1, seed=3),
+    }
+    for name, rep in reports.items():
+        assert _sha256(json.dumps(rep.to_json())) == TO_JSON_SHA256[name], name
+
+
+def test_report_constructors_and_equality():
+    mv = MuVector((1, 0, 1), ((1, (1, 0, 0)),))
+    assert mv == (1, 0, 1) and mv == [1, 0, 1] and mv == MuVector((1, 0, 1), ())
+    assert mv != (1, 1, 1) and list(mv) == [1, 0, 1] and mv[2] == 1 and len(mv) == 3
+    assert HomologyReport((1, 0), (0, 0, 0)) == HomologyReport((1, 0), (0, 0, 0), "other field")
+    assert HomologyReport((1, 0), (0, 0, 0)).field == "GF2"
+    moves = [BistellarMove((1,), (2, 3))]
+    cert = MoveCertificate("a" * 32, moves, "b" * 32)
+    assert cert.moves == tuple(moves) and cert == MoveCertificate("a" * 32, tuple(moves), "b" * 32)
+    tn = TightNeighborlyReport(3, 9, 1, 9, True, True, "a note")
+    assert (tn.field, tn.note) == ("GF2", "a note")
+    with pytest.raises(TypeError):
+        TightNeighborlyReport(3, 9, 1, 9, True, True, "a note", "GF2")
+    assert TightnessReport(True, None, 1, True, 2, "simplex").ambient_kind == "simplex"
+    assert MembershipReport(True, 1, "exact", {}).per_vertex == {}
+    assert PseudomanifoldReport(2, True, False, 1).is_closed_pseudomanifold is False
+    assert ExactStackedness("no").ball is None
+    # the large fields stay out of the reprs
+    assert "per_vertex" not in repr(mv) and "moves" not in repr(cert)
