@@ -132,6 +132,11 @@ class _MoveState:
     cover every facet.  Only valid moves may be applied.  A valid move
     never swallows a lower-dimensional facet: one inside dA * B would
     contain B, which is no face.
+
+    The pool caches, per ready face A, the :meth:`span` B and the move
+    (A, B).  They depend only on the cofacets of A, so the entry is dropped
+    only where A leaves the ready set.  Whether B is a face is looked up
+    anew on each :meth:`moves` call.
     """
 
     def __init__(self, M: SimplicialComplex, indices: Iterable[int]):
@@ -142,6 +147,11 @@ class _MoveState:
         self._cof: dict[Simplex, set[Simplex]] = {}
         self._ready: dict[int, set[Simplex]] = {i: set() for i in self.indices}
         self._sorted: list[Simplex] | None = None
+        self._pool: dict[Simplex, tuple[Simplex | None, BistellarMove | None]] = {}
+        # faces by size; moves keep a pure complex pure, so all lie in facets
+        self._faces_of: dict[int, set | dict] = {d + 1: self.facets}
+        if M.is_pure:
+            self._faces_of.update((d - i + 1, self._cof) for i in self.indices)
         for f in M.facets:
             self._add(f)
 
@@ -161,6 +171,7 @@ class _MoveState:
                         ready.add(a)
                     elif len(cof) == i + 2:
                         ready.discard(a)
+                        self._pool.pop(a, None)
 
     def _remove(self, f: Simplex) -> None:
         self.facets.remove(f)
@@ -179,6 +190,7 @@ class _MoveState:
                         ready.add(a)
                     elif len(cof) == i:
                         ready.discard(a)
+                        self._pool.pop(a, None)
                     if not cof:
                         del self._cof[a]
 
@@ -191,16 +203,17 @@ class _MoveState:
         self._sorted = None
 
     def has_face(self, s: Simplex) -> bool:
+        """Whether the sorted tuple ``s`` is a face."""
+        faces = self._faces_of.get(len(s))
+        if faces is not None:
+            return s in faces
         stars = [self.star.get(v) for v in s]
         return all(stars) and bool(set.intersection(*stars))
 
-    def cofacets(self, a: Simplex) -> set[Simplex]:
-        """Every facet containing ``a``, whose vertices must be present."""
-        return set.intersection(*(self.star[v] for v in a))
-
-    def move(self, a: Simplex, cof: set[Simplex], i: int) -> BistellarMove | None:
-        """The index-i move removing ``a``, whose top-dimensional cofacets
-        are ``cof``, or None.
+    @staticmethod
+    def span(a: Simplex, cof: set[Simplex], i: int) -> Simplex | None:
+        """B for the index-i move removing ``a``, whose top-dimensional
+        cofacets are ``cof``, or None.
 
         When ``a`` has i + 1 of them and they span i + 1 vertices B besides
         ``a``, they are a * F for the i + 1 distinct i-subsets F of B, so the
@@ -209,18 +222,21 @@ class _MoveState:
         if len(cof) != i + 1:
             return None
         b = tuple(sorted(set().union(*cof).difference(a)))
-        if len(b) != i + 1 or self.has_face(b):
-            return None
-        return BistellarMove(a, b)
+        return b if len(b) == i + 1 else None
 
     def moves(self, indices: Iterable[int] | None = None) -> list[BistellarMove]:
         """Applicable moves of the given indices (ascending, among those the
         state was built for; default all) in (index, A, B) order."""
         out = []
+        pool = self._pool
         for i in self.indices if indices is None else indices:
             for a in sorted(self._ready[i]):
-                mv = self.move(a, self._cof[a], i)
-                if mv is not None:
+                hit = pool.get(a)
+                if hit is None:
+                    b = self.span(a, self._cof[a], i)
+                    hit = pool[a] = (b, None if b is None else BistellarMove(a, b))
+                b, mv = hit
+                if mv is not None and not self.has_face(b):
                     out.append(mv)
         return out
 
@@ -564,12 +580,12 @@ def _sample_move(state: _MoveState, rng: random.Random, tries: int) -> Bistellar
         # complex; low indices stay reachable for mixing
         i = max(rng.randint(1, d), rng.randint(1, d))
         a = tuple(sorted(rng.sample(f, d - i + 1)))
-        cof = state.cofacets(a)
+        cof = set.intersection(*(state.star[v] for v in a))
         # a lower-dimensional cofacet would leave a non-sphere link
         if len(cof) == i + 1 and all(len(g) == d + 1 for g in cof):
-            mv = state.move(a, cof, i)
-            if mv is not None:
-                return mv
+            b = state.span(a, cof, i)
+            if b is not None and not state.has_face(b):
+                return BistellarMove(a, b)
     return None
 
 
@@ -606,9 +622,7 @@ def vertex_reduce(
         t_start = max(4.0, float(sum(deltas[1]))) if d >= 1 else 4.0
 
     state = _MoveState(M, range(1, d + 1))
-    # the pool of all moves stays valid while the state is unchanged
-    pool: list[BistellarMove] | None = state.moves()
-    if not pool:
+    if not state.moves():
         cert = MoveCertificate(M.canonical_hash(), [], M.canonical_hash())
         return M, cert
 
@@ -629,12 +643,10 @@ def vertex_reduce(
         if step and step % chunk == 0:
             rewind()
             cur_f = best_f
-            pool = None
             t = t_start
         mv = _sample_move(state, rng, tries=48)
         if mv is None:
-            if pool is None:
-                pool = state.moves()
+            pool = state.moves()
             if not pool:
                 break
             mv = rng.choice(pool)
@@ -642,7 +654,6 @@ def vertex_reduce(
         de = delta[0] * _F0_WEIGHT + sum(delta)
         if de <= 0 or rng.random() < math.exp(max(-de / t, -60.0)):
             state.apply(mv)
-            pool = None
             cur_f = tuple(a + b for a, b in zip(cur_f, delta))
             path.append(mv)
             if check_homology:

@@ -153,27 +153,36 @@ class ChainEngine:
         rows = self.boundary_rows(j)
         return gf2.rank_of_words([rows[k] for k in sel_j], self.f[j - 1])
 
+    def _span_ranks(self, sel: list[list[int]]) -> list[int]:
+        """Span ranks of d_j up to the top nonempty dim of ``sel``, then 0."""
+        top = max((j for j in range(len(sel)) if sel[j]), default=-1)
+        return [self.span_rank(sel[j], j) for j in range(top + 1)] + [0]
+
     def span_betti(
-        self, wmask: int, imax: int | None = None, sel: list[list[int]] | None = None
+        self, wmask: int, imax: int | None = None, sel: list[list[int]] | None = None, ranks: list[int] | None = None
     ) -> tuple[int, ...]:
         """Betti numbers of the span of a vertex mask (empty span gives ()).
 
-        ``sel`` is the span's :meth:`span_selection`, computed unless
-        given.  Cut at dimension imax + 1, it gives exact entries up to
-        imax only: the top entry counts no boundaries from above.
+        ``sel`` is the span's :meth:`span_selection` and ``ranks`` its
+        :meth:`_span_ranks`, computed unless given.  Cut at dimension
+        imax + 1, it gives exact entries up to imax only: the top entry
+        counts no boundaries from above.
         """
         if sel is None:
             sel = self.span_selection(wmask, self.dim if imax is None else min(imax + 1, self.dim))
-        top = max((j for j in range(len(sel)) if sel[j]), default=-1)
-        ranks = [self.span_rank(sel[j], j) for j in range(top + 1)] + [0]
-        return tuple(len(sel[j]) - ranks[j] - ranks[j + 1] for j in range(top + 1))
+        if ranks is None:
+            ranks = self._span_ranks(sel)
+        return tuple(len(sel[j]) - ranks[j] - ranks[j + 1] for j in range(len(ranks) - 1))
 
-    def span_kernel_dim(self, wmask: int, i: int, sel: list[list[int]] | None = None) -> int:
+    def span_kernel_dim(
+        self, wmask: int, i: int, sel: list[list[int]] | None = None, ranks: list[int] | None = None
+    ) -> int:
         """dim ker(H_i(span) -> H_i(K)) via the masked boundary basis.
 
         A cycle of the span bounds in K exactly when it lies in B_i(K) with
         support inside the span's i-faces; those form the subspace of the
-        boundary space vanishing on the complementary columns.
+        boundary space vanishing on the complementary columns.  ``ranks``
+        are the :meth:`_span_ranks` of ``sel``, computed unless given.
         """
         if i < 0 or i > self.dim:
             return 0
@@ -186,8 +195,9 @@ class ChainEngine:
             return 0
         outside = self._outside(wmask, i)
         z_cap_b = len(basis) - gf2.rank_of_words([b & outside for b in basis], self.f[i])
-        b_span = self.span_rank(sel[i + 1], i + 1) if i + 1 < len(sel) else 0
-        return z_cap_b - b_span
+        if ranks is None:
+            ranks = self._span_ranks(sel)
+        return z_cap_b - ranks[i + 1]
 
 
 def engine(K: SimplicialComplex) -> ChainEngine:
@@ -254,18 +264,23 @@ def induced_kernel_dim(K: SimplicialComplex, A: SimplicialComplex, i: int) -> in
     return z_cap_b - b_a
 
 
+_MU_CACHE_CAP = 4096  # per complex; one 20-ordering mu_vector batch of M6_16 makes about 300
+
+
 def relative_mu_contribution(K: SimplicialComplex, v: int, lower) -> tuple[int, ...]:
     """Reduced Betti contribution of one vertex against a lower set.
 
     Returns a tuple c of length dim(K) + 1 where c[k] is the rank of
     reduced H_{k-1} of the span, inside the link of v, of the link
     vertices lying in ``lower``.  An empty span contributes 1 at index 0.
+    Cached per complex; past ``_MU_CACHE_CAP`` entries the oldest goes.
     """
     vs = simplex((v,))
     lower_set = frozenset(lower)
-    key = ("mu_contrib", v, lower_set)
-    if key in K._cache:
-        return K._cache[key]
+    cache = K._cache.setdefault("mu_contrib", {})
+    key = (v, lower_set)
+    if key in cache:
+        return cache[key]
     d = K.dim
     link = K.link(vs)
     w = lower_set.intersection(link.vertices)
@@ -280,5 +295,7 @@ def relative_mu_contribution(K: SimplicialComplex, v: int, lower) -> tuple[int, 
             for j in range(1, len(bet)):
                 out[j + 1] = bet[j]
     result = tuple(out)
-    K._cache[key] = result
+    if len(cache) >= _MU_CACHE_CAP:
+        del cache[next(iter(cache))]
+    cache[key] = result
     return result

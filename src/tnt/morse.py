@@ -286,14 +286,15 @@ def tightness_verify(
             continue
         wmask = eng.word_of(w)
         sel = eng.span_selection(wmask, jcap)
-        bet = eng.span_betti(wmask, sel=sel)
+        ranks = eng._span_ranks(sel)
+        bet = eng.span_betti(wmask, sel=sel, ranks=ranks)
         # i = 0: the span must stay connected
         if bet[0] > 1:
             return TightnessReport(False, (w, 0, bet[0] - 1), checked, exhaustive, i_max, ambient.kind)
         for i in range(1, min(i_max + 1, len(bet))):
             if bet[i] <= 0:
                 continue
-            kd = eng.span_kernel_dim(wmask, i, sel)
+            kd = eng.span_kernel_dim(wmask, i, sel, ranks)
             if kd > 0:
                 return TightnessReport(False, (w, i, kd), checked, exhaustive, i_max, ambient.kind)
     return TightnessReport(True, None, checked, exhaustive, i_max, ambient.kind)

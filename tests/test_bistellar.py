@@ -154,6 +154,57 @@ def test_move_state_walk_matches_dense_oracle(seed, d, stacked):
         assert state.is_boundary_simplex() == is_boundary_simplex(K)
 
 
+def _check_has_face(state, K, rng):
+    """state.has_face agrees with K.has_face on faces and on random vertex
+    sets of every size 1..d+1."""
+    d = K.dim
+    verts = sorted(set(K.vertices) | {max(K.vertices) + 1})
+    for size in range(1, d + 2):
+        tops = [f for f in K.facets if len(f) >= size]
+        samples = [tuple(sorted(rng.sample(verts, size))) for _ in range(6)]
+        samples += [tuple(sorted(rng.sample(f, size))) for f in rng.sample(tops, min(3, len(tops)))]
+        for s in samples:
+            assert state.has_face(s) == K.has_face(s), s
+
+
+def _walk_move(K, rng):
+    """A random applicable move from the dense oracle, or an index-0
+    subdivision of a random top facet with a fresh vertex."""
+    cands = dense_valid_moves(K, range(1, K.dim + 1))
+    if cands and rng.random() < 0.8:
+        _, a, b = cands[rng.randrange(len(cands))]
+        return BistellarMove(a, b)
+    tops = [f for f in K.facets if len(f) == K.dim + 1]
+    return BistellarMove(tops[rng.randrange(len(tops))], (max(K.vertices) + 1,))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), d=st.sampled_from([2, 3, 4]), all_indices=st.booleans())
+def test_move_pool_stays_current_over_move_runs(seed, d, all_indices):
+    # the cached pool is checked only every 1-4 moves, so stale entries
+    # left by a run of moves (move-inverse pairs and subdivisions among
+    # them) would show; a state built for some indices answers has_face
+    # for the other sizes by star intersection
+    rng = random.Random(seed)
+    K = random_sphere(rng, d=d, walk=4)
+    every = list(range(1, d + 1))
+    built = every if all_indices else sorted(rng.sample(every, rng.randint(1, d)))
+    state = _MoveState(K, built)
+    for _ in range(8):
+        assert _triples(state.moves()) == dense_valid_moves(K, built)
+        sub = sorted(rng.sample(built, rng.randint(1, len(built))))
+        assert _triples(state.moves(sub)) == dense_valid_moves(K, sub)
+        _check_has_face(state, K, rng)
+        for _ in range(rng.randint(1, 4)):
+            mv = _walk_move(K, rng)
+            state.apply(mv)
+            if rng.random() < 0.3:
+                state.apply(mv.inverse())
+                state.apply(mv)
+            K = apply_move(K, mv)
+    assert state.complex() == K
+
+
 def test_valid_moves_non_pure_rule():
     # stacked 2-sphere on 5 vertices: 1 and 5 have link d(2 3 4), and the
     # edges 23, 24, 34 flip onto the missing edge 15
@@ -175,6 +226,17 @@ def test_valid_moves_non_pure_rule():
     state.apply(mv)
     assert state.complex() == apply_move(K, mv, check=False)
     assert state.complex().facets == ((1, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5))
+    # the lower facet 15 stays while the walk goes on; every check of an
+    # edge or vertex goes through the star intersection
+    K = state.complex()
+    rng = random.Random(25)
+    for _ in range(12):
+        mv = _walk_move(K, rng)
+        state.apply(mv)
+        K = apply_move(K, mv, check=False)
+        assert state.complex() == K and (1, 5) in K.facets
+        assert _triples(state.moves()) == dense_valid_moves(K, every)
+        _check_has_face(state, K, rng)
 
 
 def test_single_stacked_sphere_has_two_vertex_removals():

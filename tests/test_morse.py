@@ -110,6 +110,61 @@ def test_mu_vector_on_a_ball_telescopes_to_one():
         assert sum((-1) ** i * m for i, m in enumerate(mu)) == 1
 
 
+# After a warm-up batch fills the link and engine caches, the child caps
+# its address space 12 MB above what it holds.  3,000 further orderings of
+# M6_16 make about 31,000 distinct (vertex, lower set) keys, some 26 MB
+# unbounded, so they fit only if the mu contribution cache stays bounded.
+MU_CACHE_SCRIPT = textwrap.dedent(
+    """
+    import os, random, resource
+    from tnt import dataset, from_facets, homology, mu_vector
+
+    M = from_facets(dataset("M6_16").facets)
+    rng = random.Random(5)
+    verts = list(M.vertices)
+
+    def run(n):
+        for _ in range(n):
+            order = verts[:]
+            rng.shuffle(order)
+            mu = mu_vector(M, order).mu
+            assert sum((-1) ** i * m for i, m in enumerate(mu)) == 4, mu
+
+    run(100)
+    with open("/proc/self/statm") as f:
+        size = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    resource.setrlimit(resource.RLIMIT_AS, (size + (12 << 20), size + (12 << 20)))
+    run(3000)
+    assert len(M._cache["mu_contrib"]) == homology._MU_CACHE_CAP
+    print("ok")
+    """
+)
+
+
+def test_mu_contribution_cache_is_bounded():
+    proc = subprocess.run(
+        [sys.executable, "-c", MU_CACHE_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
+def test_mu_contribution_cache_evicts_oldest(monkeypatch):
+    from tnt import homology
+
+    monkeypatch.setattr(homology, "_MU_CACHE_CAP", 3)
+    B = boundary_simplex(3)
+    lowers = [frozenset(), frozenset({2}), frozenset({2, 3}), frozenset({2, 3, 4})]
+    got = [homology.relative_mu_contribution(B, 1, w) for w in lowers]
+    assert list(B._cache["mu_contrib"]) == [(1, w) for w in lowers[1:]]
+    # an evicted entry is recomputed to the same value
+    assert homology.relative_mu_contribution(B, 1, lowers[0]) == got[0]
+    assert list(B._cache["mu_contrib"]) == [(1, w) for w in lowers[2:] + lowers[:1]]
+
+
 # -- polarity and lacunarity -----------------------------------------------------
 
 
