@@ -10,6 +10,7 @@ ranks are ranks of selected row subsets.
 from __future__ import annotations
 
 import dataclasses
+from itertools import combinations
 
 from . import gf2
 from .complexes import SimplicialComplex, Simplex, simplex
@@ -125,21 +126,28 @@ class ChainEngine:
             m |= 1 << vpos[v]
         return m
 
-    def _outside(self, wmask: int, j: int) -> int:
-        """The j-faces with a vertex outside the vertex mask, as an int."""
+    def _outside(self, wmask: int, jmax: int) -> list[int]:
+        """Per dim up to jmax, the faces with a vertex outside the vertex
+        mask, as an int; the complement's vertex bits are listed once."""
         vfaces, vpos = self._vertex_faces()
-        masks = vfaces[j]
-        out = 0
-        for p in gf2.bits_of(~wmask & ((1 << len(vpos)) - 1)):
-            out |= masks[p]
+        comp = gf2.bits_of(~wmask & ((1 << len(vpos)) - 1))
+        out = []
+        for masks in vfaces[: jmax + 1]:
+            o = 0
+            for p in comp:
+                o |= masks[p]
+            out.append(o)
         return out
 
-    def span_selection(self, wmask: int, jmax: int) -> list[list[int]]:
-        """Indices of the faces lying inside the vertex mask, per dim."""
-        return [
-            gf2.bits_of(((1 << self.f[j]) - 1) & ~self._outside(wmask, j))
-            for j in range(min(jmax, self.dim) + 1)
-        ]
+    def span_selection(self, wmask: int, jmax: int, outside: list[int] | None = None) -> list[list[int]]:
+        """Indices of the faces lying inside the vertex mask, per dim.
+
+        ``outside`` is the mask's :meth:`_outside` up to jmax, computed
+        unless given.
+        """
+        if outside is None:
+            outside = self._outside(wmask, min(jmax, self.dim))
+        return [gf2.bits_of(((1 << self.f[j]) - 1) & ~o) for j, o in enumerate(outside)]
 
     def span_rank(self, sel_j: list[int], j: int) -> int:
         """Rank of d_j restricted to a span.
@@ -175,14 +183,20 @@ class ChainEngine:
         return tuple(len(sel[j]) - ranks[j] - ranks[j + 1] for j in range(len(ranks) - 1))
 
     def span_kernel_dim(
-        self, wmask: int, i: int, sel: list[list[int]] | None = None, ranks: list[int] | None = None
+        self,
+        wmask: int,
+        i: int,
+        sel: list[list[int]] | None = None,
+        ranks: list[int] | None = None,
+        outside: list[int] | None = None,
     ) -> int:
         """dim ker(H_i(span) -> H_i(K)) via the masked boundary basis.
 
         A cycle of the span bounds in K exactly when it lies in B_i(K) with
         support inside the span's i-faces; those form the subspace of the
         boundary space vanishing on the complementary columns.  ``ranks``
-        are the :meth:`_span_ranks` of ``sel``, computed unless given.
+        are the :meth:`_span_ranks` of ``sel`` and ``outside`` the mask's
+        :meth:`_outside` up to at least i, computed unless given.
         """
         if i < 0 or i > self.dim:
             return 0
@@ -193,8 +207,8 @@ class ChainEngine:
         basis = self.boundary_basis(i)
         if not basis:
             return 0
-        outside = self._outside(wmask, i)
-        z_cap_b = len(basis) - gf2.rank_of_words([b & outside for b in basis], self.f[i])
+        out_i = (self._outside(wmask, i) if outside is None else outside)[i]
+        z_cap_b = len(basis) - gf2.rank_of_words([b & out_i for b in basis], self.f[i])
         if ranks is None:
             ranks = self._span_ranks(sel)
         return z_cap_b - ranks[i + 1]
@@ -205,6 +219,57 @@ def engine(K: SimplicialComplex) -> ChainEngine:
     if "chain_engine" not in K._cache:
         K._cache["chain_engine"] = ChainEngine(K)
     return K._cache["chain_engine"]
+
+
+def _is_homology_manifold(K: SimplicialComplex) -> bool:
+    """Is K a closed GF(2)-homology manifold of dimension at least 1?
+
+    K must be pure and closed (every ridge in exactly two facets), and the
+    link of every other nonempty face must have the GF(2) Betti numbers of
+    a sphere of its dimension; for 1-dimensional links that means
+    connected.  Links come from one face -> cofacets map built in a single
+    pass over the facets.  Cached in ``K._cache``.
+    """
+    if "homology_manifold" not in K._cache:
+        K._cache["homology_manifold"] = _homology_manifold(K)
+    return K._cache["homology_manifold"]
+
+
+def _homology_manifold(K: SimplicialComplex) -> bool:
+    d = K.dim
+    if d < 1 or not K.is_pure:
+        return False
+    # cof[k]: each k-vertex face -> the facets containing it
+    cof: list[dict[Simplex, list[Simplex]]] = [{} for _ in range(d + 1)]
+    for facet in K.facets:
+        for k in range(1, d + 1):
+            for s in combinations(facet, k):
+                cof[k].setdefault(s, []).append(facet)
+    if any(len(fs) != 2 for fs in cof[d].values()):
+        return False
+    # Links by rising dimension k: when a k-link is reached, the links of
+    # its own faces (links of larger faces of K) are homology spheres, so
+    # it is a closed homology k-manifold and, once connected, satisfies
+    # b_i = b_{k-i}.  It is a sphere exactly when b_0 = 1 and b_i = 0 for
+    # 1 <= i <= k // 2.
+    for k in range(1, d):
+        for s, fs in cof[d - k].items():
+            if not _low_betti_of_sphere([tuple(v for v in f if v not in s) for f in fs], k):
+                return False
+    return True
+
+
+def _low_betti_of_sphere(facets: list[Simplex], k: int) -> bool:
+    """Are b_0 = 1 and b_i = 0 for 1 <= i <= k // 2, for the complex on
+    these k-dimensional facets?"""
+    h = k // 2 + 1
+    faces = [list({s for f in facets for s in combinations(f, j + 1)}) for j in range(h + 1)]
+    ranks = [0]
+    for j in range(1, h + 1):
+        index = {f: c for c, f in enumerate(faces[j - 1])}
+        rows = [sum(1 << index[f[:m] + f[m + 1 :]] for m in range(j + 1)) for f in faces[j]]
+        ranks.append(gf2.rank_of_words(rows, len(faces[j - 1])))
+    return all(len(faces[j]) - ranks[j] - ranks[j + 1] == (j == 0) for j in range(h))
 
 
 def boundary_matrix(K: SimplicialComplex, j: int) -> gf2.GF2Matrix:

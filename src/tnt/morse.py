@@ -13,8 +13,8 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import asdict, dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import chain, combinations
+from typing import Iterable, Iterator, Sequence
 
 from . import bounds as _bounds
 from . import homology
@@ -148,29 +148,50 @@ class AmbientPolytope:
             raise ValueError(f"unknown ambient kind {self.kind!r}")
 
 
-def _admissible_subsets(M: SimplicialComplex, ambient: AmbientPolytope) -> list[tuple[int, ...]]:
-    verts = M.vertices
+def _family_size(M: SimplicialComplex, ambient: AmbientPolytope) -> int:
+    """Number of admissible subsets: 2^n, or 2 * 3^m - 2^m for m diagonals."""
     if ambient.kind == "simplex":
-        out = []
-        for size in range(len(verts) + 1):
-            out.extend(combinations(verts, size))
-        return out
+        return 2 ** len(M.vertices)
+    m = len(ambient.diagonals)
+    return 2 * 3**m - 2**m
+
+
+def _admissible_subsets(
+    M: SimplicialComplex, ambient: AmbientPolytope, cap: int | None = None
+) -> list[tuple[int, ...]]:
+    """The admissible subsets with at most ``cap`` vertices (all when None),
+    in (size, lex) order."""
+    verts = M.vertices
+    top = len(verts) if cap is None else cap
+    if ambient.kind == "simplex":
+        return [w for size in range(top + 1) for w in combinations(verts, size)]
     # cross polytope: a half-space trace meets every diagonal at most once
-    # (it misses the center) or hits every diagonal at least once (contains it)
+    # (it misses the center) or hits every diagonal at least once (contains it);
+    # one of the second kind with at most m vertices meets each exactly once
     subsets: set[tuple[int, ...]] = set()
     ds = ambient.diagonals
     per_le = [((), (a,), (b,)) for a, b in ds]
     per_ge = [((a,), (b,), (a, b)) for a, b in ds]
-    for per in (per_le, per_ge):
+    for per in (per_le, per_ge) if top > len(ds) else (per_le,):
         stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
         while stack:
             i, acc = stack.pop()
             if i == len(per):
-                subsets.add(tuple(sorted(acc)))
+                if len(acc) <= top:
+                    subsets.add(tuple(sorted(acc)))
                 continue
             for choice in per[i]:
                 stack.append((i + 1, acc + choice))
     return sorted(subsets, key=lambda w: (len(w), w))
+
+
+def _upper_half(M: SimplicialComplex, ambient: AmbientPolytope) -> Iterator[tuple[int, ...]]:
+    """The admissible subsets with 2|W| > n, in (size, lex) order, unless M
+    is a closed GF(2)-homology manifold (then none: see tightness_verify).
+    The check runs only when the sweep gets here."""
+    if not homology._is_homology_manifold(M):
+        n = len(M.vertices)
+        yield from (w for w in _admissible_subsets(M, ambient) if 2 * len(w) > n)
 
 
 def _sampled_subsets(
@@ -187,15 +208,12 @@ def _sampled_subsets(
         raise ValueError("sample must be nonnegative")
     verts = M.vertices
     ds = ambient.diagonals
+    size = _family_size(M, ambient)
     if ambient.kind == "simplex":
-        size = 2 ** len(verts)
-
         def draw() -> tuple[int, ...]:
             r = rng.getrandbits(len(verts))
             return tuple(v for i, v in enumerate(verts) if r >> i & 1)
     else:
-        size = 2 * 3 ** len(ds) - 2 ** len(ds)
-
         def draw() -> tuple[int, ...]:
             # one of the two families, then a uniform choice on each diagonal:
             # a, b, or neither ("at most once") / both ("at least once")
@@ -261,18 +279,29 @@ def tightness_verify(
     Above ``ceiling`` vertices a seeded ``sample`` of admissible subsets
     is required and the report is labeled non-exhaustive; the ceiling is
     checked before any subset is built.
+
+    On a closed GF(2)-homology d-manifold, W fails at degree i exactly
+    when its complement fails at degree d - 1 - i (Lefschetz duality and
+    the exact sequence of the pair; Kuehnel, LNM 1612), and both families
+    are closed under complement.  So the first witness in (size, lex)
+    order has 2|W| <= n: an exhaustive run with i_max >= dim sweeps the
+    larger subsets only if M is no such manifold, and its report is the
+    full sweep's.
     """
     if M.connectivity() != 1:
         raise ValueError("tightness check requires a connected complex")
     ambient.validate_for(M)
     if i_max is None:
         i_max = M.dim
-    exhaustive = len(M.vertices) <= ceiling
-    if exhaustive:
+    n = len(M.vertices)
+    exhaustive = n <= ceiling
+    if exhaustive and i_max >= M.dim:
+        subsets = chain(_admissible_subsets(M, ambient, n // 2), _upper_half(M, ambient))
+    elif exhaustive:
         subsets = _admissible_subsets(M, ambient)
     elif sample is None or seed is None:
         raise ValueError(
-            f"vertex count {len(M.vertices)} above enumeration ceiling {ceiling}; "
+            f"vertex count {n} above enumeration ceiling {ceiling}; "
             "pass sample= and seed= for a sampled run"
         )
     else:
@@ -285,7 +314,8 @@ def tightness_verify(
         if len(w) == 0:
             continue
         wmask = eng.word_of(w)
-        sel = eng.span_selection(wmask, jcap)
+        outside = eng._outside(wmask, jcap)
+        sel = eng.span_selection(wmask, jcap, outside)
         ranks = eng._span_ranks(sel)
         bet = eng.span_betti(wmask, sel=sel, ranks=ranks)
         # i = 0: the span must stay connected
@@ -294,10 +324,11 @@ def tightness_verify(
         for i in range(1, min(i_max + 1, len(bet))):
             if bet[i] <= 0:
                 continue
-            kd = eng.span_kernel_dim(wmask, i, sel, ranks)
+            kd = eng.span_kernel_dim(wmask, i, sel, ranks, outside)
             if kd > 0:
                 return TightnessReport(False, (w, i, kd), checked, exhaustive, i_max, ambient.kind)
-    return TightnessReport(True, None, checked, exhaustive, i_max, ambient.kind)
+    total = _family_size(M, ambient) if exhaustive else checked
+    return TightnessReport(True, None, total, exhaustive, i_max, ambient.kind)
 
 
 @dataclass(slots=True, eq=False)

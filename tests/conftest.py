@@ -92,6 +92,47 @@ def dense_span_kernel_dim(K: SimplicialComplex, W, i: int) -> int:
     return dense_gf2_rank(D) - r_out - dense_gf2_rank(inside)
 
 
+def packed_gf2_rank(rows: list[int]) -> int:
+    """GF(2) rank of 0/1 rows packed into ints, each reduced against the
+    pivot rows keyed on their lowest set bit."""
+    pivots: dict[int, int] = {}
+    for x in rows:
+        while x:
+            low = x & -x
+            if low not in pivots:
+                pivots[low] = x
+                break
+            x ^= pivots[low]
+    return len(pivots)
+
+
+def span_failures(K: SimplicialComplex, subsets) -> list[tuple[tuple[int, ...], int, int]]:
+    """Every (W, i, dim ker(H_i(span W) -> H_i(K))) with a nonzero kernel,
+    for 0 <= i < dim K, ordered as ``subsets`` and then by i.
+
+    The formula of :func:`dense_span_kernel_dim`, with each d_{i+1} built
+    once and its rows packed into ints so that whole families stay fast.
+    For i = 0 the kernel counts the extra components of a connected K.
+    """
+    mats = []
+    for i in range(K.dim):
+        lower = sorted({f for fac in K.facets for f in combinations(fac, i + 1)})
+        upper = sorted({f for fac in K.facets for f in combinations(fac, i + 2)})
+        index = {f: c for c, f in enumerate(lower)}
+        D = [sum(1 << index[f[:k] + f[k + 1 :]] for k in range(len(f))) for f in upper]
+        mats.append((lower, upper, D, packed_gf2_rank(D)))
+    out = []
+    for W in subsets:
+        w = set(W)
+        for i, (lower, upper, D, rank_d) in enumerate(mats):
+            outside = sum(1 << c for c, f in enumerate(lower) if not w.issuperset(f))
+            inside = [row for f, row in zip(upper, D) if w.issuperset(f)]
+            kd = rank_d - packed_gf2_rank([row & outside for row in D]) - packed_gf2_rank(inside)
+            if kd:
+                out.append((tuple(W), i, kd))
+    return out
+
+
 # -- move oracle ----------------------------------------------------------------
 
 

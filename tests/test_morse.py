@@ -4,9 +4,12 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnt import (
     AmbientPolytope,
@@ -27,7 +30,10 @@ from tnt import (
     tightness_verify,
     walkup_class_membership,
 )
-from tnt.morse import _admissible_subsets, _sampled_subsets
+from tnt import homology
+from tnt.morse import _admissible_subsets, _family_size, _sampled_subsets, _upper_half
+
+from conftest import dense_span_kernel_dim, random_sphere, span_failures
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -393,6 +399,204 @@ def test_tightness_sampled_mode():
     assert rep2.to_json() == rep.to_json()
     with pytest.raises(ValueError):
         tightness_verify(M, amb, ceiling=10)  # sampled mode needs sample+seed
+
+
+# -- complement duality ------------------------------------------------------------
+
+
+def _family(K, ambient):
+    """The admissible family in (size, lex) order, filtered from all subsets."""
+    verts = K.vertices
+    subsets = [w for size in range(len(verts) + 1) for w in combinations(verts, size)]
+    if ambient.kind == "simplex":
+        return subsets
+    out = []
+    for w in subsets:
+        hits = [len(set(w) & set(dg)) for dg in ambient.diagonals]
+        if max(hits) <= 1 or min(hits) >= 1:
+            out.append(w)
+    return out
+
+
+def _assert_duality_and_full_sweep(K, ambient):
+    """W fails at i exactly when V - W fails at d - 1 - i, and the sweep
+    reports what a plain full sweep of the oracle finds."""
+    family = _family(K, ambient)
+    fails = span_failures(K, family)
+    failing = {(w, i) for w, i, _ in fails}
+    V, d = set(K.vertices), K.dim
+    members = set(family)
+    for w in family:
+        comp = tuple(sorted(V - set(w)))
+        assert comp in members
+        for i in range(d):
+            assert ((w, i) in failing) == ((comp, d - 1 - i) in failing), (w, i)
+    rep = tightness_verify(K, ambient)
+    if fails:
+        w = fails[0][0]
+        assert not rep.tight and rep.witness == fails[0]
+        assert rep.subsets_checked == family.index(w) + 1
+    else:
+        assert rep.tight and rep.witness is None
+        assert rep.subsets_checked == len(family) == _family_size(K, ambient)
+    return fails
+
+
+def _relabel(K, rng):
+    verts = list(K.vertices)
+    relabel = dict(zip(verts, rng.sample(range(1, 2 * len(verts) + 1), len(verts))))
+    return SimplicialComplex([[relabel[v] for v in f] for f in K.facets])
+
+
+DUALITY_FIXTURES = {
+    "cyclic_4_6": lambda: (cyclic_polytope_boundary(4, 6), None),
+    "cyclic_3_8": lambda: (cyclic_polytope_boundary(3, 8), None),
+    "kuehnel_3": lambda: (kuehnel_series(3), None),
+    "kuehnel_4": lambda: (kuehnel_series(4), None),
+    "walkup_M3": lambda: (dataset("walkup_M3"), None),
+    "cross_4_simplex": lambda: (cross_polytope_boundary(4), None),
+    "cross_4_cross": lambda: (cross_polytope_boundary(4), [(1, 2), (3, 4), (5, 6), (7, 8)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUALITY_FIXTURES))
+def test_complement_duality_and_full_sweep(name):
+    K, diagonals = DUALITY_FIXTURES[name]()
+    K = SimplicialComplex(K.facets)
+    ambient = AmbientPolytope.simplex(len(K.vertices)) if diagonals is None else AmbientPolytope.cross(diagonals)
+    assert homology._is_homology_manifold(K)
+    fails = _assert_duality_and_full_sweep(K, ambient)
+    assert bool(fails) == name.startswith(("cyclic", "cross_4_simplex"))
+
+
+def test_span_failures_matches_dense_oracle():
+    K = cyclic_polytope_boundary(4, 6)
+    family = _family(K, AmbientPolytope.simplex(6))
+    expect = []
+    for w in family:
+        for i in range(K.dim):
+            kd = dense_span_kernel_dim(K, w, i)
+            if kd:
+                expect.append((w, i, kd))
+    assert span_failures(K, family) == expect and expect
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 4]))
+def test_complement_duality_on_random_spheres(seed, d):
+    rng = random.Random(seed)
+    S = _relabel(random_sphere(rng, d, walk=rng.randrange(8)), rng)
+    if len(S.vertices) > 10:
+        S = _relabel(random_sphere(rng, d, walk=0), rng)
+    assert homology._is_homology_manifold(S)
+    _assert_duality_and_full_sweep(S, AmbientPolytope.simplex(len(S.vertices)))
+
+
+def _suspension(K, a, b):
+    return SimplicialComplex([f + (a,) for f in K.facets] + [f + (b,) for f in K.facets])
+
+
+NON_MANIFOLDS = {
+    # two tetrahedron boundaries sharing vertex 1: its link is two circles
+    "wedge": lambda: SimplicialComplex(
+        list(boundary_simplex(3).facets) + [tuple(v + 3 if v > 1 else 1 for v in f) for f in boundary_simplex(3).facets]
+    ),
+    # the apexes have the 7-vertex torus as link
+    "suspended_torus": lambda: _suspension(kuehnel_series(2), 8, 9),
+    # the apexes have two disjoint triangles as link
+    "suspended_triangles": lambda: _suspension(SimplicialComplex([[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]]), 7, 8),
+}
+
+
+def _spy_sweep(monkeypatch, K, ambient, **kw):
+    """Run the sweep with every span checked as tight, recording the
+    subsets that reach span_selection."""
+    seen = []
+    real = homology.ChainEngine.span_selection
+
+    def spy(self, wmask, jmax, outside=None):
+        seen.append(tuple(v for p, v in enumerate(self.K.vertices) if wmask >> p & 1))
+        return real(self, wmask, jmax, outside)
+
+    monkeypatch.setattr(homology.ChainEngine, "span_selection", spy)
+    monkeypatch.setattr(homology.ChainEngine, "span_betti", lambda self, wmask, imax=None, sel=None, ranks=None: (1,))
+    rep = tightness_verify(K, ambient, **kw)
+    monkeypatch.undo()
+    return rep, seen
+
+
+@pytest.mark.parametrize("name", sorted(NON_MANIFOLDS))
+def test_non_manifolds_sweep_the_full_family(name, monkeypatch):
+    K = NON_MANIFOLDS[name]()
+    assert K.is_pure and K.pseudomanifold_check().closed and K.connectivity() == 1
+    assert not homology._is_homology_manifold(K)
+    ambient = AmbientPolytope.simplex(len(K.vertices))
+    family = _family(K, ambient)
+    rep, seen = _spy_sweep(monkeypatch, K, ambient)
+    assert seen == family[1:]
+    assert rep.tight and rep.subsets_checked == len(family)
+    # unstubbed, the sweep agrees with the oracle's full sweep
+    fails = span_failures(K, family)
+    assert tightness_verify(K, ambient).witness == fails[0]
+
+
+def test_half_sweep_only_on_the_manifold_precondition(monkeypatch):
+    K = SimplicialComplex(kuehnel_series(3).facets)
+    n = len(K.vertices)
+    ambient = AmbientPolytope.simplex(n)
+    family = _family(K, ambient)
+    rep, seen = _spy_sweep(monkeypatch, K, ambient)
+    assert seen == [w for w in family[1:] if 2 * len(w) <= n]
+    assert rep.tight and rep.subsets_checked == len(family)
+    assert list(_upper_half(K, ambient)) == []
+    # i_max below the dimension: the full family
+    rep, seen = _spy_sweep(monkeypatch, K, ambient, i_max=K.dim - 1)
+    assert seen == family[1:] and rep.subsets_checked == len(family)
+    # a sampled run draws from the full family
+    M = SimplicialComplex(dataset("M6_16").facets)
+    amb = AmbientPolytope.cross(M.missing_faces(1))
+    rep, seen = _spy_sweep(monkeypatch, M, amb, ceiling=10, sample=40, seed=5)
+    assert seen == _sampled_subsets(M, amb, 40, random.Random(5)) and not rep.exhaustive
+    assert any(2 * len(w) > len(M.vertices) for w in seen)
+
+
+def test_homology_manifold_precondition():
+    manifolds = [
+        boundary_simplex(2),  # a circle
+        boundary_simplex(4),
+        cross_polytope_boundary(3),
+        cyclic_polytope_boundary(5, 9),
+        kuehnel_series(2),
+        kuehnel_series(5),
+        dataset("walkup_M3"),
+        dataset("M6_16"),
+        stacked_sphere(4, 9, seed=1),
+    ]
+    for M in manifolds:
+        assert homology._is_homology_manifold(SimplicialComplex(M.facets)), M
+    others = [
+        dataset("walkup_P"),  # a ball: not closed
+        SimplicialComplex([[1, 2, 3], [3, 4]]),  # not pure
+        SimplicialComplex([[1], [2]]),  # dimension 0
+        _suspension(kuehnel_series(3), 10, 11),  # the apex links have b_1 = 1
+    ]
+    for K in others:
+        assert not homology._is_homology_manifold(K), K
+    K = SimplicialComplex(kuehnel_series(3).facets)
+    homology._is_homology_manifold(K)
+    assert K._cache["homology_manifold"] is True
+    assert not any(isinstance(key, tuple) and key[0] == "link" for key in K._cache)
+
+
+def test_admissible_subsets_size_cap():
+    for K, amb in (
+        (boundary_simplex(4), AmbientPolytope.simplex(5)),
+        (cross_polytope_boundary(4), AmbientPolytope.cross([(1, 2), (3, 4), (5, 6), (7, 8)])),
+    ):
+        full = _admissible_subsets(K, amb)
+        assert len(full) == _family_size(K, amb) == len(_family(K, amb))
+        for cap in range(len(K.vertices) + 2):
+            assert _admissible_subsets(K, amb, cap) == [w for w in full if len(w) <= cap]
 
 
 # -- membership, hamiltonicity, neighborliness --------------------------------------
