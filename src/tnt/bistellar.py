@@ -52,10 +52,18 @@ class BistellarMove:
         return len(self.A) + len(self.B) - 2
 
     def inverse(self) -> "BistellarMove":
-        return BistellarMove(self.B, self.A)
+        return _move(self.B, self.A)
 
     def to_json(self) -> dict:
         return {"A": list(self.A), "B": list(self.B)}
+
+
+def _move(a: Simplex, b: Simplex) -> BistellarMove:
+    """The move (a, b) for simplices already in canonical form, unchecked."""
+    mv = object.__new__(BistellarMove)
+    object.__setattr__(mv, "A", a)
+    object.__setattr__(mv, "B", b)
+    return mv
 
 
 def move_fvector_delta(d: int, i: int) -> tuple[int, ...]:
@@ -137,6 +145,14 @@ class _MoveState:
     (A, B).  They depend only on the cofacets of A, so the entry is dropped
     only where A leaves the ready set.  Whether B is a face is looked up
     anew on each :meth:`moves` call.
+
+    :meth:`probe` scores a move without applying it.  With U = A u B the
+    move removes R = {U - w : w in B} and adds N = {U - v : v in A}.  A
+    vertex outside U keeps its cofacets, so its cached B only needs
+    looking up in the facet set after the move.  A vertex u in U has
+    deg - |B| + |A| - 1 top cofacets afterwards when u is in A, and
+    deg - |B| + |A| + 1 when u is in B; only when that is d + 1 are its
+    new cofacets (cof - R) u {n in N : u in n} and their B built.
     """
 
     def __init__(self, M: SimplicialComplex, indices: Iterable[int]):
@@ -194,13 +210,49 @@ class _MoveState:
                     if not cof:
                         del self._cof[a]
 
-    def apply(self, move: BistellarMove) -> None:
+    @staticmethod
+    def _sides(move: BistellarMove) -> tuple[Simplex, list[Simplex], list[Simplex]]:
+        """U = A u B, the facets {U - w : w in B} the move removes and the
+        facets {U - v : v in A} it adds."""
         union = tuple(sorted(move.A + move.B))
-        for w in move.B:
-            self._remove(tuple(x for x in union if x != w))
-        for v in move.A:
-            self._add(tuple(x for x in union if x != v))
+        opposite = {x: union[:j] + union[j + 1 :] for j, x in enumerate(union)}
+        return union, [opposite[w] for w in move.B], [opposite[v] for v in move.A]
+
+    def apply(self, move: BistellarMove) -> None:
+        _, removed, added = self._sides(move)
+        for f in removed:
+            self._remove(f)
+        for f in added:
+            self._add(f)
         self._sorted = None
+
+    def probe(self, move: BistellarMove) -> tuple[frozenset[Simplex], int]:
+        """The facet set after ``move`` and the number of index-d moves
+        there, leaving the state unchanged; the state must be built for
+        index d."""
+        d = self.d
+        union, removed, added = self._sides(move)
+        after = frozenset(self.facets.difference(removed).union(added))
+        cofs, pool = self._cof, self._pool
+        count = 0
+        for u in self._ready[d]:
+            if u[0] in union:
+                continue
+            hit = pool.get(u)
+            bu = self.span(u, cofs[u], d) if hit is None else hit[0]
+            if bu is not None and bu not in after:
+                count += 1
+        gain = len(added) - len(removed)
+        for v in union:
+            cof = cofs.get((v,), ())
+            if len(cof) + gain + (1 if v in move.B else -1) != d + 1:
+                continue
+            new = {f for f in cof if f not in removed}
+            new.update(f for f in added if v in f)
+            bu = self.span((v,), new, d)
+            if bu is not None and bu not in after:
+                count += 1
+        return after, count
 
     def has_face(self, s: Simplex) -> bool:
         """Whether the sorted tuple ``s`` is a face."""
@@ -234,7 +286,7 @@ class _MoveState:
                 hit = pool.get(a)
                 if hit is None:
                     b = self.span(a, self._cof[a], i)
-                    hit = pool[a] = (b, None if b is None else BistellarMove(a, b))
+                    hit = pool[a] = (b, None if b is None else _move(a, b))
                 b, mv = hit
                 if mv is not None and not self.has_face(b):
                     out.append(mv)
@@ -320,11 +372,13 @@ def stackedness_certificate(
     indices d-k+1 .. d (the reverses of 0 .. k-1 moves).
 
     Returns a replay-verified certificate, or None when the budget runs out.
-    None is never a refutation.  The budget counts move applications,
-    lookahead probes included.  Greedy policy: always take an index-d move
-    when one exists (it deletes a vertex); otherwise probe the lower
-    allowed indices and pick a move maximizing the number of index-d moves
-    available afterwards, breaking ties with the seeded generator.
+    None is never a refutation.  The budget counts the moves the search
+    takes, and each lookahead probe costs one unit although it applies
+    nothing; undoing the moves at a restart costs nothing.  Greedy policy:
+    always take an index-d move when one exists (it deletes a vertex);
+    otherwise probe the lower allowed indices and pick a move maximizing
+    the number of index-d moves available afterwards, breaking ties with
+    the seeded generator.
     """
     d = S.dim
     if d < 1:
@@ -340,11 +394,17 @@ def stackedness_certificate(
         cert.replay(S)
         return cert
 
+    state = _MoveState(S, range(d - k + 1, d + 1))
+    # facet sets decide exactly what their canonical hashes decide
+    start = frozenset(state.facets)
+    # the moves applied since the last restart, all to unseen states but
+    # perhaps the last
+    moves: list[BistellarMove] = []
     while spent < budget:
-        state = _MoveState(S, range(d - k + 1, d + 1))
-        moves: list[BistellarMove] = []
-        # facet sets decide exactly what their canonical hashes decide
-        seen = {frozenset(state.facets)}
+        # a restart undoes the moves instead of rebuilding the state
+        while moves:
+            state.apply(moves.pop().inverse())
+        seen = {start}
         spent_at_restart = spent
         while spent < budget:
             if state.is_boundary_simplex():
@@ -361,11 +421,9 @@ def stackedness_certificate(
                 for mv in cands:
                     if spent >= budget:
                         break
-                    state.apply(mv)
                     spent += 1
-                    score = -1 if frozenset(state.facets) in seen else len(state.moves([d]))
-                    state.apply(mv.inverse())
-                    if score < 0:
+                    after, score = state.probe(mv)
+                    if after in seen:
                         continue
                     if score > best_score:
                         best_score = score
@@ -376,12 +434,12 @@ def stackedness_certificate(
                     break
                 picked = rng.choice(fresh)
             state.apply(picked)
+            moves.append(picked)
             spent += 1
             key = frozenset(state.facets)
             if key in seen:
                 break
             seen.add(key)
-            moves.append(picked)
         if spent == spent_at_restart:
             # the restart made no applications at all: the position is a
             # deterministic dead end and retrying cannot help
@@ -585,7 +643,7 @@ def _sample_move(state: _MoveState, rng: random.Random, tries: int) -> Bistellar
         if len(cof) == i + 1 and all(len(g) == d + 1 for g in cof):
             b = state.span(a, cof, i)
             if b is not None and not state.has_face(b):
-                return BistellarMove(a, b)
+                return _move(a, b)
     return None
 
 

@@ -184,7 +184,11 @@ class SimplicialComplex:
             fs = set(s)
             parts = [tuple(v for v in f if v not in fs) for f in self.facets if fs <= set(f)]
             parts = [p for p in parts if p]
-            self._cache[key] = SimplicialComplex(parts)
+            if self.is_pure:
+                # distinct parts of one size: nothing to maximalize or check
+                self._cache[key] = SimplicialComplex(sorted(parts), _canonical=True)
+            else:
+                self._cache[key] = SimplicialComplex(parts)
         return self._cache[key]
 
     def star(self, face: Iterable[int]) -> "SimplicialComplex":

@@ -239,6 +239,96 @@ def test_valid_moves_non_pure_rule():
         _check_has_face(state, K, rng)
 
 
+def _snapshot(state):
+    return (
+        set(state.facets),
+        {a: set(c) for a, c in state._cof.items()},
+        {i: set(r) for i, r in state._ready.items()},
+        dict(state._pool),
+    )
+
+
+def _check_probes(K, built, rng, rounds=3, walk=3):
+    """Probe every applicable move of K, walk a few moves, and repeat.
+
+    Each probe must give the facet set of ``apply_move`` and the number of
+    index-d moves the dense oracle finds there, on the walked state (its
+    pool filled by ``moves``) and on a fresh one (its pool empty), and
+    leave both states exactly as they were.
+    """
+    d = K.dim
+    state = _MoveState(K, built)
+    probed = 0
+    for _ in range(rounds):
+        assert state.complex() == K
+        cands = [BistellarMove(a, b) for _, a, b in dense_valid_moves(K, built)]
+        state.moves()
+        for st_ in (state, _MoveState(K, built)):
+            before = _snapshot(st_)
+            for mv in cands:
+                after = apply_move(K, mv, check=False)
+                want = (frozenset(after.facets), len(dense_valid_moves(after, [d])))
+                assert st_.probe(mv) == want, mv
+            assert _snapshot(st_) == before
+        probed += len(cands)
+        for _ in range(walk):
+            pool = state.moves()
+            if pool and rng.random() < 0.8:
+                mv = pool[rng.randrange(len(pool))]
+            else:
+                tops = [f for f in K.facets if len(f) == d + 1]
+                mv = BistellarMove(tops[rng.randrange(len(tops))], (max(K.vertices) + 1,))
+            state.apply(mv)
+            K = apply_move(K, mv, check=False)
+    return probed
+
+
+def test_probe_on_m6_16_links_matches_applied_moves():
+    from tnt import dataset
+
+    M = dataset("M6_16")
+    rng = random.Random(16)
+    assert sum(_check_probes(M.link((v,)), range(4, 6), rng, rounds=2) for v in M.vertices) > 0
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 9), (4, 9)])
+def test_probe_on_stacked_spheres_matches_applied_moves(d, n):
+    # k = 1: the state is built for index d alone
+    rng = random.Random(d * 100 + n)
+    assert _check_probes(stacked_sphere(d, n, seed=n), [d], rng) > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_probe_on_random_spheres_matches_applied_moves(seed):
+    rng = random.Random(seed)
+    K = random_sphere(rng, d=2 + seed % 3, walk=6)
+    assert _check_probes(K, range(1, K.dim + 1), rng) > 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_probe_onto_boundary_simplex(d):
+    # both vertex removals of a once-subdivided simplex boundary end at a
+    # simplex boundary, whose vertices have their opposite facet as B
+    K = stacked_sphere(d, d + 3, seed=d)
+    state = _MoveState(K, range(d - 1, d + 1))
+    tops = state.moves([d])
+    assert len(tops) == 2
+    for mv in tops:
+        after, score = state.probe(mv)
+        assert is_boundary_simplex(SimplicialComplex(after)) and score == 0
+    assert _check_probes(K, range(d - 1, d + 1), random.Random(d), rounds=1) == len(state.moves())
+
+
+def test_probe_on_non_pure_complexes():
+    # lower facets count as faces for B but never as cofacets
+    S = stacked_sphere(2, 5, seed=0)
+    assert _check_probes(SimplicialComplex(list(S.facets) + [(1, 5)]), range(1, 3), random.Random(5)) > 0
+    T = stacked_sphere(3, 8, seed=2)
+    K = SimplicialComplex(list(T.facets) + [(1, 20), (20, 21, 22)])
+    assert not K.is_pure
+    assert _check_probes(K, range(1, 4), random.Random(8)) > 0
+
+
 def test_single_stacked_sphere_has_two_vertex_removals():
     # ∂Δ⁴ with one facet subdivided: both the new apex and the antipodal
     # original vertex have simplex-boundary links

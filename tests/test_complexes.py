@@ -5,6 +5,7 @@ import pytest
 from tnt import (
     SimplicialComplex,
     boundary_simplex,
+    dataset,
     from_facets,
     from_text,
     load_complex,
@@ -88,6 +89,27 @@ def test_link_errors_and_cases():
     # link of a facet is the empty complex
     assert K.link((1, 2, 3)).dim == -1
     assert K.link((3,)).facets == ((1, 2), (4, 5))
+
+
+def _maximalized_link(K, s):
+    parts = [tuple(v for v in f if v not in s) for f in K.facets if set(s) <= set(f)]
+    return SimplicialComplex([p for p in parts if p])
+
+
+def test_pure_link_matches_maximalized_parts():
+    # a pure complex skips _maximalize for its links; a non-pure one keeps it
+    M = dataset("M6_16")
+    for s in M.faces(0) + M.faces(1):
+        L, R = M.link(s), _maximalized_link(M, s)
+        assert L.facets == R.facets and (L.dim, L.is_pure) == (R.dim, R.is_pure), s
+    L = M.link(M.facets[0])
+    assert L.facets == _maximalized_link(M, M.facets[0]).facets == () and L.dim == -1
+    K = SimplicialComplex([[1, 2, 3], [1, 2, 4], [1, 5], [2, 5, 6], [6, 7]])
+    assert not K.is_pure
+    for s in K.faces(0) + K.faces(1):
+        assert K.link(s).facets == _maximalized_link(K, s).facets, s
+    assert K.link((1,)).facets == ((2, 3), (2, 4), (5,))
+    assert K.link((2,)).facets == ((1, 3), (1, 4), (5, 6))
 
 
 def test_star_and_span():

@@ -96,6 +96,18 @@ STACKED_CERTS = {
     (4, 11, 2, 1): ("fe7f89d1f992b6db", 5),
 }
 
+# (hash[:16], [(certificate digest, moves) or None per budget in SMALL_BUDGETS],
+# smallest budget that yields a certificate); k = 2, seed 7.  Recorded while
+# every probe still applied and undid its move, so they show that a probe
+# costs exactly one unit of budget.
+SMALL_BUDGETS = (1, 5, 17, 40, 200)
+SMALL_BUDGET_CERTS = {
+    "M6_16 link 1": ("fd12ca18448b22b2", [None, None, None, None, ("fae8eb7dde038a84", 28)], 134),
+    "M6_16 link 12": ("8de1c4c2225c04c5", [None, None, None, None, ("51f102d03e889916", 28)], 117),
+    "sphere 0": ("77fa1b528f58728b", [None, None, None, ("e9f8513fa53e3245", 7), ("e9f8513fa53e3245", 7)], 20),
+    "sphere 8": ("32dbb8f344e17cf2", [None, None, ("cfa73b06a4486b10", 3), ("cfa73b06a4486b10", 3), ("cfa73b06a4486b10", 3)], 7),
+}
+
 VERIFY_JSON_SHA256 = {
     "m6_16": "f81b031da1eb927caeea4bd171a90951c6a51fc2e687305e2395883ec446f63f",
     "walkup_m3": "6e15acffdc015414fb6b46064adadc59113b1b3680c28938d339d0e83664fecf",
@@ -255,6 +267,24 @@ def test_stackedness_certificates_pinned():
     for (d, n, k, seed), pin in STACKED_CERTS.items():
         cert = stackedness_certificate(stacked_sphere(d, n, seed=d * 10 + k), k, budget=20000, seed=seed)
         assert (_digest(cert), len(cert.moves)) == pin
+
+
+def test_small_budget_certificates_pinned():
+    M = dataset("M6_16")
+    rng = random.Random(53)
+    walked = [random_sphere(rng, d=4, walk=10) for _ in range(9)]
+    spheres = {"M6_16 link 1": M.link((1,)), "M6_16 link 12": M.link((12,)),
+               "sphere 0": walked[0], "sphere 8": walked[8]}
+
+    def run(S, budget):
+        cert = stackedness_certificate(S, 2, budget=budget, seed=7)
+        return None if cert is None else (_digest(cert), len(cert.moves))
+
+    for name, (hash16, pins, first) in SMALL_BUDGET_CERTS.items():
+        S = spheres[name]
+        assert S.canonical_hash()[:16] == hash16, name
+        assert [run(S, b) for b in SMALL_BUDGETS] == pins, name
+        assert run(S, first - 1) is None and run(S, first) is not None, name
 
 
 def test_verify_json_bytes_pinned(tmp_path, monkeypatch):
