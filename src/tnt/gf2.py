@@ -115,32 +115,9 @@ class GF2Matrix:
         self.ncols = ncols
         self.words = [0] * nrows if words is None else words
 
-    @classmethod
-    def from_rows(cls, rows, ncols: int) -> "GF2Matrix":
-        """Build from an iterable of column-index iterables."""
-        words = []
-        for support in rows:
-            x = 0
-            for j in support:
-                x |= 1 << j
-            words.append(x)
-        return cls(len(words), ncols, words)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
-
-    def get(self, i: int, j: int) -> int:
-        return (self.words[i] >> j) & 1
-
-    def set(self, i: int, j: int, value: int = 1) -> None:
-        if value:
-            self.words[i] |= 1 << j
-        else:
-            self.words[i] &= ~(1 << j)
-
-    def copy(self) -> "GF2Matrix":
-        return GF2Matrix(self.nrows, self.ncols, list(self.words))
 
     def rank(self) -> int:
         return rank_of_words(self.words, self.ncols)
@@ -150,20 +127,12 @@ class GF2Matrix:
         ns = nullspace_of_words(self.words, self.ncols)
         return GF2Matrix(len(ns), self.ncols, ns)
 
-    def row_support(self, i: int) -> list[int]:
-        return bits_of(self.words[i])
-
     def transpose(self) -> "GF2Matrix":
         cols = [0] * self.ncols
         for i, x in enumerate(self.words):
             for j in bits_of(x):
                 cols[j] |= 1 << i
         return GF2Matrix(self.ncols, self.nrows, cols)
-
-    def stack(self, other: "GF2Matrix") -> "GF2Matrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column mismatch")
-        return GF2Matrix(self.nrows + other.nrows, self.ncols, self.words + other.words)
 
     def __repr__(self) -> str:
         return f"GF2Matrix({self.nrows}x{self.ncols})"

@@ -5,15 +5,16 @@ rank d_{j+1}.  A per-complex :class:`ChainEngine` caches face indices,
 int boundary rows, and boundary-space bases so that full subcomplexes
 (vertex spans) can be processed without rebuilding chain complexes: faces
 of a span keep their positions in the ambient index, so span boundary
-ranks are ranks of selected row subsets.
+ranks are ranks of selected row subsets.  Link homology is read from the
+same rows: the faces holding a face s, masked to the faces holding s one
+dimension down, are the augmented chain complex of lk(s).
 """
 from __future__ import annotations
 
 import dataclasses
-from itertools import combinations
 
 from . import gf2
-from .complexes import SimplicialComplex, Simplex, simplex
+from .complexes import SimplicialComplex, simplex
 
 __all__ = [
     "HomologyReport",
@@ -224,11 +225,11 @@ def engine(K: SimplicialComplex) -> ChainEngine:
 def _is_homology_manifold(K: SimplicialComplex) -> bool:
     """Is K a closed GF(2)-homology manifold of dimension at least 1?
 
-    K must be pure and closed (every ridge in exactly two facets), and the
-    link of every other nonempty face must have the GF(2) Betti numbers of
-    a sphere of its dimension; for 1-dimensional links that means
-    connected.  Links come from one face -> cofacets map built in a single
-    pass over the facets.  Cached in ``K._cache``.
+    K must be pure, and the link of every nonempty face that is not a
+    facet must have the GF(2) Betti numbers of a sphere of its dimension:
+    two points for the link of a ridge, so K is closed.  The link ranks
+    are read from the boundary rows of ``engine(K)``; no link complex is
+    built.  Cached in ``K._cache``.
     """
     if "homology_manifold" not in K._cache:
         K._cache["homology_manifold"] = _homology_manifold(K)
@@ -239,37 +240,36 @@ def _homology_manifold(K: SimplicialComplex) -> bool:
     d = K.dim
     if d < 1 or not K.is_pure:
         return False
-    # cof[k]: each k-vertex face -> the facets containing it
-    cof: list[dict[Simplex, list[Simplex]]] = [{} for _ in range(d + 1)]
-    for facet in K.facets:
-        for k in range(1, d + 1):
-            for s in combinations(facet, k):
-                cof[k].setdefault(s, []).append(facet)
-    if any(len(fs) != 2 for fs in cof[d].values()):
-        return False
-    # Links by rising dimension k: when a k-link is reached, the links of
-    # its own faces (links of larger faces of K) are homology spheres, so
-    # it is a closed homology k-manifold and, once connected, satisfies
-    # b_i = b_{k-i}.  It is a sphere exactly when b_0 = 1 and b_i = 0 for
-    # 1 <= i <= k // 2.
-    for k in range(1, d):
-        for s, fs in cof[d - k].items():
-            if not _low_betti_of_sphere([tuple(v for v in f if v not in s) for f in fs], k):
+    eng = engine(K)
+    vfaces, vpos = eng._vertex_faces()
+    # The faces of K holding an m-vertex face s form the augmented chain
+    # complex of lk(s), shifted by m: star[t] holds the faces of dimension
+    # m - 1 + t that contain s (s itself at t = 0, the empty face of the
+    # link), and d_j of K restricted to them is the link's boundary.  Links
+    # by rising dimension k: when a k-link is reached, the links of its own
+    # faces (links of larger faces of K) are homology spheres, so it is a
+    # closed homology k-manifold and b_i = b_{k-i} once it is connected.  So
+    # it is a sphere (two points when k = 0) exactly when reduced b_i =
+    # (i == k) for 0 <= i <= k // 2.
+    for k in range(d):
+        m = d - k
+        top = min(d, m + k // 2 + 1)
+        for s in eng.faces[m - 1]:
+            star = []
+            for masks in vfaces[m - 1 : top + 1]:
+                x = -1
+                for v in s:
+                    x &= masks[vpos[v]]
+                star.append(x)
+            ranks = [0]
+            for t in range(1, len(star)):
+                rows, below = eng.boundary_rows(m - 1 + t), star[t - 1]
+                sel = [rows[c] & below for c in gf2.bits_of(star[t])]
+                ranks.append(gf2.rank_of_words(sel, eng.f[m - 2 + t]))
+            ranks.append(0)
+            if any(star[t].bit_count() - ranks[t] - ranks[t + 1] != (t == k + 1) for t in range(1, k // 2 + 2)):
                 return False
     return True
-
-
-def _low_betti_of_sphere(facets: list[Simplex], k: int) -> bool:
-    """Are b_0 = 1 and b_i = 0 for 1 <= i <= k // 2, for the complex on
-    these k-dimensional facets?"""
-    h = k // 2 + 1
-    faces = [list({s for f in facets for s in combinations(f, j + 1)}) for j in range(h + 1)]
-    ranks = [0]
-    for j in range(1, h + 1):
-        index = {f: c for c, f in enumerate(faces[j - 1])}
-        rows = [sum(1 << index[f[:m] + f[m + 1 :]] for m in range(j + 1)) for f in faces[j]]
-        ranks.append(gf2.rank_of_words(rows, len(faces[j - 1])))
-    return all(len(faces[j]) - ranks[j] - ranks[j + 1] == (j == 0) for j in range(h))
 
 
 def boundary_matrix(K: SimplicialComplex, j: int) -> gf2.GF2Matrix:

@@ -66,6 +66,26 @@ def oracle_betti(K: SimplicialComplex) -> tuple[int, ...]:
     return tuple(out)
 
 
+def homology_manifold_oracle(K: SimplicialComplex) -> bool:
+    """Is K a closed GF(2)-homology manifold of dimension at least 1?
+
+    Every nonempty face that is not a facet of the pure complex K must have
+    a link with the Betti numbers of a sphere: (2,) in dimension 0, else
+    (1, 0, ..., 0, 1).  Links come from ``K.link``, ranks from
+    :func:`oracle_betti`.
+    """
+    d = K.dim
+    if d < 1 or not K.is_pure:
+        return False
+    for j in range(d):
+        for s in K.faces(j):
+            L = K.link(s)
+            sphere = (2,) if L.dim == 0 else (1,) + (0,) * (L.dim - 1) + (1,)
+            if oracle_betti(L) != sphere:
+                return False
+    return True
+
+
 def dense_span_kernel_dim(K: SimplicialComplex, W, i: int) -> int:
     """dim ker(H_i(span W) -> H_i(K)) from dense boundary matrices.
 

@@ -33,7 +33,7 @@ from tnt import (
 from tnt import homology
 from tnt.morse import _admissible_subsets, _family_size, _sampled_subsets, _upper_half
 
-from conftest import dense_span_kernel_dim, random_sphere, span_failures
+from conftest import dense_span_kernel_dim, homology_manifold_oracle, random_sphere, span_failures
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -560,6 +560,15 @@ def test_half_sweep_only_on_the_manifold_precondition(monkeypatch):
     assert any(2 * len(w) > len(M.vertices) for w in seen)
 
 
+def _precondition_others():
+    return [
+        dataset("walkup_P"),  # a ball: not closed
+        SimplicialComplex([[1, 2, 3], [3, 4]]),  # not pure
+        SimplicialComplex([[1], [2]]),  # dimension 0
+        _suspension(kuehnel_series(3), 10, 11),  # the apex links have b_1 = 1
+    ]
+
+
 def test_homology_manifold_precondition():
     manifolds = [
         boundary_simplex(2),  # a circle
@@ -574,18 +583,39 @@ def test_homology_manifold_precondition():
     ]
     for M in manifolds:
         assert homology._is_homology_manifold(SimplicialComplex(M.facets)), M
-    others = [
-        dataset("walkup_P"),  # a ball: not closed
-        SimplicialComplex([[1, 2, 3], [3, 4]]),  # not pure
-        SimplicialComplex([[1], [2]]),  # dimension 0
-        _suspension(kuehnel_series(3), 10, 11),  # the apex links have b_1 = 1
-    ]
-    for K in others:
+    for K in _precondition_others():
         assert not homology._is_homology_manifold(K), K
     K = SimplicialComplex(kuehnel_series(3).facets)
     homology._is_homology_manifold(K)
     assert K._cache["homology_manifold"] is True
     assert not any(isinstance(key, tuple) and key[0] == "link" for key in K._cache)
+
+
+def test_homology_manifold_matches_oracle_on_fixtures():
+    complexes = [DUALITY_FIXTURES[name]()[0] for name in sorted(DUALITY_FIXTURES)]
+    complexes += [NON_MANIFOLDS[name]() for name in sorted(NON_MANIFOLDS)]
+    complexes += _precondition_others()
+    for K in complexes:
+        K = SimplicialComplex(K.facets)
+        assert homology._is_homology_manifold(K) == homology_manifold_oracle(K), K
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 4]))
+def test_homology_manifold_matches_oracle_on_random_spheres(seed, d):
+    rng = random.Random(seed)
+    S = _relabel(random_sphere(rng, d, walk=rng.randrange(8)), rng)
+    n, top = len(S.vertices), max(S.vertices)
+    expect = {S: True}
+    if n <= 9:
+        expect[_suspension(S, top + 1, top + 2)] = True
+    if n + d + 1 <= 11:
+        # glued to the boundary of a (d+1)-simplex at S's top vertex
+        b = boundary_simplex(d + 1)
+        expect[SimplicialComplex(list(S.facets) + [tuple(top + v - 1 for v in f) for f in b.facets])] = False
+    for K, manifold in expect.items():
+        assert len(K.vertices) <= 11
+        assert homology._is_homology_manifold(K) == homology_manifold_oracle(K) == manifold, K
 
 
 def test_admissible_subsets_size_cap():

@@ -95,7 +95,7 @@ def test_simplex_sorts(vs):
 @given(bit_matrices)
 def test_rank_matches_dense_oracle(rows):
     ncols = len(rows[0])
-    A = GF2Matrix.from_rows([[j for j, b in enumerate(r) if b] for r in rows], ncols)
+    A = GF2Matrix(len(rows), ncols, [sum(b << j for j, b in enumerate(r)) for r in rows])
     r = A.rank()
     assert r == dense_gf2_rank([[int(b) for b in row] for row in rows])
     assert r == A.transpose().rank()
@@ -106,11 +106,11 @@ def test_rank_matches_dense_oracle(rows):
 @given(bit_matrices)
 def test_nullspace_annihilates(rows):
     ncols = len(rows[0])
-    A = GF2Matrix.from_rows([[j for j, b in enumerate(r) if b] for r in rows], ncols)
+    A = GF2Matrix(len(rows), ncols, [sum(b << j for j, b in enumerate(r)) for r in rows])
     null = A.nullspace()
     assert null.nrows == A.ncols - A.rank()
     for k in range(null.nrows):
-        vec = [null.get(k, j) for j in range(ncols)]
+        vec = [(null.words[k] >> j) & 1 for j in range(ncols)]
         for row in rows:
             assert sum(int(a) & b for a, b in zip(row, vec)) & 1 == 0
 
