@@ -190,7 +190,7 @@ def _suite_lemma34(M: SimplicialComplex, args) -> tuple[list[dict], bool]:
         w = tuple(v for v in verts if rng.random() < 0.5)
         if not w:
             continue
-        bet = eng.span_betti(eng.word_of(w))
+        bet = eng.span_betti(eng.span_selection(eng.word_of(w)))
         for j in range(2, d):
             i = d - j
             if i < len(bet) and i >= 1 and bet[i] != 0:

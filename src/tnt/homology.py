@@ -3,11 +3,13 @@
 Betti numbers come from boundary-matrix ranks: beta_j = f_j - rank d_j -
 rank d_{j+1}.  A per-complex :class:`ChainEngine` caches face indices,
 int boundary rows, and boundary-space bases so that full subcomplexes
-(vertex spans) can be processed without rebuilding chain complexes: faces
-of a span keep their positions in the ambient index, so span boundary
-ranks are ranks of selected row subsets.  Link homology is read from the
-same rows: the faces holding a face s, masked to the faces holding s one
-dimension down, are the augmented chain complex of lk(s).
+(vertex spans) can be processed without rebuilding chain complexes.  A
+span is selected once, as one int mask per dimension of the faces lying
+inside it; faces keep their positions in the ambient index, so the span's
+boundary ranks are ranks of the ambient rows its masks pick out.  Link
+homology is read from the same rows: the faces holding a face s, masked
+to the faces holding s one dimension down, are the augmented chain
+complex of lk(s).
 """
 from __future__ import annotations
 
@@ -127,91 +129,65 @@ class ChainEngine:
             m |= 1 << vpos[v]
         return m
 
-    def _outside(self, wmask: int, jmax: int) -> list[int]:
-        """Per dim up to jmax, the faces with a vertex outside the vertex
-        mask, as an int; the complement's vertex bits are listed once."""
+    def span_selection(self, wmask: int, jmax: int | None = None) -> tuple[list[int], list[int]]:
+        """The span of a vertex mask as ``(inside, ranks)``.
+
+        ``inside[j]`` is the int of the j-faces lying inside the mask, for
+        each j up to ``jmax`` (default dim) at which the span has faces;
+        it is the complement of the faces holding a vertex outside the
+        mask, whose bits are listed once.  ``ranks[j]`` is the span rank
+        of d_j, with a 0 appended for the dimension above.  Cut at jmax
+        below dim, the rank of d_{jmax+1} is not taken, so only the
+        Betti numbers below jmax are exact.
+        """
         vfaces, vpos = self._vertex_faces()
         comp = gf2.bits_of(~wmask & ((1 << len(vpos)) - 1))
-        out = []
-        for masks in vfaces[: jmax + 1]:
+        top = self.dim if jmax is None else min(jmax, self.dim)
+        inside = []
+        for j, masks in enumerate(vfaces[: top + 1]):
             o = 0
             for p in comp:
                 o |= masks[p]
-            out.append(o)
-        return out
+            x = ((1 << self.f[j]) - 1) ^ o
+            if not x:
+                break
+            inside.append(x)
+        ranks = [self.span_rank(x, j) for j, x in enumerate(inside)] + [0]
+        return inside, ranks
 
-    def span_selection(self, wmask: int, jmax: int, outside: list[int] | None = None) -> list[list[int]]:
-        """Indices of the faces lying inside the vertex mask, per dim.
-
-        ``outside`` is the mask's :meth:`_outside` up to jmax, computed
-        unless given.
-        """
-        if outside is None:
-            outside = self._outside(wmask, min(jmax, self.dim))
-        return [gf2.bits_of(((1 << self.f[j]) - 1) & ~o) for j, o in enumerate(outside)]
-
-    def span_rank(self, sel_j: list[int], j: int) -> int:
-        """Rank of d_j restricted to a span.
+    def span_rank(self, inside_j: int, j: int) -> int:
+        """Rank of d_j restricted to the span with j-face mask ``inside_j``.
 
         Faces of span faces stay in the span, so the selected rows of the
         ambient d_j already have support inside the span's columns and the
         restricted rank equals the rank of the row subset.
         """
-        if j < 1 or j > self.dim or not sel_j:
+        if j < 1 or j > self.dim or not inside_j:
             return 0
         rows = self.boundary_rows(j)
-        return gf2.rank_of_words([rows[k] for k in sel_j], self.f[j - 1])
+        return gf2.rank_of_words([rows[k] for k in gf2.bits_of(inside_j)], self.f[j - 1])
 
-    def _span_ranks(self, sel: list[list[int]]) -> list[int]:
-        """Span ranks of d_j up to the top nonempty dim of ``sel``, then 0."""
-        top = max((j for j in range(len(sel)) if sel[j]), default=-1)
-        return [self.span_rank(sel[j], j) for j in range(top + 1)] + [0]
+    def span_betti(self, span: tuple[list[int], list[int]]) -> tuple[int, ...]:
+        """Betti numbers of a :meth:`span_selection` (empty span gives ())."""
+        inside, ranks = span
+        return tuple(x.bit_count() - ranks[j] - ranks[j + 1] for j, x in enumerate(inside))
 
-    def span_betti(
-        self, wmask: int, imax: int | None = None, sel: list[list[int]] | None = None, ranks: list[int] | None = None
-    ) -> tuple[int, ...]:
-        """Betti numbers of the span of a vertex mask (empty span gives ()).
-
-        ``sel`` is the span's :meth:`span_selection` and ``ranks`` its
-        :meth:`_span_ranks`, computed unless given.  Cut at dimension
-        imax + 1, it gives exact entries up to imax only: the top entry
-        counts no boundaries from above.
-        """
-        if sel is None:
-            sel = self.span_selection(wmask, self.dim if imax is None else min(imax + 1, self.dim))
-        if ranks is None:
-            ranks = self._span_ranks(sel)
-        return tuple(len(sel[j]) - ranks[j] - ranks[j + 1] for j in range(len(ranks) - 1))
-
-    def span_kernel_dim(
-        self,
-        wmask: int,
-        i: int,
-        sel: list[list[int]] | None = None,
-        ranks: list[int] | None = None,
-        outside: list[int] | None = None,
-    ) -> int:
-        """dim ker(H_i(span) -> H_i(K)) via the masked boundary basis.
+    def span_kernel_dim(self, span: tuple[list[int], list[int]], i: int) -> int:
+        """dim ker(H_i(span) -> H_i(K)) of a :meth:`span_selection`, via the
+        masked boundary basis.
 
         A cycle of the span bounds in K exactly when it lies in B_i(K) with
         support inside the span's i-faces; those form the subspace of the
-        boundary space vanishing on the complementary columns.  ``ranks``
-        are the :meth:`_span_ranks` of ``sel`` and ``outside`` the mask's
-        :meth:`_outside` up to at least i, computed unless given.
+        boundary space vanishing on the complementary columns.
         """
-        if i < 0 or i > self.dim:
-            return 0
-        if sel is None:
-            sel = self.span_selection(wmask, min(i + 1, self.dim))
-        if i >= len(sel) or not sel[i]:
+        inside, ranks = span
+        if i < 0 or i >= len(inside):
             return 0
         basis = self.boundary_basis(i)
         if not basis:
             return 0
-        out_i = (self._outside(wmask, i) if outside is None else outside)[i]
+        out_i = ((1 << self.f[i]) - 1) ^ inside[i]
         z_cap_b = len(basis) - gf2.rank_of_words([b & out_i for b in basis], self.f[i])
-        if ranks is None:
-            ranks = self._span_ranks(sel)
         return z_cap_b - ranks[i + 1]
 
 
@@ -354,7 +330,7 @@ def relative_mu_contribution(K: SimplicialComplex, v: int, lower) -> tuple[int, 
         out[0] = 1
     else:
         eng = engine(link)
-        bet = eng.span_betti(eng.word_of(w))
+        bet = eng.span_betti(eng.span_selection(eng.word_of(w)))
         if bet:
             out[1] = bet[0] - 1
             for j in range(1, len(bet)):

@@ -278,7 +278,8 @@ def tightness_verify(
 
     Above ``ceiling`` vertices a seeded ``sample`` of admissible subsets
     is required and the report is labeled non-exhaustive; the ceiling is
-    checked before any subset is built.
+    checked before any subset is built, and so is i_max, which must be
+    nonnegative.
 
     On a closed GF(2)-homology d-manifold, W fails at degree i exactly
     when its complement fails at degree d - 1 - i (Lefschetz duality and
@@ -293,6 +294,8 @@ def tightness_verify(
     ambient.validate_for(M)
     if i_max is None:
         i_max = M.dim
+    if i_max < 0:
+        raise ValueError(f"i_max must be nonnegative, got {i_max}")
     n = len(M.vertices)
     exhaustive = n <= ceiling
     if exhaustive and i_max >= M.dim:
@@ -313,18 +316,15 @@ def tightness_verify(
         checked += 1
         if len(w) == 0:
             continue
-        wmask = eng.word_of(w)
-        outside = eng._outside(wmask, jcap)
-        sel = eng.span_selection(wmask, jcap, outside)
-        ranks = eng._span_ranks(sel)
-        bet = eng.span_betti(wmask, sel=sel, ranks=ranks)
+        span = eng.span_selection(eng.word_of(w), jcap)
+        bet = eng.span_betti(span)
         # i = 0: the span must stay connected
         if bet[0] > 1:
             return TightnessReport(False, (w, 0, bet[0] - 1), checked, exhaustive, i_max, ambient.kind)
         for i in range(1, min(i_max + 1, len(bet))):
             if bet[i] <= 0:
                 continue
-            kd = eng.span_kernel_dim(wmask, i, sel, ranks, outside)
+            kd = eng.span_kernel_dim(span, i)
             if kd > 0:
                 return TightnessReport(False, (w, i, kd), checked, exhaustive, i_max, ambient.kind)
     total = _family_size(M, ambient) if exhaustive else checked

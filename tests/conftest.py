@@ -86,6 +86,24 @@ def homology_manifold_oracle(K: SimplicialComplex) -> bool:
     return True
 
 
+def mu_contribution_oracle(K: SimplicialComplex, v: int, lower) -> tuple[int, ...]:
+    """Reduced Betti numbers of the span, inside lk(v), of the link vertices
+    in ``lower``: index k holds reduced b_{k-1}, padded to length dim K + 1,
+    and an empty span gives 1 at index 0.  From ``K.link``, ``.span`` and
+    :func:`oracle_betti`.
+    """
+    L = K.link((v,))
+    w = set(lower) & set(L.vertices)
+    out = [0] * (K.dim + 1)
+    if not w:
+        out[0] = 1
+        return tuple(out)
+    bet = oracle_betti(L.span(w))
+    reduced = (bet[0] - 1,) + bet[1:]
+    out[1 : len(reduced) + 1] = reduced
+    return tuple(out)
+
+
 def dense_span_kernel_dim(K: SimplicialComplex, W, i: int) -> int:
     """dim ker(H_i(span W) -> H_i(K)) from dense boundary matrices.
 

@@ -172,7 +172,7 @@ def test_criterion_04_span_vanishing_suite(capsys):
             w = tuple(v for v in verts if rng.random() < 0.5)
             if not w:
                 continue
-            bet = eng.span_betti(eng.word_of(w))
+            bet = eng.span_betti(eng.span_selection(eng.word_of(w)))
             for j in range(2, d):
                 i = d - j
                 if i < len(bet) and bet[i] != 0:

@@ -236,6 +236,14 @@ def test_tight_cross_needs_matching(tmp_path, capsys):
     assert "diagonals" in capsys.readouterr().err
 
 
+def test_tight_negative_imax_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "c4.facets"
+    path.write_text("1 2\n2 3\n3 4\n4 1\n")
+    assert run_cli(["tight", str(path), "--imax", "-1", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "i_max" in err
+
+
 # -- morse -----------------------------------------------------------------------
 
 

@@ -148,7 +148,7 @@ def test_span_betti_matches_direct_computation():
         w = tuple(v for v in verts if rng.random() < 0.6)
         if not w:
             continue
-        got = eng.span_betti(eng.word_of(w))
+        got = eng.span_betti(eng.span_selection(eng.word_of(w)))
         direct = oracle_betti(S.span(w))
         direct = direct + (0,) * (len(got) - len(direct))
         assert tuple(got) == direct
@@ -206,7 +206,7 @@ def test_induced_kernel_two_routes_agree():
         wmask = eng.word_of(w)
         A = S.span(w)
         for i in range(1, S.dim + 1):
-            fast = eng.span_kernel_dim(wmask, i)
+            fast = eng.span_kernel_dim(eng.span_selection(wmask), i)
             public = induced_kernel_dim(S, A, i)
             assert fast == public, (w, i, fast, public)
             if known is not None:
@@ -255,7 +255,7 @@ def test_engine_vertex_cap():
     big = SimplicialComplex([[i, i + 1] for i in range(1, 70)])
     eng = engine(big)
     assert eng.word_of((1, 70)) == 1 | 1 << 69
-    assert eng.span_betti(eng.word_of((1, 2, 68, 69, 70))) == (2, 0)
+    assert eng.span_betti(eng.span_selection(eng.word_of((1, 2, 68, 69, 70)))) == (2, 0)
 
 
 def test_span_betti_beyond_64_vertices():
@@ -264,7 +264,7 @@ def test_span_betti_beyond_64_vertices():
     eng = engine(S)
     for _ in range(6):
         w = tuple(v for v in S.vertices if rng.random() < 0.5)
-        got = eng.span_betti(eng.word_of(w))
+        got = eng.span_betti(eng.span_selection(eng.word_of(w)))
         direct = oracle_betti(S.span(w))
         assert got == direct + (0,) * (len(got) - len(direct))
 
@@ -290,7 +290,7 @@ def test_span_kernel_matches_dense_oracle():
         eng = engine(S)
         wmask = eng.word_of(w)
         for i in range(S.dim + 1):
-            kd = eng.span_kernel_dim(wmask, i)
+            kd = eng.span_kernel_dim(eng.span_selection(wmask), i)
             assert kd == dense_span_kernel_dim(S, w, i), (w, i)
             nonzero += kd > 0
     assert nonzero >= 6

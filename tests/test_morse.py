@@ -469,6 +469,33 @@ def test_complement_duality_and_full_sweep(name):
     assert bool(fails) == name.startswith(("cyclic", "cross_4_simplex"))
 
 
+@pytest.mark.parametrize("name", sorted(DUALITY_FIXTURES))
+def test_cut_span_sweep_matches_oracle(name):
+    # below the dimension, spans are selected only up to i_max + 1 and the
+    # whole family is swept
+    K, diagonals = DUALITY_FIXTURES[name]()
+    K = SimplicialComplex(K.facets)
+    ambient = AmbientPolytope.simplex(len(K.vertices)) if diagonals is None else AmbientPolytope.cross(diagonals)
+    family = _family(K, ambient)
+    fails = span_failures(K, family)
+    for i_max in range(K.dim):
+        cut = [f for f in fails if f[1] <= i_max]
+        rep = tightness_verify(K, ambient, i_max=i_max)
+        assert rep.tight == (not cut), i_max
+        if cut:
+            assert rep.witness == cut[0]
+            assert rep.subsets_checked == family.index(cut[0][0]) + 1
+        else:
+            assert rep.witness is None and rep.subsets_checked == len(family)
+
+
+def test_tightness_rejects_negative_i_max(monkeypatch):
+    K = SimplicialComplex([[1, 2], [2, 3], [3, 4], [4, 1]])  # 4-cycle
+    monkeypatch.setattr("tnt.morse._admissible_subsets", None)  # no subset is built
+    with pytest.raises(ValueError, match="i_max"):
+        tightness_verify(K, AmbientPolytope.simplex(4), i_max=-1)
+
+
 def test_span_failures_matches_dense_oracle():
     K = cyclic_polytope_boundary(4, 6)
     family = _family(K, AmbientPolytope.simplex(6))
@@ -514,12 +541,12 @@ def _spy_sweep(monkeypatch, K, ambient, **kw):
     seen = []
     real = homology.ChainEngine.span_selection
 
-    def spy(self, wmask, jmax, outside=None):
+    def spy(self, wmask, jmax=None):
         seen.append(tuple(v for p, v in enumerate(self.K.vertices) if wmask >> p & 1))
-        return real(self, wmask, jmax, outside)
+        return real(self, wmask, jmax)
 
     monkeypatch.setattr(homology.ChainEngine, "span_selection", spy)
-    monkeypatch.setattr(homology.ChainEngine, "span_betti", lambda self, wmask, imax=None, sel=None, ranks=None: (1,))
+    monkeypatch.setattr(homology.ChainEngine, "span_betti", lambda self, span: (1,))
     rep = tightness_verify(K, ambient, **kw)
     monkeypatch.undo()
     return rep, seen

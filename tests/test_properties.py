@@ -13,6 +13,7 @@ from tnt import (
     from_text,
     induced_kernel_dim,
     mu_vector,
+    relative_mu_contribution,
     simplex,
     stacked_sphere,
     to_json,
@@ -22,7 +23,7 @@ from tnt import (
 from tnt.gf2 import GF2Matrix
 from tnt.homology import engine
 
-from conftest import dense_gf2_rank, oracle_betti
+from conftest import dense_gf2_rank, mu_contribution_oracle, oracle_betti, random_sphere
 
 facet_lists = st.lists(
     st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True),
@@ -154,7 +155,29 @@ def test_span_kernel_routes_agree(seed):
     word = eng.word_of(sub)
     A = S.span(sub)
     for i in range(1, S.dim + 1):
-        assert eng.span_kernel_dim(word, i) == induced_kernel_dim(S, A, i)
+        assert eng.span_kernel_dim(eng.span_selection(word), i) == induced_kernel_dim(S, A, i)
+
+
+def _check_mu_contributions(K, rng):
+    # lower sets draw from K's vertices, outside lk(v) too, and from labels
+    # that are no vertex of K
+    labels = list(K.vertices) + [max(K.vertices) + 1, max(K.vertices) + 2]
+    for v in K.vertices:
+        lower = frozenset(u for u in labels if u != v and rng.random() < 0.5)
+        assert relative_mu_contribution(K, v, lower) == mu_contribution_oracle(K, v, lower), (v, lower)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 4]))
+def test_mu_contribution_matches_oracle_on_spheres(seed, d):
+    rng = random.Random(seed)
+    _check_mu_contributions(random_sphere(rng, d), rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(facet_lists, st.integers(0, 10**6))
+def test_mu_contribution_matches_oracle_on_small_complexes(raw, seed):
+    _check_mu_contributions(from_facets(raw), random.Random(seed))
 
 
 # -- morse theory -------------------------------------------------------------------
