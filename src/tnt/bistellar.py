@@ -158,7 +158,7 @@ class _MoveState:
     def __init__(self, M: SimplicialComplex, indices: Iterable[int]):
         self.d = d = M.dim
         self.indices = sorted({i for i in indices if 1 <= i <= d})
-        self.facets: set[Simplex] = set()
+        self.facets: set[Simplex] = set(M.facets)
         self.star: dict[int, set[Simplex]] = {}
         self._cof: dict[Simplex, set[Simplex]] = {}
         self._ready: dict[int, set[Simplex]] = {i: set() for i in self.indices}
@@ -168,8 +168,23 @@ class _MoveState:
         self._faces_of: dict[int, set | dict] = {d + 1: self.facets}
         if M.is_pure:
             self._faces_of.update((d - i + 1, self._cof) for i in self.indices)
+        # one pass fills the stars and cofacet sets; the ready sets are read
+        # off the final counts, so no face enters or leaves them on the way
+        sizes = [d - i + 1 for i in self.indices]
         for f in M.facets:
-            self._add(f)
+            for v in f:
+                self.star.setdefault(v, set()).add(f)
+            if len(f) == d + 1:
+                for size in sizes:
+                    for a in combinations(f, size):
+                        cof = self._cof.get(a)
+                        if cof is None:
+                            self._cof[a] = {f}
+                        else:
+                            cof.add(f)
+        for a, cof in self._cof.items():
+            if len(cof) == d + 2 - len(a):
+                self._ready[d + 1 - len(a)].add(a)
 
     def _add(self, f: Simplex) -> None:
         self.facets.add(f)

@@ -234,18 +234,10 @@ class SimplicialComplex:
         """j-simplices that are not faces but whose full boundary is present."""
         if j < 0:
             raise ValueError("j must be nonnegative")
-        verts = self.vertices
-        out = []
-        present = self.face_set(j)
-        lower = self.face_set(j - 1) if j >= 1 else None
-        for cand in combinations(verts, j + 1):
-            if cand in present:
-                continue
-            if j == 0:
-                continue  # every vertex of V is a face
-            if all(sub in lower for sub in combinations(cand, j)):
-                out.append(cand)
-        return out
+        present, lower = self.face_set(j), self.face_set(j - 1)
+        # every vertex is a face, so j = 0 finds none
+        cands = combinations(self.vertices, j + 1)
+        return [c for c in cands if c not in present and all(s in lower for s in combinations(c, j))]
 
     # -- global structure -------------------------------------------------
 

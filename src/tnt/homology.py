@@ -2,18 +2,19 @@
 
 Betti numbers come from boundary-matrix ranks: beta_j = f_j - rank d_j -
 rank d_{j+1}.  A per-complex :class:`ChainEngine` caches face indices,
-int boundary rows, and boundary-space bases so that full subcomplexes
-(vertex spans) can be processed without rebuilding chain complexes.  A
-span is selected once, as one int mask per dimension of the faces lying
-inside it; faces keep their positions in the ambient index, so the span's
-boundary ranks are ranks of the ambient rows its masks pick out.  Link
-homology is read from the same rows: the faces holding a face s, masked
-to the faces holding s one dimension down, are the augmented chain
-complex of lk(s).
+int boundary rows and boundary-space bases, so that vertex spans and links
+need no chain complex of their own.  A span is one int mask per dimension
+of the faces inside it, and its ranks are those of the ambient rows the
+masks pick out.  The faces holding a face s, rows masked to the faces
+holding s one dimension down, are the augmented chain complex of lk(s);
+a mu contribution keeps those holding a vertex v inside span(lower u {v}).
+Ranks are cleared top-down: the rows of faces that are pivot columns one
+dimension up are left out.
 """
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 from . import gf2
 from .complexes import SimplicialComplex, simplex
@@ -50,8 +51,8 @@ class ChainEngine:
     """Chain-level view of a complex: face indices and int boundary rows.
 
     ``boundary_rows(j)`` has one int per j-face, bit c set for each
-    (j-1)-face c in its boundary; ranks and boundary-space bases are
-    cached.  Use :func:`engine` to get the per-complex cached instance.
+    (j-1)-face c in its boundary; boundary-space bases are cached.  Use
+    :func:`engine` to get the per-complex cached instance.
     """
 
     def __init__(self, K: SimplicialComplex):
@@ -64,7 +65,6 @@ class ChainEngine:
         self.brows: list[list[int] | None] = [None] * (d + 1)
         self._vfaces: list[list[int]] | None = None
         self._vpos: dict[int, int] | None = None
-        self._ranks: dict[int, int] = {}
         self._bbasis: dict[int, list[int]] = {}
 
     def boundary_rows(self, j: int) -> list[int]:
@@ -79,30 +79,16 @@ class ChainEngine:
             ]
         return self.brows[j]
 
-    def rank(self, j: int) -> int:
-        """Rank of d_j."""
-        if j < 1 or j > self.dim:
-            return 0
-        if j not in self._ranks:
-            self._ranks[j] = gf2.rank_of_words(self.boundary_rows(j), self.f[j - 1])
-        return self._ranks[j]
-
     def boundary_basis(self, i: int) -> list[int]:
         """RREF basis rows of the boundary space B_i over the i-face columns."""
         if i not in self._bbasis:
-            if i + 1 > self.dim:
-                self._bbasis[i] = []
-            else:
-                rref, piv = gf2.rref_of_words(self.boundary_rows(i + 1), self.f[i])
-                self._bbasis[i] = rref
-                self._ranks[i + 1] = len(piv)
+            self._bbasis[i] = gf2.rref_of_words(self.boundary_rows(i + 1), self.f[i])[0]
         return self._bbasis[i]
 
     def betti(self) -> tuple[int, ...]:
-        d = self.dim
-        if d < 0:
-            return ()
-        return tuple(self.f[j] - self.rank(j) - self.rank(j + 1) for j in range(d + 1))
+        """Betti numbers: those of the span of every face."""
+        inside = [(1 << n) - 1 for n in self.f]
+        return self.span_betti((inside, self._masked_ranks(inside, 0)))
 
     # -- vertex-span machinery ---------------------------------------------
 
@@ -130,45 +116,67 @@ class ChainEngine:
         return m
 
     def span_selection(self, wmask: int, jmax: int | None = None) -> tuple[list[int], list[int]]:
-        """The span of a vertex mask as ``(inside, ranks)``.
-
-        ``inside[j]`` is the int of the j-faces lying inside the mask, for
-        each j up to ``jmax`` (default dim) at which the span has faces;
-        it is the complement of the faces holding a vertex outside the
-        mask, whose bits are listed once.  ``ranks[j]`` is the span rank
-        of d_j, with a 0 appended for the dimension above.  Cut at jmax
-        below dim, the rank of d_{jmax+1} is not taken, so only the
-        Betti numbers below jmax are exact.
+        """The span of a vertex mask as ``(inside, ranks)``: its
+        :meth:`_span_masks` up to ``jmax`` (default dim) and their
+        :meth:`_masked_ranks`.  Cut at jmax below dim, the rank of
+        d_{jmax+1} is not taken, so only the Betti numbers below jmax are
+        exact.
         """
+        inside = self._span_masks(wmask, self.dim if jmax is None else min(jmax, self.dim))
+        return inside, self._masked_ranks(inside, 0)
+
+    def _span_masks(self, wmask: int, top: int, holding: Sequence[int] = ()) -> list[int]:
+        """Per dimension j from dim ``holding`` (0 when empty) up to ``top``
+        at which they exist, the int of the j-faces inside the span of the
+        vertex mask that hold the vertices at the positions ``holding``.
+        The faces holding a vertex outside the mask are taken away; its bits
+        are listed once."""
         vfaces, vpos = self._vertex_faces()
         comp = gf2.bits_of(~wmask & ((1 << len(vpos)) - 1))
-        top = self.dim if jmax is None else min(jmax, self.dim)
         inside = []
-        for j, masks in enumerate(vfaces[: top + 1]):
+        for j in range(max(len(holding) - 1, 0), top + 1):
+            masks = vfaces[j]
             o = 0
             for p in comp:
                 o |= masks[p]
             x = ((1 << self.f[j]) - 1) ^ o
+            for p in holding:
+                x &= masks[p]
             if not x:
                 break
             inside.append(x)
-        ranks = [self.span_rank(x, j) for j, x in enumerate(inside)] + [0]
-        return inside, ranks
+        return inside
 
-    def span_rank(self, inside_j: int, j: int) -> int:
-        """Rank of d_j restricted to the span with j-face mask ``inside_j``.
-
-        Faces of span faces stay in the span, so the selected rows of the
-        ambient d_j already have support inside the span's columns and the
-        restricted rank equals the rank of the row subset.
+    def _masked_ranks(self, inside: list[int], base: int) -> list[int]:
+        """Ranks of the chain complex of the face masks ``inside``, whose
+        ``inside[t]`` holds faces of dimension base + t: a vertex span, or
+        the faces of one holding a fixed face.  ``ranks[t]`` is the rank of
+        the rows of d_{base+t} in ``inside[t]`` masked to ``inside[t-1]``,
+        with ``ranks[0]`` = 0 and a 0 appended.  Taken top-down, leaving out
+        the rows of the pivot columns of the dimension above (clearing,
+        Chen and Kerber 2011): by dd = 0 such a row is a sum of rows below
+        it in its echelon row, so no rank changes.
         """
-        if j < 1 or j > self.dim or not inside_j:
-            return 0
+        ranks = [0] * (len(inside) + 1)
+        cleared = 0
+        for t in range(len(inside) - 1, 0, -1):
+            cleared = self.span_rank(inside[t] & ~cleared, base + t, inside[t - 1])
+            ranks[t] = cleared.bit_count()
+        return ranks
+
+    def span_rank(self, sel: int, j: int, cols: int) -> int:
+        """Pivot columns of the rows of d_j picked by the j-face mask ``sel``,
+        masked to the (j-1)-face mask ``cols``, as an int over the
+        (j-1)-faces; its bit count is the rank of those rows."""
         rows = self.boundary_rows(j)
-        return gf2.rank_of_words([rows[k] for k in gf2.bits_of(inside_j)], self.f[j - 1])
+        cleared = 0
+        for h in gf2._pivots([rows[c] & cols for c in gf2.bits_of(sel)]):
+            cleared |= 1 << h
+        return cleared >> 1
 
     def span_betti(self, span: tuple[list[int], list[int]]) -> tuple[int, ...]:
-        """Betti numbers of a :meth:`span_selection` (empty span gives ())."""
+        """Betti numbers of a :meth:`span_selection`, or of any face masks
+        with their :meth:`_masked_ranks` (empty masks give ())."""
         inside, ranks = span
         return tuple(x.bit_count() - ranks[j] - ranks[j + 1] for j, x in enumerate(inside))
 
@@ -184,8 +192,6 @@ class ChainEngine:
         if i < 0 or i >= len(inside):
             return 0
         basis = self.boundary_basis(i)
-        if not basis:
-            return 0
         out_i = ((1 << self.f[i]) - 1) ^ inside[i]
         z_cap_b = len(basis) - gf2.rank_of_words([b & out_i for b in basis], self.f[i])
         return z_cap_b - ranks[i + 1]
@@ -217,7 +223,7 @@ def _homology_manifold(K: SimplicialComplex) -> bool:
     if d < 1 or not K.is_pure:
         return False
     eng = engine(K)
-    vfaces, vpos = eng._vertex_faces()
+    vpos = eng._vertex_faces()[1]
     # The faces of K holding an m-vertex face s form the augmented chain
     # complex of lk(s), shifted by m: star[t] holds the faces of dimension
     # m - 1 + t that contain s (s itself at t = 0, the empty face of the
@@ -231,18 +237,8 @@ def _homology_manifold(K: SimplicialComplex) -> bool:
         m = d - k
         top = min(d, m + k // 2 + 1)
         for s in eng.faces[m - 1]:
-            star = []
-            for masks in vfaces[m - 1 : top + 1]:
-                x = -1
-                for v in s:
-                    x &= masks[vpos[v]]
-                star.append(x)
-            ranks = [0]
-            for t in range(1, len(star)):
-                rows, below = eng.boundary_rows(m - 1 + t), star[t - 1]
-                sel = [rows[c] & below for c in gf2.bits_of(star[t])]
-                ranks.append(gf2.rank_of_words(sel, eng.f[m - 2 + t]))
-            ranks.append(0)
+            star = eng._span_masks(-1, top, [vpos[v] for v in s])  # -1: all vertices
+            ranks = eng._masked_ranks(star, m - 1)
             if any(star[t].bit_count() - ranks[t] - ranks[t + 1] != (t == k + 1) for t in range(1, k // 2 + 2)):
                 return False
     return True
@@ -301,8 +297,7 @@ def induced_kernel_dim(K: SimplicialComplex, A: SimplicialComplex, i: int) -> in
         z_rows = [sum(1 << emb[local] for local in gf2.bits_of(z)) for z in ker]
     basis = eng_k.boundary_basis(i)
     z_cap_b = len(z_rows) + len(basis) - gf2.rank_of_words(z_rows + basis, fi_k)
-    b_a = eng_a.rank(i + 1)
-    return z_cap_b - b_a
+    return z_cap_b - len(eng_a.boundary_basis(i))
 
 
 _MU_CACHE_CAP = 4096  # per complex; one 20-ordering mu_vector batch of M6_16 makes about 300
@@ -314,28 +309,25 @@ def relative_mu_contribution(K: SimplicialComplex, v: int, lower) -> tuple[int, 
     Returns a tuple c of length dim(K) + 1 where c[k] is the rank of
     reduced H_{k-1} of the span, inside the link of v, of the link
     vertices lying in ``lower``.  An empty span contributes 1 at index 0.
-    Cached per complex; past ``_MU_CACHE_CAP`` entries the oldest goes.
+    Labels in ``lower`` outside K are ignored; a v outside K raises
+    KeyError (ValueError if v is no positive int).  The faces of K holding
+    v inside span(lower u {v}), rows masked to the same set, are the span's
+    augmented chain complex shifted by one, read from ``engine(K)`` with
+    cleared ranks.  Cached per complex; past ``_MU_CACHE_CAP`` entries the
+    oldest goes.
     """
-    vs = simplex((v,))
     lower_set = frozenset(lower)
     cache = K._cache.setdefault("mu_contrib", {})
     key = (v, lower_set)
     if key in cache:
         return cache[key]
-    d = K.dim
-    link = K.link(vs)
-    w = lower_set.intersection(link.vertices)
-    out = [0] * (d + 1)
-    if not w:
-        out[0] = 1
-    else:
-        eng = engine(link)
-        bet = eng.span_betti(eng.span_selection(eng.word_of(w)))
-        if bet:
-            out[1] = bet[0] - 1
-            for j in range(1, len(bet)):
-                out[j + 1] = bet[j]
-    result = tuple(out)
+    eng = engine(K)
+    vpos = eng._vertex_faces()[1]
+    if v not in vpos:
+        raise KeyError(f"{simplex((v,))} is not a face")
+    star = eng._span_masks(eng.word_of([v, *(u for u in lower_set if u in vpos)]), K.dim, [vpos[v]])
+    out = eng.span_betti((star, eng._masked_ranks(star, 0)))
+    result = out + (0,) * (K.dim + 1 - len(out))
     if len(cache) >= _MU_CACHE_CAP:
         del cache[next(iter(cache))]
     cache[key] = result

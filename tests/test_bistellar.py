@@ -205,6 +205,38 @@ def test_move_pool_stays_current_over_move_runs(seed, d, all_indices):
     assert state.complex() == K
 
 
+def _incremental_state(K, indices):
+    """A state emptied facet by facet and refilled with ``_add``, the way
+    ``apply`` changes it."""
+    state = _MoveState(K, indices)
+    for f in K.facets:
+        state._remove(f)
+    assert not state.facets and not state.star and not state._cof and not any(state._ready.values())
+    for f in K.facets:
+        state._add(f)
+    return state
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), d=st.sampled_from([2, 3, 4]), pure=st.booleans())
+def test_bulk_state_build_matches_incremental_build(seed, d, pure):
+    rng = random.Random(seed)
+    K = random_sphere(rng, d=d, walk=4)
+    if not pure:
+        # lower facets on old and new labels: cofacets of neither kind
+        verts = list(K.vertices)
+        new = max(verts) + 1
+        extra = [(rng.choice(verts), new), (new, new + 1, new + 2)]
+        extra += [tuple(rng.sample(verts, 2)) + (new + 3,) for _ in range(2)]
+        K = SimplicialComplex(list(K.facets) + extra)
+        assert not K.is_pure
+    built = sorted(rng.sample(range(d + 2), rng.randint(1, d + 2)))
+    bulk, inc = _MoveState(K, built), _incremental_state(K, built)
+    for attr in ("facets", "star", "_cof", "_ready", "_faces_of"):
+        assert getattr(bulk, attr) == getattr(inc, attr), attr
+    assert _triples(bulk.moves()) == dense_valid_moves(K, built)
+
+
 def test_valid_moves_non_pure_rule():
     # stacked 2-sphere on 5 vertices: 1 and 5 have link d(2 3 4), and the
     # edges 23, 24, 34 flip onto the missing edge 15

@@ -38,6 +38,10 @@ from tnt import (
     cross_polytope_boundary,
     cyclic_polytope_boundary,
     dataset,
+    from_facets,
+    kuehnel_series,
+    mu_vector,
+    relative_mu_contribution,
     save_complex,
     simplicial_product,
     stacked_sphere,
@@ -106,6 +110,18 @@ SMALL_BUDGET_CERTS = {
     "M6_16 link 12": ("8de1c4c2225c04c5", [None, None, None, None, ("51f102d03e889916", 28)], 117),
     "sphere 0": ("77fa1b528f58728b", [None, None, None, ("e9f8513fa53e3245", 7), ("e9f8513fa53e3245", 7)], 20),
     "sphere 8": ("32dbb8f344e17cf2", [None, None, ("cfa73b06a4486b10", 3), ("cfa73b06a4486b10", 3), ("cfa73b06a4486b10", 3)], 7),
+}
+
+# sha256 of json.dumps of the per-vertex contributions of 20 orderings, the
+# s-th the sorted vertices shuffled by random.Random(1000 + s).  mu_vector
+# refuses the non-pure complex, so its contributions come straight from
+# relative_mu_contribution over the same predecessor sets.  Recorded while
+# every contribution was read from the vertex link's own chain engine.
+MU_NONPURE = [(1, 2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 7), (6, 7), (2, 8), (9,)]
+MU_PER_VERTEX_SHA256 = {
+    "M6_16": "8155a2e1b93bd183cc40ef481825a2f45251461d7b2120e2f15536b97c28c6bc",
+    "kuehnel4": "fe132bfc62aff56942f635dc782d2028ac6352356460f6a057114a47aa3d2cfe",
+    "nonpure": "b2b30138ef53753518ba93e1a2fd54b8ffdbd0174b9e710010a0f17e7876cd7f",
 }
 
 VERIFY_JSON_SHA256 = {
@@ -285,6 +301,49 @@ def test_small_budget_certificates_pinned():
         assert S.canonical_hash()[:16] == hash16, name
         assert [run(S, b) for b in SMALL_BUDGETS] == pins, name
         assert run(S, first - 1) is None and run(S, first) is not None, name
+
+
+def _per_vertex(K, order):
+    if K.is_pure:
+        return mu_vector(K, order).per_vertex
+    out, seen = [], []
+    for v in order:
+        out.append((v, relative_mu_contribution(K, v, seen)))
+        seen.append(v)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(MU_PER_VERTEX_SHA256))
+def test_mu_per_vertex_pinned(name):
+    K = {"M6_16": dataset("M6_16"), "kuehnel4": kuehnel_series(4), "nonpure": from_facets(MU_NONPURE)}[name]
+    rows = []
+    for s in range(20):
+        order = list(K.vertices)
+        random.Random(1000 + s).shuffle(order)
+        rows.append(_per_vertex(K, order))
+    assert _sha256(json.dumps(rows)) == MU_PER_VERTEX_SHA256[name]
+
+
+def test_mu_contribution_of_a_non_vertex_raises_key_error():
+    K = from_facets(MU_NONPURE)
+    for v in (10, 42):
+        with pytest.raises(KeyError):
+            relative_mu_contribution(K, v, [1, 2, 3])
+    with pytest.raises(KeyError):
+        relative_mu_contribution(dataset("M6_16"), 17, [])
+    with pytest.raises(ValueError):
+        relative_mu_contribution(K, 0, [1, 2, 3])
+
+
+def test_mu_contribution_ignores_labels_outside_the_complex():
+    K = from_facets(MU_NONPURE)
+    odd = [1, 3, 5, 7, 9, 100]
+    want = {1: (0, 0, 0, 0), 2: (0, 0, 0, 0), 3: (0, 1, 0, 0), 4: (0, 0, 0, 0), 5: (0, 1, 0, 0),
+            6: (0, 1, 0, 0), 7: (0, 0, 0, 0), 8: (1, 0, 0, 0), 9: (1, 0, 0, 0)}
+    assert {v: relative_mu_contribution(K, v, odd) for v in K.vertices} == want
+    for v in K.vertices:
+        rest = [u for u in K.vertices if u != v]
+        assert relative_mu_contribution(K, v, rest + [0, 10, 42]) == relative_mu_contribution(K, v, rest)
 
 
 def test_verify_json_bytes_pinned(tmp_path, monkeypatch):

@@ -158,6 +158,67 @@ def test_span_kernel_routes_agree(seed):
         assert eng.span_kernel_dim(eng.span_selection(word), i) == induced_kernel_dim(S, A, i)
 
 
+def _face_masks(eng, s, w, top):
+    """Per dimension from dim s (0 for the empty s) up to ``top``, the int
+    over the engine's face list of the faces holding ``s`` and lying inside
+    ``w``; cut at the first empty dimension."""
+    out = []
+    for j in range(max(len(s) - 1, 0), top + 1):
+        x = sum(1 << c for c, f in enumerate(eng.faces[j]) if set(s) <= set(f) <= w)
+        if not x:
+            break
+        out.append(x)
+    return out
+
+
+def _uncleared_dense_ranks(eng, masks, base):
+    """Ranks of every masked boundary matrix, built from the face lists and
+    reduced densely: for t >= 1 the faces of ``masks[t]`` against the faces
+    of ``masks[t - 1]``, with no row left out."""
+    ranks = [0] * (len(masks) + 1)
+    for t in range(1, len(masks)):
+        j = base + t
+        cols = [f for c, f in enumerate(eng.faces[j - 1]) if (masks[t - 1] >> c) & 1]
+        rows = [f for c, f in enumerate(eng.faces[j]) if (masks[t] >> c) & 1]
+        ranks[t] = dense_gf2_rank([[int(set(g) <= set(f)) for g in cols] for f in rows])
+    return ranks
+
+
+def _check_cleared_ranks(K, rng):
+    eng = engine(K)
+    verts = set(K.vertices)
+    d = K.dim
+    # vertex spans, cut at every jmax
+    for jmax in range(d + 1):
+        w = {v for v in verts if rng.random() < 0.6}
+        inside, ranks = eng.span_selection(eng.word_of(w), jmax)
+        assert inside == _face_masks(eng, (), w, jmax)
+        assert ranks == _uncleared_dense_ranks(eng, inside, 0), (w, jmax)
+    # the star of a single vertex, whole and inside a random span (as the
+    # mu contributions select it), and the stars of faces (link homology)
+    for v in verts:
+        for w in (verts, {v} | {u for u in verts if rng.random() < 0.5}):
+            masks = _face_masks(eng, (v,), w, d)
+            assert eng._masked_ranks(masks, 0) == _uncleared_dense_ranks(eng, masks, 0), (v, w)
+    faces = [f for j in range(1, d + 1) for f in eng.faces[j]]
+    for s in rng.sample(faces, min(6, len(faces))):
+        masks = _face_masks(eng, s, verts, d)
+        assert eng._masked_ranks(masks, len(s) - 1) == _uncleared_dense_ranks(eng, masks, len(s) - 1), s
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 4]))
+def test_cleared_ranks_match_dense_oracle_on_spheres(seed, d):
+    rng = random.Random(seed)
+    _check_cleared_ranks(random_sphere(rng, d), rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(facet_lists, st.integers(0, 10**6))
+def test_cleared_ranks_match_dense_oracle_on_small_complexes(raw, seed):
+    _check_cleared_ranks(from_facets(raw), random.Random(seed))
+
+
 def _check_mu_contributions(K, rng):
     # lower sets draw from K's vertices, outside lk(v) too, and from labels
     # that are no vertex of K
