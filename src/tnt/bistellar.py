@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, Simplex, simplex
@@ -143,7 +144,20 @@ class _MoveState:
 
     The pool caches, per ready face A, the :meth:`span` B and the move
     (A, B).  They depend only on the cofacets of A, so the entry is dropped
-    only where A leaves the ready set.  Whether B is a face is looked up
+    only where A leaves the ready set.
+
+    A state built for every index 1..d keeps the pool full and the valid
+    moves of each index current, as BISTELLAR keeps its move lists: a list
+    per index with the position of each A, and the ready faces A wanting
+    each B.  B is a face of size 2..d + 1, so it starts or stops being one
+    exactly where its cofacet entry is created or deleted, or where it is
+    added or removed as a facet; :meth:`_add` and :meth:`_remove` re-mark
+    the moves wanting it there and drop those of the faces leaving the
+    ready set.  A face entering the ready set is settled once
+    :meth:`apply` has swapped all the facets of the move, since its
+    cofacets, hence its B, are only final then.  :meth:`draw` samples from
+    these lists.  A state built for fewer indices, as the stackedness
+    search builds, fills the pool lazily and looks up whether B is a face
     anew on each :meth:`moves` call.
 
     :meth:`probe` scores a move without applying it.  With U = A u B the
@@ -162,7 +176,6 @@ class _MoveState:
         self.star: dict[int, set[Simplex]] = {}
         self._cof: dict[Simplex, set[Simplex]] = {}
         self._ready: dict[int, set[Simplex]] = {i: set() for i in self.indices}
-        self._sorted: list[Simplex] | None = None
         self._pool: dict[Simplex, tuple[Simplex | None, BistellarMove | None]] = {}
         # faces by size; moves keep a pure complex pure, so all lie in facets
         self._faces_of: dict[int, set | dict] = {d + 1: self.facets}
@@ -171,38 +184,61 @@ class _MoveState:
         # one pass fills the stars and cofacet sets; the ready sets are read
         # off the final counts, so no face enters or leaves them on the way
         sizes = [d - i + 1 for i in self.indices]
+        cofs = self._cof
         for f in M.facets:
             for v in f:
                 self.star.setdefault(v, set()).add(f)
             if len(f) == d + 1:
                 for size in sizes:
                     for a in combinations(f, size):
-                        cof = self._cof.get(a)
+                        cof = cofs.get(a)
                         if cof is None:
-                            self._cof[a] = {f}
+                            cofs[a] = {f}
                         else:
                             cof.add(f)
-        for a, cof in self._cof.items():
+        for a, cof in cofs.items():
             if len(cof) == d + 2 - len(a):
                 self._ready[d + 1 - len(a)].add(a)
+        # the valid sets: per index the moves and the position of each A,
+        # and per B the ready faces wanting it; None unless every index
+        self._valid: dict[int, list[BistellarMove]] | None = None
+        self._at: dict[Simplex, int] = {}
+        self._want: dict[Simplex, dict[Simplex, None]] | None = None
+        self._fresh: list[Simplex] = []
+        if self.indices == list(range(1, d + 1)):
+            self._valid = {i: [] for i in self.indices}
+            self._want = {}
+            self._fresh = [a for i in self.indices for a in sorted(self._ready[i])]
+            self._settle()
 
     def _add(self, f: Simplex) -> None:
         self.facets.add(f)
         for v in f:
             self.star.setdefault(v, set()).add(f)
-        if len(f) == self.d + 1:
+        d = self.d
+        if len(f) == d + 1:
+            cofs, want, fresh, pool = self._cof, self._want, self._fresh, self._pool
+            if want is not None and f in want:
+                self._mark(f)
             for i in self.indices:
                 ready = self._ready[i]
-                for a in combinations(f, self.d - i + 1):
-                    cof = self._cof.get(a)
+                for a in combinations(f, d - i + 1):
+                    cof = cofs.get(a)
                     if cof is None:
-                        cof = self._cof[a] = set()
+                        cof = cofs[a] = set()
+                        if want is not None and a in want:
+                            self._mark(a)
                     cof.add(f)
-                    if len(cof) == i + 1:
+                    n = len(cof)
+                    if n == i + 1:
                         ready.add(a)
-                    elif len(cof) == i + 2:
+                        if want is not None:
+                            fresh.append(a)
+                    elif n == i + 2:
                         ready.discard(a)
-                        self._pool.pop(a, None)
+                        hit = pool.pop(a, None)
+                        if want is not None and hit is not None:
+                            self._unwant(a, hit[0])
 
     def _remove(self, f: Simplex) -> None:
         self.facets.remove(f)
@@ -211,19 +247,84 @@ class _MoveState:
             st.remove(f)
             if not st:
                 del self.star[v]
-        if len(f) == self.d + 1:
+        d = self.d
+        if len(f) == d + 1:
+            cofs, want, fresh, pool = self._cof, self._want, self._fresh, self._pool
+            if want is not None and f in want:
+                self._mark(f)
             for i in self.indices:
                 ready = self._ready[i]
-                for a in combinations(f, self.d - i + 1):
-                    cof = self._cof[a]
+                for a in combinations(f, d - i + 1):
+                    cof = cofs[a]
                     cof.remove(f)
-                    if len(cof) == i + 1:
+                    n = len(cof)
+                    if n == i + 1:
                         ready.add(a)
-                    elif len(cof) == i:
+                        if want is not None:
+                            fresh.append(a)
+                    elif n == i:
                         ready.discard(a)
-                        self._pool.pop(a, None)
-                    if not cof:
-                        del self._cof[a]
+                        hit = pool.pop(a, None)
+                        if want is not None and hit is not None:
+                            self._unwant(a, hit[0])
+                    if not n:
+                        del cofs[a]
+                        if want is not None and a in want:
+                            self._mark(a)
+
+    def _mark(self, b: Simplex) -> None:
+        """Enter or drop the moves wanting ``b`` after it started or
+        stopped being a face."""
+        if self.has_face(b):
+            for a in self._want[b]:
+                self._drop(a)
+        else:
+            pool = self._pool
+            for a in self._want[b]:
+                self._enter(pool[a][1])
+
+    def _enter(self, mv: BistellarMove) -> None:
+        if mv.A not in self._at:
+            moves = self._valid[len(mv.B) - 1]
+            self._at[mv.A] = len(moves)
+            moves.append(mv)
+
+    def _drop(self, a: Simplex) -> None:
+        pos = self._at.pop(a, None)
+        if pos is not None:
+            moves = self._valid[self.d + 1 - len(a)]
+            last = moves.pop()
+            if pos < len(moves):
+                moves[pos] = last
+                self._at[last.A] = pos
+
+    def _unwant(self, a: Simplex, b: Simplex | None) -> None:
+        """Forget the ready face ``a`` that wanted ``b`` (None: no B)."""
+        if b is not None:
+            wanting = self._want[b]
+            del wanting[a]
+            if not wanting:
+                del self._want[b]
+            self._drop(a)
+
+    def _settle(self) -> None:
+        """Pool, want and enter the faces that became ready, once their
+        cofacets are final."""
+        pool, want = self._pool, self._want
+        for a in self._fresh:
+            i = self.d + 1 - len(a)
+            if a in pool or a not in self._ready[i]:
+                continue
+            b = self.span(a, self._cof[a], i)
+            if b is None:
+                pool[a] = (None, None)
+                continue
+            mv = _move(a, b)
+            pool[a] = (b, mv)
+            want.setdefault(b, {})[a] = None
+            if not self.has_face(b):
+                self._enter(mv)
+        self._fresh.clear()
 
     @staticmethod
     def _sides(move: BistellarMove) -> tuple[Simplex, list[Simplex], list[Simplex]]:
@@ -239,7 +340,8 @@ class _MoveState:
             self._remove(f)
         for f in added:
             self._add(f)
-        self._sorted = None
+        if self._fresh:
+            self._settle()
 
     def probe(self, move: BistellarMove) -> tuple[frozenset[Simplex], int]:
         """The facet set after ``move`` and the number of index-d moves
@@ -293,10 +395,14 @@ class _MoveState:
 
     def moves(self, indices: Iterable[int] | None = None) -> list[BistellarMove]:
         """Applicable moves of the given indices (ascending, among those the
-        state was built for; default all) in (index, A, B) order."""
+        state was built for; default all) in (index, A, B) order; sorted
+        from the valid-move lists where the state keeps them."""
         out = []
         pool = self._pool
         for i in self.indices if indices is None else indices:
+            if self._valid is not None:
+                out += sorted(self._valid[i], key=attrgetter("A"))
+                continue
             for a in sorted(self._ready[i]):
                 hit = pool.get(a)
                 if hit is None:
@@ -307,16 +413,31 @@ class _MoveState:
                     out.append(mv)
         return out
 
+    def draw(self, rng: random.Random) -> BistellarMove | None:
+        """A valid move by the index rule of :func:`vertex_reduce`, or None
+        when there is none; the state must be built for every index.
+
+        The index i is the max of two uniform draws from 1..d, conditioned
+        on i having a valid move: among those indices, i has weight 2i - 1.
+        The move is uniform among the valid moves of index i.
+        """
+        valid = self._valid
+        live = [i for i in self.indices if valid[i]]
+        if not live:
+            return None
+        r = rng.randrange(sum(2 * i - 1 for i in live))
+        for i in live:
+            r -= 2 * i - 1
+            if r < 0:
+                break
+        moves = valid[i]
+        return moves[rng.randrange(len(moves))]
+
     def is_boundary_simplex(self) -> bool:
         return len(self.star) == self.d + 2 == len(self.facets)
 
-    def sorted_facets(self) -> list[Simplex]:
-        if self._sorted is None:
-            self._sorted = sorted(self.facets)
-        return self._sorted
-
     def complex(self) -> SimplicialComplex:
-        return SimplicialComplex(self.sorted_facets(), _canonical=True)
+        return SimplicialComplex(sorted(self.facets), _canonical=True)
 
 
 def valid_moves(M: SimplicialComplex, index_filter: Iterable[int] | None = None) -> list[BistellarMove]:
@@ -387,19 +508,24 @@ def stackedness_certificate(
     indices d-k+1 .. d (the reverses of 0 .. k-1 moves).
 
     Returns a replay-verified certificate, or None when the budget runs out.
-    None is never a refutation.  The budget counts the moves the search
-    takes, and each lookahead probe costs one unit although it applies
-    nothing; undoing the moves at a restart costs nothing.  Greedy policy:
-    always take an index-d move when one exists (it deletes a vertex);
-    otherwise probe the lower allowed indices and pick a move maximizing
-    the number of index-d moves available afterwards, breaking ties with
-    the seeded generator.
+    None is never a refutation, except with k = 1 on a pure S whose
+    vertex and facet counts rule out reaching the simplex boundary by
+    index-d moves alone (see :func:`_removals_can_reach_simplex`): then
+    None comes back before any search.  The budget counts the moves the
+    search takes, and each lookahead probe costs one unit although it
+    applies nothing; undoing the moves at a restart costs nothing.  Greedy
+    policy: always take an index-d move when one exists (it deletes a
+    vertex); otherwise probe the lower allowed indices and pick a move
+    maximizing the number of index-d moves available afterwards, breaking
+    ties with the seeded generator.
     """
     d = S.dim
     if d < 1:
         raise ValueError("complex must have dimension at least 1")
     if not 1 <= k <= (d + 1) // 2:
         raise ValueError(f"k must be in [1, {(d + 1) // 2}] for dimension {d}, got {k}")
+    if k == 1 and S.is_pure and not _removals_can_reach_simplex(S):
+        return None
     rng = random.Random(seed)
     lower = range(d - k + 1, d)
     spent = 0
@@ -460,6 +586,21 @@ def stackedness_certificate(
             # deterministic dead end and retrying cannot help
             return None
     return None
+
+
+def _removals_can_reach_simplex(S: SimplicialComplex) -> bool:
+    """Whether index-d moves alone could take the pure d-complex S to the
+    boundary of the (d + 1)-simplex, by vertex and facet counts.
+
+    Each such move changes f by :func:`move_fvector_delta` (d, d), whose
+    f_0 entry is -1, so it takes m = f_0(S) - d - 2 >= 0 of them, and then
+    f(dSimplex) - f(S) = m * delta.  Only the f_d entry of that identity is
+    checked besides f_0: the others need the face lattice of S, which costs
+    about as much as the search on the stacked spheres that pass.
+    """
+    d = S.dim
+    m = len(S.vertices) - d - 2
+    return m >= 0 and d + 2 - len(S.facets) == m * move_fvector_delta(d, d)[d]
 
 
 @dataclass(slots=True, eq=False)
@@ -627,7 +768,8 @@ class AnnealSchedule:
     resets to ``t_start`` at each restart from the best state so far.
     ``t_start=None`` scales the start temperature to the largest uphill
     face-count delta of any vertex-preserving move, which grows with the
-    dimension.
+    dimension.  A ValueError rejects steps or restarts below 0, t_min or
+    t_start not above 0, and cooling outside (0, 1].
     """
 
     steps: int = 20000
@@ -636,30 +778,21 @@ class AnnealSchedule:
     cooling: float = 0.999
     restarts: int = 4
 
+    def __post_init__(self):
+        # written as "not (x > 0)" so that NaN fails too
+        if not self.steps >= 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if not self.restarts >= 0:
+            raise ValueError(f"restarts must be >= 0, got {self.restarts}")
+        if not self.t_min > 0:
+            raise ValueError(f"t_min must be > 0, got {self.t_min}")
+        if self.t_start is not None and not self.t_start > 0:
+            raise ValueError(f"t_start must be None or > 0, got {self.t_start}")
+        if not 0 < self.cooling <= 1:
+            raise ValueError(f"cooling must be in (0, 1], got {self.cooling}")
+
 
 _F0_WEIGHT = 1 << 20
-
-
-def _energy(fv: tuple[int, ...]) -> int:
-    return fv[0] * _F0_WEIGHT + sum(fv)
-
-
-def _sample_move(state: _MoveState, rng: random.Random, tries: int) -> BistellarMove | None:
-    d = state.d
-    facets = state.sorted_facets()
-    for _ in range(tries):
-        f = facets[rng.randrange(len(facets))]
-        # max of two draws biases toward high indices, which shrink the
-        # complex; low indices stay reachable for mixing
-        i = max(rng.randint(1, d), rng.randint(1, d))
-        a = tuple(sorted(rng.sample(f, d - i + 1)))
-        cof = set.intersection(*(state.star[v] for v in a))
-        # a lower-dimensional cofacet would leave a non-sphere link
-        if len(cof) == i + 1 and all(len(g) == d + 1 for g in cof):
-            b = state.span(a, cof, i)
-            if b is not None and not state.has_face(b):
-                return _move(a, b)
-    return None
 
 
 def vertex_reduce(
@@ -673,11 +806,20 @@ def vertex_reduce(
     bistellar moves.
 
     Energy is f_0 weighted far above the remaining face counts, so any
-    vertex removal is always accepted.  Returns the best complex reached
-    and a replay-verified certificate from the input to it.  The input is
-    returned unchanged when no move is ever available.  With
-    ``check_homology`` every accepted move is checked to preserve the
-    Betti vector (debugging aid, slow).
+    vertex removal is always accepted; it is tracked relative to the input
+    from :func:`move_fvector_delta`, and f_0 is the number of vertex stars
+    of the move state, so no face lattice is built.  Each step draws a
+    move with :meth:`_MoveState.draw` from the valid-move lists that the
+    state, built for every index 1..d, keeps current as moves are applied
+    and undone: the index is the max of two uniform draws from 1..d,
+    conditioned on having a valid move, which biases toward high indices
+    (they shrink the complex) and keeps low ones reachable for mixing;
+    the move is uniform within its index.  Returns the best complex
+    reached and a replay-verified certificate from the input to it.  The
+    input itself is returned when no move lowers the energy, in particular
+    when no move is ever available.  With ``check_homology`` every
+    accepted move is checked to preserve the Betti vector (debugging aid,
+    slow).
     """
     import math
 
@@ -688,6 +830,7 @@ def vertex_reduce(
     rng = random.Random(seed)
     d = M.dim
     deltas = [move_fvector_delta(d, i) for i in range(d + 1)]
+    energy = [delta[0] * _F0_WEIGHT + sum(delta) for delta in deltas]
     ref_betti = homology.betti_numbers(M).betti if check_homology else None
     t_start = schedule.t_start
     if t_start is None:
@@ -695,14 +838,12 @@ def vertex_reduce(
         t_start = max(4.0, float(sum(deltas[1]))) if d >= 1 else 4.0
 
     state = _MoveState(M, range(1, d + 1))
-    if not state.moves():
-        cert = MoveCertificate(M.canonical_hash(), [], M.canonical_hash())
-        return M, cert
-
-    # the best state is the first best_len moves of path
+    # energies relative to the input; the best state is the first best_len
+    # moves of path
     path: list[BistellarMove] = []
     best_len = 0
-    cur_f = best_f = M.f_vector()
+    cur_e = best_e = 0
+    best_f0 = len(state.star)
     t = t_start
     chunk = max(1, schedule.steps // max(1, schedule.restarts))
 
@@ -711,34 +852,30 @@ def vertex_reduce(
             state.apply(path.pop().inverse())
 
     for step in range(schedule.steps):
-        if target_f0 is not None and best_f[0] <= target_f0:
+        if target_f0 is not None and best_f0 <= target_f0:
             break
         if step and step % chunk == 0:
             rewind()
-            cur_f = best_f
+            cur_e = best_e
             t = t_start
-        mv = _sample_move(state, rng, tries=48)
+        mv = state.draw(rng)
         if mv is None:
-            pool = state.moves()
-            if not pool:
-                break
-            mv = rng.choice(pool)
-        delta = deltas[mv.index]
-        de = delta[0] * _F0_WEIGHT + sum(delta)
+            break
+        de = energy[mv.index]
         if de <= 0 or rng.random() < math.exp(max(-de / t, -60.0)):
             state.apply(mv)
-            cur_f = tuple(a + b for a, b in zip(cur_f, delta))
+            cur_e += de
             path.append(mv)
             if check_homology:
                 got = homology.betti_numbers(state.complex()).betti
                 if got != ref_betti:
                     raise AssertionError(f"move {mv} changed Betti numbers: {ref_betti} -> {got}")
-            if _energy(cur_f) < _energy(best_f):
-                best_f, best_len = cur_f, len(path)
+            if cur_e < best_e:
+                best_e, best_len, best_f0 = cur_e, len(path), len(state.star)
         t = max(t * schedule.cooling, schedule.t_min)
 
     rewind()
-    best = state.complex()
+    best = state.complex() if best_len else M
     cert = MoveCertificate(M.canonical_hash(), path, best.canonical_hash())
     cert.replay(M)
     return best, cert

@@ -268,7 +268,11 @@ def cmd_reduce(args) -> int:
     if args.seed is None:
         print("error: --seed is required for reduce", file=sys.stderr)
         return EXIT_USAGE
-    schedule = AnnealSchedule(steps=args.steps)
+    try:
+        schedule = AnnealSchedule(steps=args.steps)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     best, cert = vertex_reduce(M, target_f0=args.target_f0, schedule=schedule, seed=args.seed)
     if args.out:
         save_complex(best, args.out)

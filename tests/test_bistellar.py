@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -178,18 +179,35 @@ def _walk_move(K, rng):
     return BistellarMove(tops[rng.randrange(len(tops))], (max(K.vertices) + 1,))
 
 
+def _check_valid_sets(state, K):
+    """In a state built for every index: each index's valid list holds the
+    dense oracle's moves, the positions index it, and the pool and the
+    faces wanting each B are those of a fresh build."""
+    if state._valid is None:
+        return
+    for i, moves in state._valid.items():
+        assert sorted(_triples(moves)) == dense_valid_moves(K, [i]), i
+        assert all(state._at[mv.A] == pos for pos, mv in enumerate(moves))
+    assert len(state._at) == sum(map(len, state._valid.values()))
+    fresh = _MoveState(K, state.indices)
+    assert state._pool == fresh._pool
+    assert {b: set(a) for b, a in state._want.items()} == {b: set(a) for b, a in fresh._want.items()}
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6), d=st.sampled_from([2, 3, 4]), all_indices=st.booleans())
 def test_move_pool_stays_current_over_move_runs(seed, d, all_indices):
-    # the cached pool is checked only every 1-4 moves, so stale entries
-    # left by a run of moves (move-inverse pairs and subdivisions among
-    # them) would show; a state built for some indices answers has_face
-    # for the other sizes by star intersection
+    # the sorted move lists are checked only every 1-4 moves, so stale
+    # entries left by a run of moves (move-inverse pairs and subdivisions
+    # among them) would show; the valid sets of a state built for every
+    # index are checked after each apply; a state built for some indices
+    # answers has_face for the other sizes by star intersection
     rng = random.Random(seed)
     K = random_sphere(rng, d=d, walk=4)
     every = list(range(1, d + 1))
     built = every if all_indices else sorted(rng.sample(every, rng.randint(1, d)))
     state = _MoveState(K, built)
+    assert (state._valid is not None) == (built == every)
     for _ in range(8):
         assert _triples(state.moves()) == dense_valid_moves(K, built)
         sub = sorted(rng.sample(built, rng.randint(1, len(built))))
@@ -197,12 +215,43 @@ def test_move_pool_stays_current_over_move_runs(seed, d, all_indices):
         _check_has_face(state, K, rng)
         for _ in range(rng.randint(1, 4)):
             mv = _walk_move(K, rng)
+            after = apply_move(K, mv)
             state.apply(mv)
+            _check_valid_sets(state, after)
             if rng.random() < 0.3:
                 state.apply(mv.inverse())
+                _check_valid_sets(state, K)
                 state.apply(mv)
-            K = apply_move(K, mv)
+                _check_valid_sets(state, after)
+            K = after
     assert state.complex() == K
+
+
+def test_draw_follows_the_index_rule():
+    # a walked 4-sphere with valid moves of indices 1-3 only: single draws
+    # from 9,000 seeds
+    K = random_sphere(random.Random(23), d=4, walk=8)
+    state = _MoveState(K, range(1, 5))
+    sizes = {i: len(m) for i, m in state._valid.items()}
+    assert sizes == {1: 6, 2: 4, 3: 3, 4: 0}
+    draws = 9000
+    counts = Counter(state.draw(random.Random(s)) for s in range(draws))
+    assert set(counts) == set(state.moves())
+    # the max of two draws from 1..4 is i with chance (2i - 1) / 16; given
+    # i <= 3, index 1, 2, 3 comes up 1000, 3000, 5000 times expected, with
+    # standard deviations 30, 45 and 47, so 10% is over 3 of them; a
+    # uniform draw over all 13 moves would give 4154, 2769 and 2077
+    by_index = Counter()
+    for mv, c in counts.items():
+        by_index[mv.index] += c
+    want = {i: draws * (2 * i - 1) / 9 for i in (1, 2, 3)}
+    assert all(abs(by_index[i] - want[i]) < 0.1 * want[i] for i in want), by_index
+    # uniform within an index: about 167, 750 and 1667 per move, with
+    # standard deviations below 13, 27 and 39, so 25% is over 3 of them
+    for mv, c in counts.items():
+        share = by_index[mv.index] / sizes[mv.index]
+        assert abs(c - share) < 0.25 * share, (mv, c, share)
+    assert _MoveState(boundary_simplex(4), range(1, 5)).draw(random.Random(0)) is None
 
 
 def _incremental_state(K, indices):
@@ -438,6 +487,66 @@ def test_stackedness_certificate_honest_none():
     assert stackedness_certificate(O, 1, budget=5000, seed=0) is None
 
 
+def _removal_identity(S):
+    """f(dSimplex^{d+1}) - f(S) = m * move_fvector_delta(d, d) with
+    m = f_0(S) - d - 2 >= 0, the f-vectors counted from the complexes."""
+    d = S.dim
+    f = S.f_vector()
+    m = f[0] - d - 2
+    top = boundary_simplex(d + 1).f_vector()
+    return m >= 0 and all(t - x == m * y for t, x, y in zip(top, f, move_fvector_delta(d, d)))
+
+
+def _criterion_6_spheres():
+    """(seed, sphere) of the stackedness agreement criterion."""
+    for s in range(50):
+        rng = random.Random(600 + s)
+        d = rng.choice([2, 3])
+        yield 600 + s, random_sphere(rng, d=d, walk=rng.randrange(4))
+
+
+def test_k1_certificates_satisfy_the_fvector_identity():
+    # the k = 1 searches of the suite: criterion 6, the pinned, CLI,
+    # constructor and above stacked spheres, and the vertex links of
+    # walkup_M3; every move of a k = 1 certificate has index d
+    from tnt import dataset
+
+    cases = list(_criterion_6_spheres())
+    cases += [(seed, stacked_sphere(d, n, seed=d * 10 + 1)) for d, n in ((3, 12), (4, 11)) for seed in (0, 1)]
+    cases += [(0, stacked_sphere(d, n, seed=s)) for d, n, s in ((3, 8, 1), (3, 7, 2), (4, 9, 3), (5, 9, 1))]
+    cases.append((3, stacked_sphere(4, 10, seed=5)))
+    W = dataset("walkup_M3")
+    cases += [(v, W.link((v,))) for v in W.vertices]
+    certified = 0
+    for seed, S in cases:
+        cert = stackedness_certificate(S, 1, budget=20_000, seed=seed)
+        if cert is not None:
+            certified += 1
+            assert _removal_identity(S), S
+            assert len(cert.moves) == len(S.vertices) - S.dim - 2
+            assert {mv.index for mv in cert.moves} <= {S.dim}
+    assert certified == len(cases) - 16
+
+
+def test_k1_exit_leaves_out_only_uncertifiable_inputs(monkeypatch):
+    from tnt import bistellar
+
+    excluded = [(seed, S) for seed, S in _criterion_6_spheres() if not _removal_identity(S)]
+    assert len(excluded) == 15
+    # they leave before any move state is built
+    real = bistellar._MoveState
+    monkeypatch.setattr(bistellar, "_MoveState", None)
+    assert all(stackedness_certificate(S, 1, budget=20_000, seed=seed) is None for seed, S in excluded)
+    # with the exit off, one input per f-vector still certifies nothing at
+    # three times the criterion's budget
+    monkeypatch.setattr(bistellar, "_MoveState", real)
+    monkeypatch.setattr(bistellar, "_removals_can_reach_simplex", lambda S: True)
+    by_f = {S.f_vector(): (seed, S) for seed, S in excluded}
+    assert len(by_f) == 6
+    for seed, S in by_f.values():
+        assert stackedness_certificate(S, 1, budget=60_000, seed=seed) is None
+
+
 def test_boundary_simplex_certificate_trivial():
     B = boundary_simplex(4)
     cert = stackedness_certificate(B, 1, budget=100, seed=0)
@@ -508,6 +617,32 @@ def test_vertex_reduce_check_homology():
     best, cert = vertex_reduce(S, target_f0=6, seed=7, check_homology=True)
     assert best.f_vector()[0] == 6
     assert betti_numbers(best).betti == betti_numbers(S).betti
+
+
+@pytest.mark.parametrize("bad", [
+    {"t_start": 0.0, "t_min": 0.0},
+    {"cooling": 0.0, "t_min": 0.0},
+    {"t_start": -1.0},
+    {"t_start": float("nan")},
+    {"t_min": 0.0},
+    {"t_min": -0.5},
+    {"cooling": 0.0},
+    {"cooling": 1.5},
+    {"steps": -5},
+    {"restarts": -1},
+])
+def test_anneal_schedule_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        AnnealSchedule(**bad)
+
+
+def test_anneal_schedule_edge_values():
+    K = stacked_sphere(2, 6, seed=3)
+    # no steps: the input back unchanged; cooling 1 keeps t_start throughout
+    best, cert = vertex_reduce(K, schedule=AnnealSchedule(steps=0, restarts=0), seed=1)
+    assert best is K and cert.moves == ()
+    best, cert = vertex_reduce(K, target_f0=4, schedule=AnnealSchedule(steps=200, t_start=1.0, cooling=1.0), seed=1)
+    assert cert.replay(K) == best
 
 
 def test_vertex_reduce_respects_schedule_budget():

@@ -186,6 +186,14 @@ def test_reduce_requires_seed(octa_file, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_reduce_rejects_negative_steps(octa_file, capsys, extra):
+    assert run_cli(["reduce", octa_file, "--seed", "1", "--steps", "-5", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "steps must be >= 0" in captured.err
+
+
 def test_reduce_target_unreachable(tmp_path, capsys):
     src = tmp_path / "m.facets"
     save_complex(boundary_simplex(4), str(src))

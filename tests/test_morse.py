@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import types
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -30,7 +31,7 @@ from tnt import (
     tightness_verify,
     walkup_class_membership,
 )
-from tnt import homology
+from tnt import homology, morse
 from tnt.morse import _admissible_subsets, _family_size, _sampled_subsets, _upper_half
 
 from conftest import dense_span_kernel_dim, homology_manifold_oracle, random_sphere, span_failures
@@ -535,18 +536,35 @@ NON_MANIFOLDS = {
 }
 
 
+class _SweepSpy:
+    """The chain engine as ``tightness_verify`` sees it: span_selection
+    records each subset, span_betti marks every span tight, and all else
+    is the real engine's."""
+
+    def __init__(self, eng, seen):
+        self._eng, self._seen = eng, seen
+
+    def __getattr__(self, name):
+        return getattr(self._eng, name)
+
+    def span_selection(self, wmask, jmax=None):
+        self._seen.append(tuple(v for p, v in enumerate(self._eng.K.vertices) if wmask >> p & 1))
+        return self._eng.span_selection(wmask, jmax)
+
+    def span_betti(self, span):
+        return (1,)
+
+
 def _spy_sweep(monkeypatch, K, ambient, **kw):
     """Run the sweep with every span checked as tight, recording the
-    subsets that reach span_selection."""
+    subsets that reach span_selection.  Only the engine that
+    ``tightness_verify`` fetches through ``morse.homology.engine`` is
+    spied on, so other callers of the engine, such as the manifold
+    precondition, run unstubbed."""
     seen = []
-    real = homology.ChainEngine.span_selection
-
-    def spy(self, wmask, jmax=None):
-        seen.append(tuple(v for p, v in enumerate(self.K.vertices) if wmask >> p & 1))
-        return real(self, wmask, jmax)
-
-    monkeypatch.setattr(homology.ChainEngine, "span_selection", spy)
-    monkeypatch.setattr(homology.ChainEngine, "span_betti", lambda self, span: (1,))
+    spy_homology = types.SimpleNamespace(**vars(homology))
+    spy_homology.engine = lambda M: _SweepSpy(homology.engine(M), seen)
+    monkeypatch.setattr(morse, "homology", spy_homology)
     rep = tightness_verify(K, ambient, **kw)
     monkeypatch.undo()
     return rep, seen
