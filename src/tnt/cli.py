@@ -305,8 +305,11 @@ def _ambient_from_args(M: SimplicialComplex, args) -> AmbientPolytope:
     if args.diagonals:
         pairs = []
         for part in args.diagonals.split(";"):
-            a, b = part.split(",")
-            pairs.append((int(a), int(b)))
+            try:
+                a, b = map(int, part.split(","))
+            except ValueError:
+                raise ValueError(f"--diagonals part {part!r} is not of the form a,b") from None
+            pairs.append((a, b))
         return AmbientPolytope.cross(pairs)
     # derive diagonals from the missing edges when they form a perfect matching
     missing = M.missing_faces(1)
@@ -462,6 +465,17 @@ def cmd_bounds(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """An argparse type for counts: a non-negative int."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tnt",
@@ -483,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="named verification pipelines")
     sp.add_argument("file")
     sp.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    sp.add_argument("--budget", type=int, default=100_000)
-    sp.add_argument("--samples", type=int, default=50, help="random spans for the lemma34 suite")
+    sp.add_argument("--budget", type=_count, default=100_000)
+    sp.add_argument("--samples", type=_count, default=50, help="random spans for the lemma34 suite")
     common(sp, seed=True)
     sp.set_defaults(func=cmd_verify)
 
@@ -515,20 +529,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--imax", type=int, default=None)
     sp.add_argument("--diagonals", default=None, help='cross diagonals as "a,b;c,d;..."')
     sp.add_argument("--ceiling", type=int, default=20)
-    sp.add_argument("--samples", type=int, default=None, help="sampled subsets when above the ceiling")
+    sp.add_argument("--samples", type=_count, default=None, help="sampled subsets when above the ceiling")
     common(sp, seed=True)
     sp.set_defaults(func=cmd_tight)
 
     sp = sub.add_parser("morse", help="mu-vector statistics over random orderings")
     sp.add_argument("file")
-    sp.add_argument("--orderings", type=int, default=100)
+    sp.add_argument("--orderings", type=_count, default=100)
     common(sp, seed=True)
     sp.set_defaults(func=cmd_morse)
 
     sp = sub.add_parser("stacked", help="stackedness certificate search")
     sp.add_argument("file")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=100_000)
+    sp.add_argument("--budget", type=_count, default=100_000)
     sp.add_argument("--cert", default=None, help="write the certificate here")
     common(sp, seed=True)
     sp.set_defaults(func=cmd_stacked)

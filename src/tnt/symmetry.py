@@ -1,9 +1,10 @@
 """Automorphism search for labeled simplicial complexes.
 
-Backtracking over vertex images with invariant pruning: vertex signatures
-(degree plus link f-vector) must match, and for every previously mapped
-vertex the cofacet count of the pair must be preserved.  Complete maps are
-verified against the facet set before being reported.
+One backtracking search over vertex images serves both public searches.
+Its pruning: a vertex's signature, the f-vector of its link read as the
+bit counts of its star masks in ``engine(K)``, must match; and for every
+previously mapped vertex the cofacet count of the pair must be preserved.
+Complete maps are verified against the facet set before being yielded.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from itertools import combinations
 
 from .complexes import SimplicialComplex
 from .errors import SearchLimitError
+from .homology import engine
 
 __all__ = ["automorphisms", "automorphism_group_order", "is_automorphism", "find_central_involution"]
 
@@ -18,16 +20,9 @@ _VERTEX_CAP = 32
 
 
 def _signatures(K: SimplicialComplex):
-    verts = K.vertices
-    deg = {v: 0 for v in verts}
-    for a, b in K.faces(1):
-        deg[a] += 1
-        deg[b] += 1
-    sig = {}
-    for v in verts:
-        lk = K.link((v,))
-        sig[v] = (deg[v], lk.f_vector())
-    return sig
+    """Each vertex's link f-vector: the number of j-faces holding it, j >= 1."""
+    vfaces, vpos = engine(K)._vertex_faces()
+    return {v: tuple(masks[i].bit_count() for masks in vfaces[1:]) for v, i in vpos.items()}
 
 
 def _pair_counts(K: SimplicialComplex):
@@ -53,6 +48,37 @@ def is_automorphism(K: SimplicialComplex, perm: dict[int, int]) -> bool:
     return all(tuple(sorted(perm[v] for v in f)) in facets for f in facets)
 
 
+def _vertex_maps(K: SimplicialComplex, sig, pair, order, allowed):
+    """Yield every automorphism with each ``order[k]`` mapped to a vertex w
+    with ``allowed(order[k], w, image)``, where ``image`` holds the vertices
+    before it; images are tried in ascending order, so maps come
+    lexicographically by image tuple along ``order``."""
+    by_sig: dict = {}
+    for v in K.vertices:
+        by_sig.setdefault(sig[v], []).append(v)
+    image: dict[int, int] = {}
+    used: set[int] = set()
+
+    def extend(k: int):
+        if k == len(order):
+            if is_automorphism(K, image):
+                yield dict(image)
+            return
+        v = order[k]
+        for w in by_sig[sig[v]]:
+            if w in used or not allowed(v, w, image):
+                continue
+            if any(pair(u, v) != pair(image[u], w) for u in order[:k]):
+                continue
+            image[v] = w
+            used.add(w)
+            yield from extend(k + 1)
+            used.discard(w)
+            del image[v]
+
+    return extend(0)
+
+
 def automorphisms(K: SimplicialComplex, order_cap: int = 10000) -> list[dict[int, int]]:
     """All vertex automorphisms of the complex, identity included.
 
@@ -67,52 +93,22 @@ def automorphisms(K: SimplicialComplex, order_cap: int = 10000) -> list[dict[int
         raise SearchLimitError(f"automorphism search supports at most {_VERTEX_CAP} vertices, got {n}")
     sig = _signatures(K)
     pair = _pair_counts(K)
-    # order vertices by signature rarity, then greedily by constraint to the prefix
+    # greedily by constraint to the prefix, then by signature rarity
     sig_count: dict = {}
     for v in verts:
         sig_count[sig[v]] = sig_count.get(sig[v], 0) + 1
-    remaining = sorted(verts, key=lambda v: (sig_count[sig[v]], sig[v], v))
+    remaining = list(verts)
     order: list[int] = []
-    chosen: set[int] = set()
     while remaining:
         best = max(remaining, key=lambda v: (sum(1 for u in order if pair(u, v)), -sig_count[sig[v]], -v))
         order.append(best)
-        chosen.add(best)
         remaining.remove(best)
 
-    by_sig: dict = {}
-    for v in verts:
-        by_sig.setdefault(sig[v], []).append(v)
-
     found: list[dict[int, int]] = []
-    image: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(k: int):
-        if k == len(order):
-            perm = dict(image)
-            if is_automorphism(K, perm):
-                found.append(perm)
-                if len(found) > order_cap:
-                    raise SearchLimitError(f"automorphism group order exceeds cap {order_cap}")
-            return
-        v = order[k]
-        for w in by_sig[sig[v]]:
-            if w in used:
-                continue
-            ok = True
-            for u in order[:k]:
-                if pair(u, v) != pair(image[u], w):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used.add(w)
-                extend(k + 1)
-                used.discard(w)
-                del image[v]
-
-    extend(0)
+    for perm in _vertex_maps(K, sig, pair, order, lambda v, w, image: True):
+        found.append(perm)
+        if len(found) > order_cap:
+            raise SearchLimitError(f"automorphism group order exceeds cap {order_cap}")
     found.sort(key=lambda p: tuple(p[v] for v in verts))
     return found
 
@@ -127,47 +123,22 @@ def find_central_involution(K: SimplicialComplex) -> dict[int, int] | None:
 
     Such a map is free on the whole face lattice: any face fixed setwise
     would contain both members of some pair, but those pairs are not
-    edges.  Vertices are paired smallest-first with candidate partners in
-    increasing order, so the first complete map found is lexicographically
-    least; returns None when no such involution exists.
+    edges.  Vertices are mapped in increasing order, each either back to
+    the earlier vertex already paired with it or to a later non-neighbour,
+    so the first map found is lexicographically least.  Pairs are listed
+    smaller member first; returns None when no such involution exists.
     """
     verts = K.vertices
-    n = len(verts)
-    if n % 2 == 1 or n == 0:
+    if len(verts) % 2 == 1 or not verts:
         return None
-    sig = _signatures(K)
-    pair = _pair_counts(K)
     edges = K.face_set(1)
 
-    def feasible(v: int, w: int, image: dict[int, int]) -> bool:
-        if sig[v] != sig[w]:
-            return False
-        if (v, w) in edges:
-            return False
-        for a, b in image.items():
-            if a in (v, w):
-                continue
-            if pair(a, v) != pair(b, w) or pair(a, w) != pair(b, v):
-                return False
-        return True
+    def paired(v: int, w: int, image: dict[int, int]) -> bool:
+        if w in image:
+            return image[w] == v
+        return w != v and v not in image.values() and (v, w) not in edges
 
-    image: dict[int, int] = {}
-
-    def extend() -> dict[int, int] | None:
-        free = [v for v in verts if v not in image]
-        if not free:
-            perm = dict(image)
-            return perm if is_automorphism(K, perm) else None
-        v = free[0]
-        for w in free[1:]:
-            if feasible(v, w, image):
-                image[v] = w
-                image[w] = v
-                result = extend()
-                if result is not None:
-                    return result
-                del image[v]
-                del image[w]
+    inv = next(_vertex_maps(K, _signatures(K), _pair_counts(K), verts, paired), None)
+    if inv is None:
         return None
-
-    return extend()
+    return {u: inv[u] for v, w in inv.items() if v < w for u in (v, w)}

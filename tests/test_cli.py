@@ -252,6 +252,14 @@ def test_tight_negative_imax_is_usage_error(tmp_path, capsys):
     assert out == "" and "i_max" in err
 
 
+@pytest.mark.parametrize("diagonals", ["1,2;3", "1,2;5,x"])
+def test_tight_bad_diagonals_part_named(octa_file, capsys, diagonals):
+    assert run_cli(["tight", octa_file, "--ambient", "cross", "--diagonals", diagonals]) == 2
+    out, err = capsys.readouterr()
+    bad = diagonals.split(";")[1]
+    assert out == "" and repr(bad) in err and "a,b" in err
+
+
 # -- morse -----------------------------------------------------------------------
 
 
@@ -300,6 +308,31 @@ def test_stacked_unknown_exit(octa_file, capsys):
 def test_stacked_bad_k(octa_file, capsys):
     assert run_cli(["stacked", octa_file, "--k", "0", "--seed", "3"]) == 2
     capsys.readouterr()
+
+
+# -- counts ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["morse", "{f}", "--orderings", "-3", "--seed", "1", "--json"], "--orderings"),
+        (["stacked", "{f}", "--k", "1", "--budget", "-1", "--seed", "0"], "--budget"),
+        (["verify", "{f}", "--suite", "lemma34", "--samples", "-4", "--seed", "1"], "--samples"),
+        (["verify", "{f}", "--suite", "m6_16", "--budget", "-2"], "--budget"),
+        (["tight", "{f}", "--samples", "-1", "--seed", "1"], "--samples"),
+        (["morse", "{f}", "--orderings", "x", "--seed", "1"], "--orderings"),
+    ],
+)
+def test_negative_count_is_usage_error(octa_file, capsys, argv, flag):
+    assert run_cli([a.format(f=octa_file) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {flag}" in err
+
+
+def test_zero_count_stays_valid(octa_file, capsys):
+    assert run_cli(["morse", octa_file, "--orderings", "0", "--seed", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["orderings"] == 0
 
 
 # -- bounds ----------------------------------------------------------------------
