@@ -79,30 +79,39 @@ def move_fvector_delta(d: int, i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_move(M: SimplicialComplex, move: BistellarMove) -> bool:
-    """True when the move is applicable; False for an index-0 fresh-vertex move."""
+def _check_move(table: dict[Simplex, frozenset[int]], move: BistellarMove) -> None:
+    """Raise InvalidMoveError naming the first clause the move fails; ``table`` maps facets to sets."""
     a, b = move.A, move.B
     sa, sb = set(a), set(b)
-    fsets = [set(f) for f in M.facets]
-    cof = [f for f, fs in zip(M.facets, fsets) if sa <= fs]
+    cof = [f for f, fs in table.items() if sa <= fs]
     if not cof:
         raise InvalidMoveError("A not a face", f"A={a}")
-    fresh = len(b) == 1 and b[0] not in M.vertices
-    if fresh:
-        if a not in cof:
+    if len(b) == 1 and not any(b[0] in fs for fs in table.values()):
+        if a not in table:
             raise InvalidMoveError("link mismatch", f"A={a} is not a facet, cannot subdivide")
-        return True
-    if any(sb <= fs for fs in fsets):
+        return
+    if any(sb <= fs for fs in table.values()):
         raise InvalidMoveError("B already a face", f"B={b}")
     # labels of B outside every cofacet of A are checked against all vertices
     outside = sb.difference(*cof)
-    if outside and not outside <= set(M.vertices):
+    if any(not any(v in fs for fs in table.values()) for v in outside):
         raise InvalidMoveError("label not fresh", f"B={b} mixes new and existing labels")
     link_facets = {tuple(v for v in f if v not in sa) for f in cof}
     db = {b[:k] + b[k + 1 :] for k in range(len(b))}
     if link_facets != db:
         raise InvalidMoveError("link mismatch", f"link({a}) facets != boundary of {b}")
-    return False
+
+
+def _swap(table: dict[Simplex, frozenset[int]], move: BistellarMove, check: bool) -> None:
+    """Swap the facets U - w, w in B, for U - v, v in A, in the table, checking first with ``check``."""
+    if check:
+        _check_move(table, move)
+    union = sorted(set(move.A).union(move.B))
+    for w in move.B:
+        table.pop(tuple(x for x in union if x != w), None)
+    for v in move.A:
+        f = tuple(x for x in union if x != v)
+        table[f] = frozenset(f)
 
 
 def apply_move(M: SimplicialComplex, move: BistellarMove, check: bool = True) -> SimplicialComplex:
@@ -110,23 +119,16 @@ def apply_move(M: SimplicialComplex, move: BistellarMove, check: bool = True) ->
 
     With ``check`` (the default) the move is validated first and an
     InvalidMoveError names the failing clause.  ``check=False`` is for
-    callers that enumerate moves themselves.
+    callers that enumerate moves themselves.  The facets are swapped in a
+    table and sorted: a checked move keeps them maximal (every added facet
+    contains B, no face; an old facet inside one would be inside a removed
+    one).  Only ``check=False`` on a non-pure complex maximalizes again.
     """
-    a, b = move.A, move.B
-    if check:
-        _check_move(M, move)
-    sa, sb = set(a), set(b)
-    union = tuple(sorted(sa | sb))
-    removed = {tuple(x for x in union if x != w) for w in b}
-    added = [tuple(x for x in union if x != v) for v in a]
-    facets = [f for f in M.facets if f not in removed]
-    facets.extend(added)
-    if M.is_pure:
-        # a valid move swaps same-dimension facets, none containing another,
-        # so the facet list stays maximal and only needs sorting
-        facets.sort()
-        return SimplicialComplex(tuple(facets), _canonical=True)
-    return SimplicialComplex(facets, _canonical=False)
+    table = {f: frozenset(f) for f in M.facets}
+    _swap(table, move, check)
+    if check or M.is_pure:
+        return SimplicialComplex(sorted(table), _canonical=True)
+    return SimplicialComplex(table, _canonical=False)
 
 
 class _MoveState:
@@ -474,15 +476,19 @@ class MoveCertificate:
         return max(m.index for m in self.moves)
 
     def replay(self, M: SimplicialComplex) -> SimplicialComplex:
-        """Apply the moves to M, verifying both endpoint hashes."""
+        """Apply the moves to M, verifying both endpoint hashes.  Each move is
+        checked and swapped as by :func:`apply_move`, on one facet table, and
+        one complex is built at the end (M itself when there are no moves)."""
         if M.canonical_hash() != self.start:
             raise ValueError("certificate start hash does not match the complex")
-        cur = M
-        for mv in self.moves:
-            cur = apply_move(cur, mv)
-        if cur.canonical_hash() != self.end:
+        if self.moves:
+            table = {f: frozenset(f) for f in M.facets}
+            for mv in self.moves:
+                _swap(table, mv, True)
+            M = SimplicialComplex(sorted(table), _canonical=True)
+        if M.canonical_hash() != self.end:
             raise ValueError("certificate end hash does not match the replayed complex")
-        return cur
+        return M
 
     def to_json(self) -> dict:
         return {"start": self.start, "moves": [m.to_json() for m in self.moves], "end": self.end}
@@ -530,11 +536,6 @@ def stackedness_certificate(
     lower = range(d - k + 1, d)
     spent = 0
 
-    def finish(moves: list[BistellarMove], end: SimplicialComplex) -> MoveCertificate:
-        cert = MoveCertificate(S.canonical_hash(), moves, end.canonical_hash())
-        cert.replay(S)
-        return cert
-
     state = _MoveState(S, range(d - k + 1, d + 1))
     # facet sets decide exactly what their canonical hashes decide
     start = frozenset(state.facets)
@@ -549,7 +550,9 @@ def stackedness_certificate(
         spent_at_restart = spent
         while spent < budget:
             if state.is_boundary_simplex():
-                return finish(moves, state.complex())
+                cert = MoveCertificate(S.canonical_hash(), moves, state.complex().canonical_hash())
+                cert.replay(S)
+                return cert
             tops = state.moves([d])
             if tops:
                 picked = rng.choice(tops)
@@ -683,9 +686,8 @@ def k_stacked_exact(S: SimplicialComplex, k: int, ceiling: int = 10) -> ExactSta
     def verify_ball() -> SimplicialComplex | None:
         from . import homology
 
-        B = SimplicialComplex(list(chosen), _canonical=False)
-        if len(B.facets) != len(chosen):
-            return None
+        # distinct cells of one size: maximal as they stand
+        B = SimplicialComplex(sorted(chosen), _canonical=True)
         pm = B.pseudomanifold_check()
         if not pm.facet_graph_connected:
             return None

@@ -49,16 +49,15 @@ def simplex(vertices: Iterable[int]) -> Simplex:
 
 
 def _maximalize(simplices: list[Simplex]) -> tuple[Simplex, ...]:
-    # Drop duplicates and any simplex contained in another one.
-    uniq = sorted(set(simplices), key=lambda s: (-len(s), s))
+    # Drop duplicates and any simplex inside another, necessarily a larger
+    # one: only the kept larger simplices are tested, none for a pure input.
     kept: list[Simplex] = []
-    kept_sets: list[frozenset[int]] = []
-    for s in uniq:
-        fs = frozenset(s)
-        if any(fs <= k for k in kept_sets):
-            continue
-        kept.append(s)
-        kept_sets.append(fs)
+    larger: list[frozenset[int]] = []
+    for s in sorted(set(simplices), key=len, reverse=True):
+        if kept and len(s) < len(kept[-1]):
+            larger.extend(map(frozenset, kept[len(larger) :]))
+        if not (larger and any(k.issuperset(s) for k in larger)):
+            kept.append(s)
     return tuple(sorted(kept))
 
 

@@ -12,6 +12,7 @@ from importlib import resources
 from itertools import combinations
 from typing import Iterable
 
+from .bistellar import BistellarMove, apply_move
 from .complexes import SimplicialComplex, Simplex, from_text, simplex
 
 __all__ = [
@@ -53,18 +54,14 @@ def cross_polytope_boundary(d: int) -> SimplicialComplex:
 
 
 def stellar_subdivide(M: SimplicialComplex, facet: Iterable[int], new_label: int) -> SimplicialComplex:
-    """Replace a facet by the cone over its boundary from a fresh vertex."""
+    """Replace a facet by the cone over its boundary from a fresh vertex: the
+    index-0 move (facet, (new_label,)).  ValueError on a bad facet or label."""
     f = simplex(facet)
     if f not in M.facets:
         raise ValueError(f"{f} is not a facet")
-    if not isinstance(new_label, int) or new_label < 1:
-        raise ValueError("new label must be a positive int")
     if new_label in M.vertices:
         raise ValueError(f"label {new_label} already in use")
-    out = [g for g in M.facets if g != f]
-    for v in f:
-        out.append(tuple(sorted((set(f) - {v}) | {new_label})))
-    return SimplicialComplex(out, _canonical=False)
+    return apply_move(M, BistellarMove(f, (new_label,)))
 
 
 def stacked_sphere(d: int, n: int, seed: int = 0) -> SimplicialComplex:

@@ -416,7 +416,7 @@ def central_symmetry(M: SimplicialComplex) -> dict[int, int] | None:
 
     Every orbit pair must be a missing edge (otherwise that edge would be
     a fixed face), which drives the search.  Returns the lexicographically
-    least such involution as a vertex map, or None.
+    least such involution as a vertex map, or None; SearchLimitError above 32 vertices.
     """
     return find_central_involution(M)
 

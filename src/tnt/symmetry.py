@@ -126,11 +126,13 @@ def find_central_involution(K: SimplicialComplex) -> dict[int, int] | None:
     edges.  Vertices are mapped in increasing order, each either back to
     the earlier vertex already paired with it or to a later non-neighbour,
     so the first map found is lexicographically least.  Pairs are listed
-    smaller member first; returns None when no such involution exists.
+    smaller member first; None if none exists.  Limit: 32 vertices, if even.
     """
     verts = K.vertices
     if len(verts) % 2 == 1 or not verts:
         return None
+    if len(verts) > _VERTEX_CAP:
+        raise SearchLimitError(f"involution search supports at most {_VERTEX_CAP} vertices, got {len(verts)}")
     edges = K.face_set(1)
 
     def paired(v: int, w: int, image: dict[int, int]) -> bool:

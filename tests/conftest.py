@@ -193,6 +193,39 @@ def dense_valid_moves(K: SimplicialComplex, indices) -> list[tuple[int, tuple, t
     return out
 
 
+def replay_oracle(facets, moves):
+    """Chain the four move clauses over plain sets of frozensets: the final
+    facet set, or (position, clause) of the first move that fails."""
+    K = {frozenset(f) for f in facets}
+    for pos, (a, b) in enumerate(moves):
+        a, b = frozenset(a), frozenset(b)
+        verts, cof = set().union(*K), [f for f in K if a <= f]
+        if not cof:
+            return pos, "A not a face"
+        if len(b) == 1 and not b <= verts:
+            if a not in K:
+                return pos, "link mismatch"
+        elif any(b <= f for f in K):
+            return pos, "B already a face"
+        elif not b.difference(*cof) <= verts:
+            return pos, "label not fresh"
+        elif {f - a for f in cof} != {b - {w} for w in b}:
+            return pos, "link mismatch"
+        u = a | b
+        K = K - {u - {w} for w in b} | {u - {v} for v in a}
+    return K
+
+
+def quadratic_maximalize(simplices) -> tuple[tuple[int, ...], ...]:
+    """Distinct simplices contained in no other one, sorted: each tested
+    against every simplex kept before it, largest first."""
+    kept: list[frozenset[int]] = []
+    for s in sorted(set(simplices), key=lambda s: (-len(s), s)):
+        if not any(frozenset(s) <= k for k in kept):
+            kept.append(frozenset(s))
+    return tuple(sorted(tuple(sorted(k)) for k in kept))
+
+
 # -- small-complex isomorphism (brute force over signatures) -------------------
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_valid_moves, random_sphere
+from conftest import dense_valid_moves, random_sphere, replay_oracle
 from tnt import (
     BistellarMove,
     MoveCertificate,
@@ -460,6 +460,72 @@ def test_certificate_replay_and_tamper_detection():
     wrong_start = MoveCertificate("0" * 32, cert.moves, cert.end)
     with pytest.raises(ValueError):
         wrong_start.replay(S)
+
+
+def _facet_tuple(K):
+    return tuple(sorted(tuple(sorted(f)) for f in K))
+
+
+def _bad_move(rng, K, d):
+    """A random move, mostly invalid: A usually a face, B on old and new
+    labels."""
+    verts = sorted(set().union(*K))
+    fresh = [max(verts) + 1, max(verts) + 2]
+    facet = list(rng.choice(_facet_tuple(K)))
+    a = rng.sample(facet if rng.random() < 0.8 else verts + fresh, rng.randint(1, min(len(facet), d)))
+    pool = [v for v in verts + fresh if v not in a]
+    return BistellarMove(a, rng.sample(pool, min(len(pool), rng.randint(1, d + 2 - len(a)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), d=st.sampled_from([2, 3, 4]), kind=st.sampled_from(["walked", "stacked", "mixed"]))
+def test_replay_matches_independent_oracle(seed, d, kind):
+    rng = random.Random(seed)
+    if kind == "stacked":
+        M = stacked_sphere(d, rng.randint(d + 2, d + 6), seed=seed)
+    else:
+        M = random_sphere(rng, d=d, walk=4)
+    if kind == "mixed":
+        verts = list(M.vertices)
+        new = max(verts) + 1
+        M = SimplicialComplex(list(M.facets) + [(rng.choice(verts), new), (new, new + 1, new + 2)])
+    # a walk of moves the oracle accepts; on the mixed complex the lower
+    # facets make some of the dense oracle's moves invalid
+    K, moves = set(map(frozenset, M.facets)), []
+    for _ in range(rng.randint(1, 8)):
+        cur = SimplicialComplex(_facet_tuple(K), _canonical=True)
+        for mv in (_walk_move(cur, rng) for _ in range(5)):
+            after = replay_oracle(K, [(mv.A, mv.B)])
+            if isinstance(after, set):
+                K = after
+                moves.append(mv)
+                break
+    end = SimplicialComplex(_facet_tuple(K), _canonical=True)
+    assert not any(f < g for f in K for g in K)
+    cert = MoveCertificate(M.canonical_hash(), moves, end.canonical_hash())
+    assert cert.replay(M).facets == end.facets
+    assert MoveCertificate(cert.start, (), cert.start).replay(M) is M
+    with pytest.raises(ValueError, match="start hash"):
+        MoveCertificate("0" * 32, moves, cert.end).replay(M)
+    with pytest.raises(ValueError, match="end hash"):
+        MoveCertificate(cert.start, moves, "0" * 32).replay(M)
+    # one move swapped: replay fails where the oracle does, on its clause
+    p = rng.randrange(len(moves) + 1)
+    bad = _bad_move(rng, replay_oracle(M.facets, [(m.A, m.B) for m in moves[:p]]), d)
+    tampered = moves[:p] + [bad] + moves[p + 1 :]
+    verdict = replay_oracle(M.facets, [(m.A, m.B) for m in tampered])
+    if isinstance(verdict, set):
+        end = SimplicialComplex(_facet_tuple(verdict), _canonical=True)
+        assert MoveCertificate(cert.start, tampered, end.canonical_hash()).replay(M).facets == end.facets
+        return
+    at, clause = verdict
+    for upto in (len(tampered), at + 1):
+        with pytest.raises(InvalidMoveError) as ei:
+            MoveCertificate(cert.start, tampered[:upto], cert.end).replay(M)
+        assert ei.value.clause == clause
+    if at:
+        with pytest.raises(ValueError, match="end hash"):
+            MoveCertificate(cert.start, tampered[:at], "0" * 32).replay(M)
 
 
 def test_certificate_json_shape():

@@ -147,6 +147,24 @@ def test_verify_fails_with_witness(tmp_path, capsys):
     assert "witness" in out
 
 
+def test_verify_m6_16_records_involution_search_limit(tmp_path, capsys, monkeypatch):
+    # a search beyond its ceiling fails its check, as the automorphism
+    # check already does; the rest of the suite still runs
+    def capped(M):
+        raise tnt.SearchLimitError("involution search supports at most 32 vertices, got 40")
+
+    monkeypatch.setattr(tnt.cli.morse, "central_symmetry", capped)
+    path = tmp_path / "m6.facets"
+    save_complex(dataset("M6_16"), str(path))
+    assert run_cli(["verify", str(path), "--suite", "m6_16", "--seed", "1", "--json"]) == 1
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["central_involution"] == {
+        "check": "central_involution", "detail": "involution search supports at most 32 vertices, got 40", "ok": False,
+    }
+    assert [name for name, c in checks.items() if not c["ok"]] == ["central_involution"]
+    assert len(checks) == 10
+
+
 def test_verify_lemma34_requires_seed(walkup_file, capsys):
     assert run_cli(["verify", walkup_file, "--suite", "lemma34"]) == 2
     assert "--seed" in capsys.readouterr().err

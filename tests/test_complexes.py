@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import quadratic_maximalize
 from tnt import (
     SimplicialComplex,
     boundary_simplex,
@@ -13,6 +16,7 @@ from tnt import (
     simplex,
     to_text,
 )
+from tnt.complexes import _maximalize
 
 
 def test_simplex_normalization():
@@ -89,6 +93,23 @@ def test_link_errors_and_cases():
     # link of a facet is the empty complex
     assert K.link((1, 2, 3)).dim == -1
     assert K.link((3,)).facets == ((1, 2), (4, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    raw=st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=6, unique=True), min_size=1, max_size=25),
+    nest=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 63)), max_size=20),
+    size=st.integers(1, 5),
+)
+def test_maximalize_matches_quadratic_scan(raw, nest, size):
+    simplices = [simplex(s) for s in raw]
+    # sub-simplices of drawn ones by bit mask; the empty mask repeats one
+    for i, mask in nest:
+        s = simplices[i % len(simplices)]
+        simplices.append(tuple(v for k, v in enumerate(s) if mask >> k & 1) or s)
+    assert _maximalize(simplices) == quadratic_maximalize(simplices)
+    pure = [s[:size] for s in simplices if len(s) >= size]
+    assert _maximalize(pure) == quadratic_maximalize(pure) == tuple(sorted(set(pure)))
 
 
 def _maximalized_link(K, s):

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -155,6 +156,21 @@ def test_searches_match_brute_force_oracle():
 def test_central_involution_key_order_pinned():
     C4 = SimplicialComplex([[1, 2], [2, 3], [3, 4], [4, 1]])
     assert list(find_central_involution(C4).items()) == [(1, 3), (3, 1), (2, 4), (4, 2)]
+
+
+def _cycle(n):
+    return SimplicialComplex([(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def test_central_involution_vertex_cap():
+    # C_32 is at the cap: its only such involution is the half-turn
+    assert find_central_involution(_cycle(32)) == {v: (v + 15) % 32 + 1 for v in range(1, 33)}
+    assert find_central_involution(_cycle(33)) is None
+    for n in (34, 400):
+        start = time.perf_counter()
+        with pytest.raises(SearchLimitError, match=f"at most 32 vertices, got {n}"):
+            find_central_involution(_cycle(n))
+        assert time.perf_counter() - start < 1.0
 
 
 def test_symmetry_builds_no_link_complexes():
