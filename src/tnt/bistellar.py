@@ -146,7 +146,10 @@ class _MoveState:
 
     The pool caches, per ready face A, the :meth:`span` B and the move
     (A, B).  They depend only on the cofacets of A, so the entry is dropped
-    only where A leaves the ready set.
+    only where A leaves the ready set, and a pooled A leaves it only by
+    losing a cofacet: :meth:`apply` removes facets before it adds any, and
+    a face gaining a cofacet in a move either lost one earlier in it or
+    contains B, which was no face before.
 
     A state built for every index 1..d keeps the pool full and the valid
     moves of each index current, as BISTELLAR keeps its move lists: a list
@@ -162,13 +165,15 @@ class _MoveState:
     search builds, fills the pool lazily and looks up whether B is a face
     anew on each :meth:`moves` call.
 
-    :meth:`probe` scores a move without applying it.  With U = A u B the
-    move removes R = {U - w : w in B} and adds N = {U - v : v in A}.  A
-    vertex outside U keeps its cofacets, so its cached B only needs
-    looking up in the facet set after the move.  A vertex u in U has
-    deg - |B| + |A| - 1 top cofacets afterwards when u is in A, and
-    deg - |B| + |A| + 1 when u is in B; only when that is d + 1 are its
-    new cofacets (cof - R) u {n in N : u in n} and their B built.
+    :meth:`probe` counts the index-d moves after a move without applying
+    it.  With U = A u B the move removes R = {U - w : w in B} and adds
+    N = {U - v : v in A}.  The B of a vertex has d + 1 labels, so it is a
+    face after the move exactly when it is in N, or a facet now and not in
+    R.  A vertex outside U keeps its cofacets, so only its cached B needs
+    that test.  A vertex u in U has deg - |B| + |A| - 1 top cofacets
+    afterwards when u is in A, and deg - |B| + |A| + 1 when u is in B;
+    only when that is d + 1 are its new cofacets (cof - R) u
+    {n in N : u in n} and their B built.
     """
 
     def __init__(self, M: SimplicialComplex, indices: Iterable[int]):
@@ -219,7 +224,7 @@ class _MoveState:
             self.star.setdefault(v, set()).add(f)
         d = self.d
         if len(f) == d + 1:
-            cofs, want, fresh, pool = self._cof, self._want, self._fresh, self._pool
+            cofs, want, fresh = self._cof, self._want, self._fresh
             if want is not None and f in want:
                 self._mark(f)
             for i in self.indices:
@@ -238,9 +243,6 @@ class _MoveState:
                             fresh.append(a)
                     elif n == i + 2:
                         ready.discard(a)
-                        hit = pool.pop(a, None)
-                        if want is not None and hit is not None:
-                            self._unwant(a, hit[0])
 
     def _remove(self, f: Simplex) -> None:
         self.facets.remove(f)
@@ -345,22 +347,18 @@ class _MoveState:
         if self._fresh:
             self._settle()
 
-    def probe(self, move: BistellarMove) -> tuple[frozenset[Simplex], int]:
-        """The facet set after ``move`` and the number of index-d moves
-        there, leaving the state unchanged; the state must be built for
-        index d."""
+    def probe(self, move: BistellarMove) -> int:
+        """The number of index-d moves after ``move``, leaving the state
+        unchanged; the state must be built for index d."""
         d = self.d
         union, removed, added = self._sides(move)
-        after = frozenset(self.facets.difference(removed).union(added))
         cofs, pool = self._cof, self._pool
-        count = 0
+        spans = []
         for u in self._ready[d]:
             if u[0] in union:
                 continue
             hit = pool.get(u)
-            bu = self.span(u, cofs[u], d) if hit is None else hit[0]
-            if bu is not None and bu not in after:
-                count += 1
+            spans.append(self.span(u, cofs[u], d) if hit is None else hit[0])
         gain = len(added) - len(removed)
         for v in union:
             cof = cofs.get((v,), ())
@@ -368,10 +366,9 @@ class _MoveState:
                 continue
             new = {f for f in cof if f not in removed}
             new.update(f for f in added if v in f)
-            bu = self.span((v,), new, d)
-            if bu is not None and bu not in after:
-                count += 1
-        return after, count
+            spans.append(self.span((v,), new, d))
+        facets = self.facets
+        return sum(1 for b in spans if b is not None and b not in added and (b not in facets or b in removed))
 
     def has_face(self, s: Simplex) -> bool:
         """Whether the sorted tuple ``s`` is a face."""
@@ -383,15 +380,13 @@ class _MoveState:
 
     @staticmethod
     def span(a: Simplex, cof: set[Simplex], i: int) -> Simplex | None:
-        """B for the index-i move removing ``a``, whose top-dimensional
+        """B for the index-i move removing ``a``, whose i + 1 top-dimensional
         cofacets are ``cof``, or None.
 
-        When ``a`` has i + 1 of them and they span i + 1 vertices B besides
-        ``a``, they are a * F for the i + 1 distinct i-subsets F of B, so the
-        link of ``a`` in them is dB; the move applies when B is no face.
+        When they span i + 1 vertices B besides ``a``, they are a * F for
+        the i + 1 distinct i-subsets F of B, so the link of ``a`` in them is
+        dB; the move applies when B is no face.
         """
-        if len(cof) != i + 1:
-            return None
         b = tuple(sorted(set().union(*cof).difference(a)))
         return b if len(b) == i + 1 else None
 
@@ -513,17 +508,22 @@ def stackedness_certificate(
     """Search for a move sequence taking S to a boundary simplex using only
     indices d-k+1 .. d (the reverses of 0 .. k-1 moves).
 
-    Returns a replay-verified certificate, or None when the budget runs out.
-    None is never a refutation, except with k = 1 on a pure S whose
-    vertex and facet counts rule out reaching the simplex boundary by
-    index-d moves alone (see :func:`_removals_can_reach_simplex`): then
-    None comes back before any search.  The budget counts the moves the
-    search takes, and each lookahead probe costs one unit although it
-    applies nothing; undoing the moves at a restart costs nothing.  Greedy
-    policy: always take an index-d move when one exists (it deletes a
-    vertex); otherwise probe the lower allowed indices and pick a move
-    maximizing the number of index-d moves available afterwards, breaking
-    ties with the seeded generator.
+    Returns a replay-verified certificate, or None.  With k >= 2 a None
+    means that the budget ran out or that the start has no allowed move,
+    and it is never a refutation.  With k = 1 a None that comes back before
+    the budget runs out refutes stackedness: vertex removals from a stacked
+    sphere reach the simplex boundary in any order (for d >= 2 a removable
+    vertex lies in exactly one cell of the stacked ball, a leaf; for d = 1
+    a stacked sphere is a cycle), so the search stops at the first position
+    without an index-d move.  On a pure S whose vertex and facet counts
+    rule out reaching the simplex boundary by index-d moves alone (see
+    :func:`_removals_can_reach_simplex`) it comes back before any search.
+    The budget counts the moves the search takes, and each lookahead probe
+    costs one unit although it applies nothing; undoing the moves at a
+    restart costs nothing.  Greedy policy: always take an index-d move when
+    one exists (it deletes a vertex); otherwise probe the lower allowed
+    indices and pick a move maximizing the number of index-d moves
+    available afterwards, breaking ties with the seeded generator.
     """
     d = S.dim
     if d < 1:
@@ -537,17 +537,14 @@ def stackedness_certificate(
     spent = 0
 
     state = _MoveState(S, range(d - k + 1, d + 1))
-    # facet sets decide exactly what their canonical hashes decide
-    start = frozenset(state.facets)
-    # the moves applied since the last restart, all to unseen states but
-    # perhaps the last
+    # the moves applied since the last restart; every allowed index
+    # i >= d - k + 1 >= (d + 1) / 2 changes the facet count by d - 2i < 0,
+    # so no run comes back to a complex it has been at
     moves: list[BistellarMove] = []
     while spent < budget:
         # a restart undoes the moves instead of rebuilding the state
         while moves:
             state.apply(moves.pop().inverse())
-        seen = {start}
-        spent_at_restart = spent
         while spent < budget:
             if state.is_boundary_simplex():
                 cert = MoveCertificate(S.canonical_hash(), moves, state.complex().canonical_hash())
@@ -558,7 +555,13 @@ def stackedness_certificate(
                 picked = rng.choice(tops)
             else:
                 cands = state.moves(lower)
-                fresh = []
+                if not cands:
+                    if k == 1 or not moves:
+                        # with k = 1 any removal order ends here, and at
+                        # the start a restart would come back here
+                        return None
+                    break
+                best = []
                 best_score = -1
                 if len(cands) > 16:
                     cands = rng.sample(cands, 16)
@@ -566,28 +569,16 @@ def stackedness_certificate(
                     if spent >= budget:
                         break
                     spent += 1
-                    after, score = state.probe(mv)
-                    if after in seen:
-                        continue
+                    score = state.probe(mv)
                     if score > best_score:
                         best_score = score
-                        fresh = [mv]
+                        best = [mv]
                     elif score == best_score:
-                        fresh.append(mv)
-                if not fresh:
-                    break
-                picked = rng.choice(fresh)
+                        best.append(mv)
+                picked = rng.choice(best)
             state.apply(picked)
             moves.append(picked)
             spent += 1
-            key = frozenset(state.facets)
-            if key in seen:
-                break
-            seen.add(key)
-        if spent == spent_at_restart:
-            # the restart made no applications at all: the position is a
-            # deterministic dead end and retrying cannot help
-            return None
     return None
 
 

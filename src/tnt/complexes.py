@@ -268,13 +268,9 @@ class SimplicialComplex:
     # -- hashing -----------------------------------------------------------
 
     def canonical_hash(self) -> str:
-        """128-bit blake2b hex digest of the canonical facet listing."""
+        """128-bit blake2b hex digest of the :func:`to_text` facet listing."""
         if "hash" not in self._cache:
-            h = hashlib.blake2b(digest_size=16)
-            for f in self.facets:
-                h.update(" ".join(map(str, f)).encode())
-                h.update(b"\n")
-            self._cache["hash"] = h.hexdigest()
+            self._cache["hash"] = hashlib.blake2b(to_text(self).encode(), digest_size=16).hexdigest()
         return self._cache["hash"]
 
 

@@ -16,6 +16,7 @@ from tnt import (
     betti_numbers,
     boundary_simplex,
     cross_polytope_boundary,
+    cyclic_polytope_boundary,
     k_stacked_exact,
     move_fvector_delta,
     stacked_sphere,
@@ -65,6 +66,15 @@ def test_move_fvector_delta_formula_pins():
         for j in range(d + 1)
     )
     assert move_fvector_delta(d, i) == expected
+
+
+def test_stackedness_indices_lower_the_facet_count():
+    # every index the k-stacked search may use removes more facets than it
+    # adds, so no run of the search can come back to a complex
+    for d in range(1, 11):
+        for k in range(1, (d + 1) // 2 + 1):
+            for i in range(d - k + 1, d + 1):
+                assert move_fvector_delta(d, i)[d] <= -1, (d, k, i)
 
 
 def test_apply_move_error_clauses():
@@ -330,12 +340,14 @@ def _snapshot(state):
 
 
 def _check_probes(K, built, rng, rounds=3, walk=3):
-    """Probe every applicable move of K, walk a few moves, and repeat.
+    """Probe every applicable move of K and one subdivision, walk a few
+    moves, and repeat.
 
-    Each probe must give the facet set of ``apply_move`` and the number of
-    index-d moves the dense oracle finds there, on the walked state (its
+    Each probe must give the number of index-d moves the dense oracle
+    finds on the complex ``apply_move`` makes, on the walked state (its
     pool filled by ``moves``) and on a fresh one (its pool empty), and
-    leave both states exactly as they were.
+    leave both states exactly as they were.  The subdivision's inverse
+    removes a B that is a facet before the move.
     """
     d = K.dim
     state = _MoveState(K, built)
@@ -343,13 +355,13 @@ def _check_probes(K, built, rng, rounds=3, walk=3):
     for _ in range(rounds):
         assert state.complex() == K
         cands = [BistellarMove(a, b) for _, a, b in dense_valid_moves(K, built)]
+        split = BistellarMove(next(f for f in K.facets if len(f) == d + 1), (max(K.vertices) + 1,))
         state.moves()
         for st_ in (state, _MoveState(K, built)):
             before = _snapshot(st_)
-            for mv in cands:
+            for mv in cands + [split]:
                 after = apply_move(K, mv, check=False)
-                want = (frozenset(after.facets), len(dense_valid_moves(after, [d])))
-                assert st_.probe(mv) == want, mv
+                assert st_.probe(mv) == len(dense_valid_moves(after, [d])), mv
             assert _snapshot(st_) == before
         probed += len(cands)
         for _ in range(walk):
@@ -395,8 +407,7 @@ def test_probe_onto_boundary_simplex(d):
     tops = state.moves([d])
     assert len(tops) == 2
     for mv in tops:
-        after, score = state.probe(mv)
-        assert is_boundary_simplex(SimplicialComplex(after)) and score == 0
+        assert is_boundary_simplex(apply_move(K, mv)) and state.probe(mv) == 0
     assert _check_probes(K, range(d - 1, d + 1), random.Random(d), rounds=1) == len(state.moves())
 
 
@@ -408,6 +419,30 @@ def test_probe_on_non_pure_complexes():
     K = SimplicialComplex(list(T.facets) + [(1, 20), (20, 21, 22)])
     assert not K.is_pure
     assert _check_probes(K, range(1, 4), random.Random(8)) > 0
+
+
+def test_ready_faces_without_a_span():
+    # vertex 1 of the triangles 123, 145 and 167 has the 3 cofacets of an
+    # index-2 A, but they span 6 vertices, so it is pooled with no B; a
+    # stacked 2-sphere beside them gives the walk and the probes moves
+    fan = [(1, 2, 3), (1, 4, 5), (1, 6, 7)]
+    K = SimplicialComplex(fan + [tuple(v + 7 for v in f) for f in stacked_sphere(2, 6, seed=0).facets])
+    every = range(1, 3)
+    assert _triples(valid_moves(K)) == dense_valid_moves(K, every)
+    assert all(mv.A != (1,) for mv in valid_moves(K))
+    lazy = _MoveState(K, [2])
+    assert _triples(lazy.moves()) == dense_valid_moves(K, [2])
+    for state in (lazy, _MoveState(K, every)):
+        assert state._pool[(1,)] == (None, None)
+    for built in ([2], every):
+        assert _check_probes(K, built, random.Random(14)) > 0
+    state, rng = _MoveState(K, every), random.Random(13)
+    for _ in range(12):
+        mv = _walk_move(K, rng)
+        state.apply(mv)
+        K = apply_move(K, mv)
+        _check_valid_sets(state, K)
+        assert _triples(state.moves()) == dense_valid_moves(K, every)
 
 
 def test_single_stacked_sphere_has_two_vertex_removals():
@@ -553,6 +588,30 @@ def test_stackedness_certificate_honest_none():
     assert stackedness_certificate(O, 1, budget=5000, seed=0) is None
 
 
+def test_stackedness_search_probes_at_most_16_moves_a_step(monkeypatch):
+    # the cyclic 4-polytope on 20 vertices starts with 20 index-2 moves and
+    # no index-3 move, so the first step probes a sample of them
+    S = cyclic_polytope_boundary(4, 20)
+    start = _MoveState(S, [2, 3])
+    assert len(start.moves([2])) == 20 and not start.moves([3])
+    probe, apply = _MoveState.probe, _MoveState.apply
+    probes = [0]
+
+    def counting_probe(self, mv):
+        probes[-1] += 1
+        return probe(self, mv)
+
+    def counting_apply(self, mv):
+        probes.append(0)
+        apply(self, mv)
+
+    monkeypatch.setattr(_MoveState, "probe", counting_probe)
+    monkeypatch.setattr(_MoveState, "apply", counting_apply)
+    cert = stackedness_certificate(S, 2, budget=10_000, seed=0)
+    assert cert is not None and is_boundary_simplex(cert.replay(S))
+    assert probes[0] == max(probes) == 16
+
+
 def _removal_identity(S):
     """f(dSimplex^{d+1}) - f(S) = m * move_fvector_delta(d, d) with
     m = f_0(S) - d - 2 >= 0, the f-vectors counted from the complexes."""
@@ -645,22 +704,36 @@ def test_k_stacked_exact_ceiling():
     assert r.status == "aborted"
 
 
-def test_certificate_and_exact_agree_on_small_spheres():
+def test_certificate_and_exact_agree_on_small_spheres(monkeypatch):
+    # k = 1: removals from a stacked sphere reach the simplex boundary in
+    # any order, so the 25 seeds agree, a search makes one run of removals
+    # and never restarts, and with an ample budget it certifies exactly the
+    # spheres the exhaustive decider calls stacked; spheres of dimension 1
+    # to 4 on at most 10 vertices, stacked ones and ones walked from them
+    # by moves of lower index
+    applied = []
+    apply = _MoveState.apply
+    monkeypatch.setattr(_MoveState, "apply", lambda self, mv: applied.append(mv) or apply(self, mv))
     rng = random.Random(24)
-    checked = 0
-    for _ in range(25):
-        S = random_sphere(rng, d=2, walk=5)
-        if len(S.vertices) > 9:
-            continue
-        k = 1
-        cert = stackedness_certificate(S, k, budget=30000, seed=1)
-        exact = k_stacked_exact(S, k)
-        if cert is not None:
-            assert exact.status == "yes"
-        if exact.status == "no":
-            assert cert is None
-        checked += 1
-    assert checked >= 10
+    seen = Counter()
+    for j in range(48):
+        d = 1 + j % 4
+        S = stacked_sphere(d, rng.randint(d + 2, min(10, d + 7)), seed=rng.randrange(10**6))
+        for _ in range(rng.randrange(8)):
+            mvs = [mv for mv in valid_moves(S) if mv.index < d] or valid_moves(S)
+            if not mvs:
+                break
+            S = apply_move(S, rng.choice(mvs))
+        outcomes = set()
+        for s in range(25):
+            applied.clear()
+            outcomes.add(stackedness_certificate(S, 1, budget=1000, seed=s) is not None)
+            assert len(applied) <= len(S.vertices) - d - 2, S
+        assert len(outcomes) == 1, S
+        exact = k_stacked_exact(S, 1).status
+        assert exact == ("yes" if outcomes == {True} else "no"), S
+        seen[d, exact] += 1
+    assert all(seen[d, "yes"] and seen[d, "no"] for d in (2, 3, 4)), seen
 
 
 def test_vertex_reduce_minimal_input_unchanged():

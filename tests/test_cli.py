@@ -165,6 +165,17 @@ def test_verify_m6_16_records_involution_search_limit(tmp_path, capsys, monkeypa
     assert len(checks) == 10
 
 
+def test_verify_m6_16_link_budget_runs_out(tmp_path, capsys):
+    # one move certifies no link: only the stackedness check fails, as
+    # unknown rather than refuted, and it names every link
+    path = tmp_path / "m6.facets"
+    save_complex(dataset("M6_16"), str(path))
+    assert run_cli(["verify", str(path), "--suite", "m6_16", "--budget", "1", "--json"]) == 3
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert [name for name, c in checks.items() if not c["ok"]] == ["links_2_stacked"]
+    assert checks["links_2_stacked"]["detail"] == "unknown for links of: " + ", ".join(map(str, range(1, 17)))
+
+
 def test_verify_lemma34_requires_seed(walkup_file, capsys):
     assert run_cli(["verify", walkup_file, "--suite", "lemma34"]) == 2
     assert "--seed" in capsys.readouterr().err
