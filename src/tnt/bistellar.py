@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -137,12 +138,19 @@ class _MoveState:
     A move changes only the star of A u B, so applying it swaps d + 2
     facets and touches only their faces, as in the BISTELLAR program of
     Bjoerner and Lutz (Exp. Math. 9, 2000) and simpcomp's SCReduceComplex
-    (Effenberger and Spreer).  For each index i the state was built for it
-    keeps the faces of size d - i + 1 with their top-dimensional cofacets,
-    and the faces among them with exactly i + 1 of those; vertex stars
-    cover every facet.  Only valid moves may be applied.  A valid move
-    never swallows a lower-dimensional facet: one inside dA * B would
-    contain B, which is no face.
+    (Effenberger and Spreer).  ``facets`` maps each facet to its slot in
+    ``_slots`` (free slots hold None and are listed in ``_free``).  A
+    vertex star is an int with bit j set when the facet in slot j contains
+    the vertex, and ``_low`` masks the slots of lower-dimensional facets,
+    so the AND of a face's vertex stars holds its facets and, without
+    ``_low``, its top-dimensional cofacets.  For each index i the state was
+    built for, ``_cof`` counts the top cofacets of each face of size
+    d - i + 1 that has one, and the ready set holds the faces with exactly
+    i + 1 of them; a swapped facet changes the count of each of its subfaces by
+    one.  Only a ready face can make a move, so cofacets are decoded only
+    for those: where a face is pooled and in :meth:`probe`.  Only valid
+    moves may be applied.  A valid move never swallows a lower-dimensional
+    facet: one inside dA * B would contain B, which is no face.
 
     The pool caches, per ready face A, the :meth:`span` B and the move
     (A, B).  They depend only on the cofacets of A, so the entry is dropped
@@ -155,15 +163,14 @@ class _MoveState:
     moves of each index current, as BISTELLAR keeps its move lists: a list
     per index with the position of each A, and the ready faces A wanting
     each B.  B is a face of size 2..d + 1, so it starts or stops being one
-    exactly where its cofacet entry is created or deleted, or where it is
-    added or removed as a facet; :meth:`_add` and :meth:`_remove` re-mark
-    the moves wanting it there and drop those of the faces leaving the
-    ready set.  A face entering the ready set is settled once
-    :meth:`apply` has swapped all the facets of the move, since its
-    cofacets, hence its B, are only final then.  :meth:`draw` samples from
-    these lists.  A state built for fewer indices, as the stackedness
-    search builds, fills the pool lazily and looks up whether B is a face
-    anew on each :meth:`moves` call.
+    exactly where its count appears or vanishes, or where it is added or
+    removed as a facet; :meth:`_add` and :meth:`_remove` re-mark the moves
+    wanting it there and drop those of the faces leaving the ready set.  A
+    face entering the ready set is settled once :meth:`apply` has swapped
+    all the facets of the move, since its cofacets, hence its B, are only
+    final then.  :meth:`draw` samples from these lists.  A state built for
+    fewer indices, as the stackedness search builds, fills the pool lazily
+    and looks up whether B is a face anew on each :meth:`moves` call.
 
     :meth:`probe` counts the index-d moves after a move without applying
     it.  With U = A u B the move removes R = {U - w : w in B} and adds
@@ -173,39 +180,31 @@ class _MoveState:
     that test.  A vertex u in U has deg - |B| + |A| - 1 top cofacets
     afterwards when u is in A, and deg - |B| + |A| + 1 when u is in B;
     only when that is d + 1 are its new cofacets (cof - R) u
-    {n in N : u in n} and their B built.
+    {n in N : u in n} decoded and their B built.
     """
 
     def __init__(self, M: SimplicialComplex, indices: Iterable[int]):
         self.d = d = M.dim
         self.indices = sorted({i for i in indices if 1 <= i <= d})
-        self.facets: set[Simplex] = set(M.facets)
-        self.star: dict[int, set[Simplex]] = {}
-        self._cof: dict[Simplex, set[Simplex]] = {}
-        self._ready: dict[int, set[Simplex]] = {i: set() for i in self.indices}
-        self._pool: dict[Simplex, tuple[Simplex | None, BistellarMove | None]] = {}
-        # faces by size; moves keep a pure complex pure, so all lie in facets
-        self._faces_of: dict[int, set | dict] = {d + 1: self.facets}
-        if M.is_pure:
-            self._faces_of.update((d - i + 1, self._cof) for i in self.indices)
-        # one pass fills the stars and cofacet sets; the ready sets are read
-        # off the final counts, so no face enters or leaves them on the way
-        sizes = [d - i + 1 for i in self.indices]
-        cofs = self._cof
-        for f in M.facets:
+        self._slots: list[Simplex | None] = list(M.facets)
+        self.facets: dict[Simplex, int] = {f: j for j, f in enumerate(self._slots)}
+        self._free: list[int] = []
+        self.star: dict[int, int] = {}
+        for j, f in enumerate(self._slots):
             for v in f:
-                self.star.setdefault(v, set()).add(f)
-            if len(f) == d + 1:
-                for size in sizes:
-                    for a in combinations(f, size):
-                        cof = cofs.get(a)
-                        if cof is None:
-                            cofs[a] = {f}
-                        else:
-                            cof.add(f)
-        for a, cof in cofs.items():
-            if len(cof) == d + 2 - len(a):
+                self.star[v] = self.star.get(v, 0) | 1 << j
+        self._low = sum(1 << j for j, f in enumerate(self._slots) if len(f) <= d)
+        # one pass counts the cofacets, kept in a plain dict since a
+        # Counter deletes keys in Python code; the ready sets are read off
+        # the final counts, so no face enters or leaves them on the way
+        sizes = [d - i + 1 for i in self.indices]
+        self._cof: dict[Simplex, int] = dict(Counter(chain.from_iterable(
+            combinations(f, size) for f in M.facets if len(f) == d + 1 for size in sizes)))
+        self._ready: dict[int, set[Simplex]] = {i: set() for i in self.indices}
+        for a, n in self._cof.items():
+            if n == d + 2 - len(a):
                 self._ready[d + 1 - len(a)].add(a)
+        self._pool: dict[Simplex, tuple[Simplex | None, BistellarMove | None]] = {}
         # the valid sets: per index the moves and the position of each A,
         # and per B the ready faces wanting it; None unless every index
         self._valid: dict[int, list[BistellarMove]] | None = None
@@ -219,62 +218,74 @@ class _MoveState:
             self._settle()
 
     def _add(self, f: Simplex) -> None:
-        self.facets.add(f)
+        slots, free = self._slots, self._free
+        if not free:
+            free.append(len(slots))
+            slots.append(None)
+        j = self.facets[f] = free.pop()
+        slots[j] = f
+        bit = 1 << j
+        star = self.star
         for v in f:
-            self.star.setdefault(v, set()).add(f)
+            star[v] = star.get(v, 0) | bit
         d = self.d
-        if len(f) == d + 1:
-            cofs, want, fresh = self._cof, self._want, self._fresh
-            if want is not None and f in want:
-                self._mark(f)
-            for i in self.indices:
-                ready = self._ready[i]
-                for a in combinations(f, d - i + 1):
-                    cof = cofs.get(a)
-                    if cof is None:
-                        cof = cofs[a] = set()
-                        if want is not None and a in want:
-                            self._mark(a)
-                    cof.add(f)
-                    n = len(cof)
-                    if n == i + 1:
-                        ready.add(a)
-                        if want is not None:
-                            fresh.append(a)
-                    elif n == i + 2:
-                        ready.discard(a)
+        if len(f) <= d:
+            self._low |= bit
+            return
+        cofs, want, fresh = self._cof, self._want, self._fresh
+        if want is not None and f in want:
+            self._mark(f)
+        for i in self.indices:
+            ready = self._ready[i]
+            for a in combinations(f, d - i + 1):
+                n = cofs[a] = cofs.get(a, 0) + 1
+                if n == 1:
+                    if want is not None and a in want:
+                        self._mark(a)
+                elif n == i + 1:
+                    ready.add(a)
+                    if want is not None:
+                        fresh.append(a)
+                elif n == i + 2:
+                    ready.discard(a)
 
     def _remove(self, f: Simplex) -> None:
-        self.facets.remove(f)
+        j = self.facets.pop(f)
+        self._slots[j] = None
+        self._free.append(j)
+        bit = 1 << j
+        star = self.star
         for v in f:
-            st = self.star[v]
-            st.remove(f)
-            if not st:
-                del self.star[v]
+            if star[v] == bit:
+                del star[v]
+            else:
+                star[v] ^= bit
         d = self.d
-        if len(f) == d + 1:
-            cofs, want, fresh, pool = self._cof, self._want, self._fresh, self._pool
-            if want is not None and f in want:
-                self._mark(f)
-            for i in self.indices:
-                ready = self._ready[i]
-                for a in combinations(f, d - i + 1):
-                    cof = cofs[a]
-                    cof.remove(f)
-                    n = len(cof)
-                    if n == i + 1:
-                        ready.add(a)
-                        if want is not None:
-                            fresh.append(a)
-                    elif n == i:
-                        ready.discard(a)
-                        hit = pool.pop(a, None)
-                        if want is not None and hit is not None:
-                            self._unwant(a, hit[0])
-                    if not n:
-                        del cofs[a]
-                        if want is not None and a in want:
-                            self._mark(a)
+        if len(f) <= d:
+            self._low ^= bit
+            return
+        cofs, want, fresh, pool = self._cof, self._want, self._fresh, self._pool
+        if want is not None and f in want:
+            self._mark(f)
+        for i in self.indices:
+            ready = self._ready[i]
+            for a in combinations(f, d - i + 1):
+                n = cofs[a] - 1
+                if n == i + 1:
+                    ready.add(a)
+                    if want is not None:
+                        fresh.append(a)
+                elif n == i:
+                    ready.discard(a)
+                    hit = pool.pop(a, None)
+                    if want is not None and hit is not None:
+                        self._unwant(a, hit[0])
+                if n:
+                    cofs[a] = n
+                else:
+                    del cofs[a]
+                    if want is not None and a in want:
+                        self._mark(a)
 
     def _mark(self, b: Simplex) -> None:
         """Enter or drop the moves wanting ``b`` after it started or
@@ -319,7 +330,7 @@ class _MoveState:
             i = self.d + 1 - len(a)
             if a in pool or a not in self._ready[i]:
                 continue
-            b = self.span(a, self._cof[a], i)
+            b = self.span(a, self.cofacets(a), i)
             if b is None:
                 pool[a] = (None, None)
                 continue
@@ -358,13 +369,12 @@ class _MoveState:
             if u[0] in union:
                 continue
             hit = pool.get(u)
-            spans.append(self.span(u, cofs[u], d) if hit is None else hit[0])
+            spans.append(self.span(u, self.cofacets(u), d) if hit is None else hit[0])
         gain = len(added) - len(removed)
         for v in union:
-            cof = cofs.get((v,), ())
-            if len(cof) + gain + (1 if v in move.B else -1) != d + 1:
+            if cofs.get((v,), 0) + gain + (1 if v in move.B else -1) != d + 1:
                 continue
-            new = {f for f in cof if f not in removed}
+            new = {f for f in self.cofacets((v,)) if f not in removed}
             new.update(f for f in added if v in f)
             spans.append(self.span((v,), new, d))
         facets = self.facets
@@ -372,14 +382,27 @@ class _MoveState:
 
     def has_face(self, s: Simplex) -> bool:
         """Whether the sorted tuple ``s`` is a face."""
-        faces = self._faces_of.get(len(s))
-        if faces is not None:
-            return s in faces
-        stars = [self.star.get(v) for v in s]
-        return all(stars) and bool(set.intersection(*stars))
+        star = self.star
+        m = -1
+        for v in s:
+            m &= star.get(v, 0)
+        return m != 0
+
+    def cofacets(self, a: Simplex) -> list[Simplex]:
+        """The top-dimensional facets containing the face ``a``."""
+        star, slots = self.star, self._slots
+        m = ~self._low
+        for v in a:
+            m &= star.get(v, 0)
+        out = []
+        while m:
+            low = m & -m
+            out.append(slots[low.bit_length() - 1])
+            m ^= low
+        return out
 
     @staticmethod
-    def span(a: Simplex, cof: set[Simplex], i: int) -> Simplex | None:
+    def span(a: Simplex, cof: Iterable[Simplex], i: int) -> Simplex | None:
         """B for the index-i move removing ``a``, whose i + 1 top-dimensional
         cofacets are ``cof``, or None.
 
@@ -403,7 +426,7 @@ class _MoveState:
             for a in sorted(self._ready[i]):
                 hit = pool.get(a)
                 if hit is None:
-                    b = self.span(a, self._cof[a], i)
+                    b = self.span(a, self.cofacets(a), i)
                     hit = pool[a] = (b, None if b is None else _move(a, b))
                 b, mv = hit
                 if mv is not None and not self.has_face(b):
@@ -624,15 +647,11 @@ def k_stacked_exact(S: SimplicialComplex, k: int, ceiling: int = 10) -> ExactSta
         return ExactStackedness("aborted")
     cell_size = d + 2
     low_cap = d - k + 1  # max card of faces that must already lie in S
-    candidates: list[Simplex] = []
-    for c in combinations(verts, cell_size):
-        ok = True
-        for size in range(2, min(low_cap, cell_size) + 1):
-            if not all(sub in S.face_set(size - 1) for sub in combinations(c, size)):
-                ok = False
-                break
-        if ok:
-            candidates.append(c)
+    sizes = range(2, min(low_cap, cell_size) + 1)
+    candidates = [
+        c for c in combinations(verts, cell_size)
+        if all(sub in S.face_set(size - 1) for size in sizes for sub in combinations(c, size))
+    ]
     if not candidates:
         return ExactStackedness("no")
     sfacets = set(S.facets)
@@ -647,11 +666,7 @@ def k_stacked_exact(S: SimplicialComplex, k: int, ceiling: int = 10) -> ExactSta
     chosen_set: set[Simplex] = set()
 
     def can_place(c: Simplex) -> bool:
-        for f in cell_faces[c]:
-            cap = 1 if f in sfacets else 2
-            if usage.get(f, 0) + 1 > cap:
-                return False
-        return True
+        return all(usage.get(f, 0) < (1 if f in sfacets else 2) for f in cell_faces[c])
 
     def place(c: Simplex) -> None:
         chosen.append(c)
@@ -679,37 +694,26 @@ def k_stacked_exact(S: SimplicialComplex, k: int, ceiling: int = 10) -> ExactSta
 
         # distinct cells of one size: maximal as they stand
         B = SimplicialComplex(sorted(chosen), _canonical=True)
-        pm = B.pseudomanifold_check()
-        if not pm.facet_graph_connected:
-            return None
-        if any(homology.reduced_betti(B)):
-            return None
-        if not _shellable(chosen):
-            return None
-        return B
+        if B.pseudomanifold_check().facet_graph_connected and not any(homology.reduced_betti(B)) and _shellable(chosen):
+            return B
+        return None
 
-    result: list[SimplicialComplex] = []
-
-    def search() -> bool:
+    def search() -> SimplicialComplex | None:
         f = deficient()
         if f is None:
-            ball = verify_ball()
-            if ball is not None:
-                result.append(ball)
-                return True
-            return False
+            return verify_ball()
         for c in by_face.get(f, []):
             if c in chosen_set or not can_place(c):
                 continue
             place(c)
-            if search():
-                return True
+            ball = search()
+            if ball is not None:
+                return ball
             unplace(c)
-        return False
+        return None
 
-    if search():
-        return ExactStackedness("yes", result[0])
-    return ExactStackedness("no")
+    ball = search()
+    return ExactStackedness("no" if ball is None else "yes", ball)
 
 
 def _shellable(cells: list[Simplex]) -> bool:
@@ -726,9 +730,7 @@ def _shellable(cells: list[Simplex]) -> bool:
         # earlier intersection of ridge size
         inters = [sets[i] & sets[j] for j in used]
         ridges = [x for x in inters if len(x) == ridge_size]
-        if not ridges:
-            return False
-        return all(any(x <= r for r in ridges) for x in inters)
+        return bool(ridges) and all(any(x <= r for r in ridges) for x in inters)
 
     def extend(used: list[int], used_set: frozenset[int]) -> bool:
         if len(used) == m:
@@ -736,9 +738,7 @@ def _shellable(cells: list[Simplex]) -> bool:
         if used_set in dead:
             return False
         for i in range(m):
-            if i in used_set:
-                continue
-            if attaches_ok(i, used):
+            if i not in used_set and attaches_ok(i, used):
                 used.append(i)
                 if extend(used, used_set | {i}):
                     return True
@@ -746,10 +746,7 @@ def _shellable(cells: list[Simplex]) -> bool:
         dead.add(used_set)
         return False
 
-    for first in range(m):
-        if extend([first], frozenset([first])):
-            return True
-    return False
+    return any(extend([first], frozenset([first])) for first in range(m))
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,17 @@ def dense_valid_moves(K: SimplicialComplex, indices) -> list[tuple[int, tuple, t
     return out
 
 
+def top_cofacet_scan(K: SimplicialComplex, sizes) -> dict[tuple, set[tuple]]:
+    """Every face of K of the given sizes, with the top-dimensional facets
+    whose vertex set contains it, by a plain scan over the facets."""
+    tops = [(f, set(f)) for f in K.facets if len(f) == K.dim + 1]
+    out = {}
+    for size in sizes:
+        for a in K.faces(size - 1):
+            out[a] = {f for f, fs in tops if fs.issuperset(a)}
+    return out
+
+
 def replay_oracle(facets, moves):
     """Chain the four move clauses over plain sets of frozensets: the final
     facet set, or (position, clause) of the first move that fails."""

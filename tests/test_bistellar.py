@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_valid_moves, random_sphere, replay_oracle
+from conftest import dense_valid_moves, random_sphere, replay_oracle, top_cofacet_scan
 from tnt import (
     BistellarMove,
     MoveCertificate,
@@ -156,13 +156,44 @@ def test_move_state_walk_matches_dense_oracle(seed, d, stacked):
             # an index-0 move: subdivide a facet with a fresh vertex
             mv = BistellarMove(K.facets[rng.randrange(len(K.facets))], (max(K.vertices) + 1,))
         # a move and its inverse restore the state exactly
+        after = apply_move(K, mv)
         state.apply(mv)
+        _check_state(state, after)
         state.apply(mv.inverse())
         assert state.complex() == K
+        _check_state(state, K)
         state.apply(mv)
-        K = apply_move(K, mv)
+        K = after
         assert state.complex() == K
+        _check_state(state, K)
         assert state.is_boundary_simplex() == is_boundary_simplex(K)
+
+
+def _slot_facets(state, mask):
+    """The facets in the slots whose bits are set in ``mask``."""
+    return {state._slots[j] for j in range(mask.bit_length()) if mask >> j & 1}
+
+
+def _decoded_stars(state):
+    return {v: _slot_facets(state, m) for v, m in state.star.items()}
+
+
+def _check_state(state, K):
+    """The slots hold exactly K's facets, each free slot is listed once,
+    the stars and the lower-facet mask decode to K's, and every face of an
+    indexed size has the count and the decoded cofacets of a plain scan
+    over K's top facets (a face with none has no count)."""
+    d = K.dim
+    assert set(state.facets) == set(K.facets)
+    assert all(state._slots[j] == f for f, j in state.facets.items())
+    assert sorted(state._free) == [j for j, f in enumerate(state._slots) if f is None]
+    assert _decoded_stars(state) == {v: {f for f in K.facets if v in f} for v in K.vertices}
+    assert _slot_facets(state, state._low) == {f for f in K.facets if len(f) <= d}
+    scan = top_cofacet_scan(K, [d - i + 1 for i in state.indices])
+    assert state._cof == {a: len(cof) for a, cof in scan.items() if cof}
+    for a, cof in scan.items():
+        got = state.cofacets(a)
+        assert len(got) == len(cof) and set(got) == cof, a
 
 
 def _check_has_face(state, K, rng):
@@ -228,11 +259,14 @@ def test_move_pool_stays_current_over_move_runs(seed, d, all_indices):
             after = apply_move(K, mv)
             state.apply(mv)
             _check_valid_sets(state, after)
+            _check_state(state, after)
             if rng.random() < 0.3:
                 state.apply(mv.inverse())
                 _check_valid_sets(state, K)
+                _check_state(state, K)
                 state.apply(mv)
                 _check_valid_sets(state, after)
+                _check_state(state, after)
             K = after
     assert state.complex() == K
 
@@ -271,6 +305,7 @@ def _incremental_state(K, indices):
     for f in K.facets:
         state._remove(f)
     assert not state.facets and not state.star and not state._cof and not any(state._ready.values())
+    assert not state._low and not any(state._slots) and sorted(state._free) == list(range(len(state._slots)))
     for f in K.facets:
         state._add(f)
     return state
@@ -291,8 +326,14 @@ def test_bulk_state_build_matches_incremental_build(seed, d, pure):
         assert not K.is_pure
     built = sorted(rng.sample(range(d + 2), rng.randint(1, d + 2)))
     bulk, inc = _MoveState(K, built), _incremental_state(K, built)
-    for attr in ("facets", "star", "_cof", "_ready", "_faces_of"):
+    # slots are reused in another order, so the masks are compared decoded
+    assert set(bulk.facets) == set(inc.facets)
+    assert _decoded_stars(bulk) == _decoded_stars(inc)
+    assert _slot_facets(bulk, bulk._low) == _slot_facets(inc, inc._low)
+    for attr in ("_cof", "_ready"):
         assert getattr(bulk, attr) == getattr(inc, attr), attr
+    _check_state(bulk, K)
+    _check_state(inc, K)
     assert _triples(bulk.moves()) == dense_valid_moves(K, built)
 
 
@@ -326,14 +367,20 @@ def test_valid_moves_non_pure_rule():
         state.apply(mv)
         K = apply_move(K, mv, check=False)
         assert state.complex() == K and (1, 5) in K.facets
+        _check_state(state, K)
         assert _triples(state.moves()) == dense_valid_moves(K, every)
         _check_has_face(state, K, rng)
 
 
 def _snapshot(state):
+    # a probe applies nothing, so even the raw slots and masks must stay
     return (
-        set(state.facets),
-        {a: set(c) for a, c in state._cof.items()},
+        dict(state.facets),
+        list(state._slots),
+        list(state._free),
+        dict(state.star),
+        state._low,
+        dict(state._cof),
         {i: set(r) for i, r in state._ready.items()},
         dict(state._pool),
     )

@@ -54,6 +54,7 @@ from tnt import (
     vertex_reduce,
     walkup_class_membership,
 )
+from tnt.bistellar import _MoveState
 from tnt.cli import main
 
 # sha256(cert.dumps())[:16] per vertex v of M6_16; k = 2, seed s * 65537 + v
@@ -69,6 +70,14 @@ M6_16_LINK_CERTS = {
 }
 
 PRODUCT_HASH = "99147e66a06729f7342e2fae8ba1b6f3"  # the input: 20 steps never beat it
+
+# sha256 of the JSON move lists, [:16], recorded with the move state that
+# kept a cofacet set per face: the first 300 draw + apply moves of a
+# full-index walk on the product (seed 7), which pins the order of the
+# valid-move lists; and every moves() list of a k = 2 search on the link of
+# vertex 1 of M6_16 (seed 3), with the number of lists
+PRODUCT_DRAWS = "b1a6ecb303d7f633"
+LINK_MOVE_LISTS = ("69283f240e3ac861", 49)
 
 # (end hash, certificate length) of full-schedule anneals that do move,
 # recorded when vertex_reduce began drawing from the valid-move lists
@@ -268,6 +277,35 @@ def test_product_anneal_pinned():
     for seed in (0, 5, 99):
         best, cert = vertex_reduce(P, target_f0=16, schedule=AnnealSchedule(steps=20), seed=seed)
         assert (best.canonical_hash(), len(cert.moves)) == (PRODUCT_HASH, 0)
+
+
+def _json_digest(obj) -> str:
+    return _sha256(json.dumps(obj, separators=(",", ":")))[:16]
+
+
+def test_product_draw_order_pinned():
+    state = _MoveState(simplicial_product(boundary_simplex(3), boundary_simplex(5)), range(1, 7))
+    rng = random.Random(7)
+    walk = []
+    for _ in range(300):
+        mv = state.draw(rng)
+        state.apply(mv)
+        walk.append(mv.to_json())
+    assert _json_digest(walk) == PRODUCT_DRAWS
+
+
+def test_link_search_move_lists_pinned(monkeypatch):
+    lists = []
+    moves = _MoveState.moves
+
+    def recording(self, indices=None):
+        out = moves(self, indices)
+        lists.append([mv.to_json() for mv in out])
+        return out
+
+    monkeypatch.setattr(_MoveState, "moves", recording)
+    assert stackedness_certificate(dataset("M6_16").link((1,)), 2, seed=3) is not None
+    assert (_json_digest(lists), len(lists)) == LINK_MOVE_LISTS
 
 
 @pytest.mark.parametrize("name,seed", sorted(ANNEALS))
