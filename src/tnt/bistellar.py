@@ -694,9 +694,8 @@ def k_stacked_exact(S: SimplicialComplex, k: int, ceiling: int = 10) -> ExactSta
 
         # distinct cells of one size: maximal as they stand
         B = SimplicialComplex(sorted(chosen), _canonical=True)
-        if B.pseudomanifold_check().facet_graph_connected and not any(homology.reduced_betti(B)) and _shellable(chosen):
-            return B
-        return None
+        ok = B.pseudomanifold_check().facet_graph_connected and not any(homology.reduced_betti(B))
+        return B if ok and _shellable(chosen) else None
 
     def search() -> SimplicialComplex | None:
         f = deficient()
