@@ -12,7 +12,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from math import comb
+from math import comb, exp
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -330,15 +330,11 @@ class _MoveState:
             i = self.d + 1 - len(a)
             if a in pool or a not in self._ready[i]:
                 continue
-            b = self.span(a, self.cofacets(a), i)
-            if b is None:
-                pool[a] = (None, None)
-                continue
-            mv = _move(a, b)
-            pool[a] = (b, mv)
-            want.setdefault(b, {})[a] = None
-            if not self.has_face(b):
-                self._enter(mv)
+            b, mv = self._pooled(a, i)
+            if mv is not None:
+                want.setdefault(b, {})[a] = None
+                if not self.has_face(b):
+                    self._enter(mv)
         self._fresh.clear()
 
     @staticmethod
@@ -388,6 +384,24 @@ class _MoveState:
             m &= star.get(v, 0)
         return m != 0
 
+    def _pooled(self, a: Simplex, i: int) -> tuple[Simplex | None, BistellarMove | None]:
+        """Pool the ready face ``a`` of index ``i`` with its :meth:`span` B
+        and the move (a, B), or (None, None), and return the entry; each top
+        cofacet, decoded from the AND of the vertex stars, is ORed into B."""
+        star, slots = self.star, self._slots
+        m = ~self._low
+        for v in a:
+            m &= star[v]
+        u: set[int] = set()
+        while m:
+            low = m & -m
+            u.update(slots[low.bit_length() - 1])
+            m ^= low
+        u.difference_update(a)
+        b = tuple(sorted(u)) if len(u) == i + 1 else None
+        hit = self._pool[a] = (b, None if b is None else _move(a, b))
+        return hit
+
     def cofacets(self, a: Simplex) -> list[Simplex]:
         """The top-dimensional facets containing the face ``a``."""
         star, slots = self.star, self._slots
@@ -403,13 +417,10 @@ class _MoveState:
 
     @staticmethod
     def span(a: Simplex, cof: Iterable[Simplex], i: int) -> Simplex | None:
-        """B for the index-i move removing ``a``, whose i + 1 top-dimensional
-        cofacets are ``cof``, or None.
-
-        When they span i + 1 vertices B besides ``a``, they are a * F for
-        the i + 1 distinct i-subsets F of B, so the link of ``a`` in them is
-        dB; the move applies when B is no face.
-        """
+        """B for the index-i move removing ``a``, whose i + 1 top cofacets
+        are ``cof``, or None.  When they span i + 1 vertices B besides ``a``,
+        they are a * F for the i-subsets F of B, so the link of ``a`` in them
+        is dB; the move applies when B is no face."""
         b = tuple(sorted(set().union(*cof).difference(a)))
         return b if len(b) == i + 1 else None
 
@@ -424,11 +435,7 @@ class _MoveState:
                 out += sorted(self._valid[i], key=attrgetter("A"))
                 continue
             for a in sorted(self._ready[i]):
-                hit = pool.get(a)
-                if hit is None:
-                    b = self.span(a, self.cofacets(a), i)
-                    hit = pool[a] = (b, None if b is None else _move(a, b))
-                b, mv = hit
+                b, mv = pool.get(a) or self._pooled(a, i)
                 if mv is not None and not self.has_face(b):
                     out.append(mv)
         return out
@@ -806,12 +813,11 @@ def vertex_reduce(
     the move is uniform within its index.  Returns the best complex
     reached and a replay-verified certificate from the input to it.  The
     input itself is returned when no move lowers the energy, in particular
-    when no move is ever available.  With ``check_homology`` every
-    accepted move is checked to preserve the Betti vector (debugging aid,
-    slow).
+    when no move is ever available.  On a pure input both come back with
+    their f-vectors, from the state's face counts and the moves' deltas.
+    With ``check_homology`` every accepted move is checked to preserve the
+    Betti vector (debugging aid, slow).
     """
-    import math
-
     from . import homology
 
     if schedule is None:
@@ -827,6 +833,8 @@ def vertex_reduce(
         t_start = max(4.0, float(sum(deltas[1]))) if d >= 1 else 4.0
 
     state = _MoveState(M, range(1, d + 1))
+    # every face of a pure M has a top cofacet, so the counts give f(M)
+    sizes = Counter(map(len, state._cof)) if d >= 0 and M.is_pure else None
     # energies relative to the input; the best state is the first best_len
     # moves of path
     path: list[BistellarMove] = []
@@ -851,7 +859,7 @@ def vertex_reduce(
         if mv is None:
             break
         de = energy[mv.index]
-        if de <= 0 or rng.random() < math.exp(max(-de / t, -60.0)):
+        if de <= 0 or rng.random() < exp(max(-de / t, -60.0)):
             state.apply(mv)
             cur_e += de
             path.append(mv)
@@ -865,6 +873,9 @@ def vertex_reduce(
 
     rewind()
     best = state.complex() if best_len else M
+    if sizes is not None:
+        M._cache["f_vector"] = f = (*(sizes[s] for s in range(1, d + 1)), len(M.facets))
+        best._cache["f_vector"] = tuple(map(sum, zip(f, *(deltas[mv.index] for mv in path))))
     cert = MoveCertificate(M.canonical_hash(), path, best.canonical_hash())
     cert.replay(M)
     return best, cert

@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -48,6 +50,16 @@ def simplex(vertices: Iterable[int]) -> Simplex:
     return s
 
 
+def _plain_simplices(raw: list) -> list[Simplex] | None:
+    """``raw`` as sorted tuples if each entry is a nonempty list or tuple of distinct plain
+    ints >= 1, else None; types are read off every label, as a set merges 1, 1.0 and True."""
+    if set(map(type, raw)) <= {list, tuple} and set(map(type, chain.from_iterable(raw))) == {int}:
+        rows = list(map(tuple, map(sorted, raw)))
+        if all(rows) and min(map(itemgetter(0), rows)) > 0 and sum(map(len, rows)) == sum(map(len, map(set, rows))):
+            return rows
+    return None
+
+
 def _maximalize(simplices: list[Simplex]) -> tuple[Simplex, ...]:
     # Drop duplicates and any simplex inside another, necessarily a larger
     # one: only the kept larger simplices are tested, none for a pure input.
@@ -78,7 +90,8 @@ class SimplicialComplex:
         if _canonical:
             self.facets: tuple[Simplex, ...] = tuple(facets)
         else:
-            self.facets = _maximalize([simplex(f) for f in facets])
+            raw = list(facets)
+            self.facets = _maximalize(_plain_simplices(raw) or [simplex(f) for f in raw])
         self._cache: dict = {}
 
     # -- basic queries ---------------------------------------------------
@@ -99,35 +112,31 @@ class SimplicialComplex:
     @property
     def vertices(self) -> tuple[int, ...]:
         if "vertices" not in self._cache:
-            vs: set[int] = set()
-            for f in self.facets:
-                vs.update(f)
-            self._cache["vertices"] = tuple(sorted(vs))
+            self._cache["vertices"] = tuple(sorted(set(chain.from_iterable(self.facets))))
         return self._cache["vertices"]
 
-    def _faces_by_dim(self) -> list[list[Simplex]]:
-        # faces[j] = sorted list of j-dimensional faces
-        if "faces" not in self._cache:
-            d = self.dim
-            sets: list[set[Simplex]] = [set() for _ in range(d + 1)]
+    def _face_sets(self) -> list[set[Simplex]]:
+        # sets[j] = set of j-dimensional faces, the one face lattice kept
+        if "face_sets" not in self._cache:
+            sets: list[set[Simplex]] = [set() for _ in range(self.dim + 1)]
             for f in self.facets:
                 for k in range(1, len(f) + 1):
                     sets[k - 1].update(combinations(f, k))
-            self._cache["faces"] = [sorted(s) for s in sets]
             self._cache["face_sets"] = sets
-        return self._cache["faces"]
+        return self._cache["face_sets"]
 
     def faces(self, j: int) -> list[Simplex]:
-        """All j-dimensional faces in lexicographic order."""
+        """All j-dimensional faces in lexicographic order, sorted on first use."""
         if j < 0 or j > self.dim:
             return []
-        return self._faces_by_dim()[j]
+        if ("faces", j) not in self._cache:
+            self._cache["faces", j] = sorted(self._face_sets()[j])
+        return self._cache["faces", j]
 
     def face_set(self, j: int) -> set[Simplex]:
         if j < 0 or j > self.dim:
             return set()
-        self._faces_by_dim()
-        return self._cache["face_sets"][j]
+        return self._face_sets()[j]
 
     def has_face(self, face: Iterable[int]) -> bool:
         s = simplex(face)
@@ -162,7 +171,7 @@ class SimplicialComplex:
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, ..., f_d); the empty complex has the empty f-vector."""
         if "f_vector" not in self._cache:
-            self._cache["f_vector"] = tuple(len(fs) for fs in self._faces_by_dim())
+            self._cache["f_vector"] = tuple(map(len, self._face_sets()))
         return self._cache["f_vector"]
 
     def euler_characteristic(self) -> int:
@@ -223,11 +232,7 @@ class SimplicialComplex:
         if not 1 <= k <= n:
             raise ValueError(f"k must be in [1, {n}], got {k}")
         fv = self.f_vector()
-        if k - 1 >= len(fv):
-            return False
-        from math import comb
-
-        return fv[k - 1] == comb(n, k)
+        return k - 1 < len(fv) and fv[k - 1] == comb(n, k)
 
     def missing_faces(self, j: int) -> list[Simplex]:
         """j-simplices that are not faces but whose full boundary is present."""
@@ -336,7 +341,7 @@ def from_text(text: str) -> SimplicialComplex:
     Blank lines and ``#`` comments are ignored.  Malformed lines raise
     ValueError naming the 1-based line number.
     """
-    rows: list[list[int]] = []
+    rows: list[Simplex] = []
     for ln, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -346,13 +351,12 @@ def from_text(text: str) -> SimplicialComplex:
         except ValueError:
             raise ValueError(f"line {ln}: not a list of integers: {body!r}") from None
         try:
-            simplex(row)
+            rows.append(simplex(row))
         except ValueError as e:
             raise ValueError(f"line {ln}: {e}") from None
-        rows.append(row)
     if not rows:
         raise ValueError("no facets found in input")
-    return from_facets(rows)
+    return SimplicialComplex(_maximalize(rows), _canonical=True)
 
 
 def to_json(K: SimplicialComplex) -> str:

@@ -17,8 +17,10 @@ from tnt import (
     boundary_simplex,
     cross_polytope_boundary,
     cyclic_polytope_boundary,
+    from_facets,
     k_stacked_exact,
     move_fvector_delta,
+    simplicial_product,
     stacked_sphere,
     stackedness_certificate,
     stellar_subdivide,
@@ -836,3 +838,43 @@ def test_vertex_reduce_respects_schedule_budget():
     sched = AnnealSchedule(steps=5, restarts=1)
     best, cert = vertex_reduce(S, target_f0=5, schedule=sched, seed=8)
     assert len(cert.moves) <= 5
+
+
+def _face_count_oracle(K):
+    fresh = from_facets(K.facets)
+    return tuple(len(fresh.face_set(j)) for j in range(fresh.dim + 1))
+
+
+FVECTOR_INPUTS = {
+    "product": lambda: simplicial_product(boundary_simplex(3), boundary_simplex(5)),
+    "torus": lambda: simplicial_product(boundary_simplex(2), boundary_simplex(2)),
+    "stacked2": lambda: stacked_sphere(2, 9, seed=5),
+    "stacked3": lambda: stacked_sphere(3, 12, seed=4),
+    "cyclic": lambda: cyclic_polytope_boundary(4, 10),
+}
+
+
+def test_vertex_reduce_fvectors_match_face_counts():
+    # the f-vectors vertex_reduce stores on a pure input (from the move
+    # state's counts and the moves' deltas) against a fresh face lattice
+    moved = set()
+    for name, build in FVECTOR_INPUTS.items():
+        for seed in (0, 1):
+            for steps in (0, 20, 300):
+                M = from_facets(build().facets)
+                best, cert = vertex_reduce(M, schedule=AnnealSchedule(steps=steps), seed=seed)
+                assert M._cache["f_vector"] == _face_count_oracle(M), (name, seed, steps)
+                assert best._cache["f_vector"] == _face_count_oracle(best), (name, seed, steps)
+                assert best.f_vector() == _face_count_oracle(cert.replay(M))
+                moved.add(bool(cert.moves))
+    assert moved == {False, True}
+
+
+def test_vertex_reduce_non_pure_fvector():
+    S = stacked_sphere(2, 7, seed=2)
+    M = from_facets(list(S.facets) + [(1, 20), (20, 21)])
+    best, cert = vertex_reduce(M, schedule=AnnealSchedule(steps=200), seed=3)
+    assert cert.moves
+    assert "f_vector" not in M._cache and "f_vector" not in best._cache
+    assert M.f_vector() == _face_count_oracle(M) == (9, 17, 10)
+    assert best.f_vector() == _face_count_oracle(best)

@@ -1,4 +1,5 @@
 import json
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -250,4 +251,69 @@ def test_caches_do_not_leak_between_instances():
     K1 = SimplicialComplex([[1, 2, 3]])
     K2 = SimplicialComplex([[1, 2, 3]])
     K1.f_vector()
-    assert "faces" not in K2._cache or K2._cache is not K1._cache
+    assert "face_sets" in K1._cache
+    assert "face_sets" not in K2._cache and K2._cache is not K1._cache
+
+
+@pytest.mark.parametrize("first", ["f_vector", "faces"])
+def test_faces_are_the_sorted_face_sets(first):
+    # the sorted lists and the sets are one face lattice, in either call order
+    for src in (dataset("M6_16"), boundary_simplex(3), SimplicialComplex([[1, 2, 3], [3, 4], [5]])):
+        K = from_facets(src.facets)
+        if first == "f_vector":
+            fv = K.f_vector()
+        for j in range(-1, K.dim + 2):
+            assert K.faces(j) == sorted(K.face_set(j))
+        if first == "faces":
+            fv = K.f_vector()
+        assert fv == tuple(len(K.faces(j)) for j in range(K.dim + 1))
+
+
+class _Label(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+# messages as raised when every facet went through simplex() in turn
+@pytest.mark.parametrize("raw, exc, message", [
+    ([[True, 2, 3]], ValueError, "vertex labels must be positive ints, got True"),
+    ([[1, 2], [1, True]], ValueError, "vertex labels must be positive ints, got True"),
+    ([[0, 1, 2]], ValueError, "vertex labels must be positive ints, got 0"),
+    ([[-1, 2, 3]], ValueError, "vertex labels must be positive ints, got -1"),
+    ([[1.5, 2, 3]], ValueError, "vertex labels must be positive ints, got 1.5"),
+    ([[1, 2], [1.0, 3]], ValueError, "vertex labels must be positive ints, got 1.0"),
+    ([[_Label.ZERO, 2, 3]], ValueError, "vertex labels must be positive ints, got <_Label.ZERO: 0>"),
+    ([[1, 2, 2]], ValueError, "repeated label 2 in simplex (1, 2, 2)"),
+    ([[1, 2], []], ValueError, "empty simplex"),
+    ([[1, 2, 3], [2, 2, 4], [0, 5, 6]], ValueError, "repeated label 2 in simplex (2, 2, 4)"),
+    ([[1, 2], [3, -4], [1, 1]], ValueError, "vertex labels must be positive ints, got -4"),
+    ([[1, 2], (x for x in (3, 0))], ValueError, "vertex labels must be positive ints, got 0"),
+    ([[1, "a"]], TypeError, "'<' not supported between instances of 'str' and 'int'"),
+    ([[1, 2], 5], TypeError, "'int' object is not iterable"),
+])
+def test_from_facets_error_messages(raw, exc, message):
+    with pytest.raises(exc) as ei:
+        from_facets(raw)
+    assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 2 3\n0 1 2\n", "line 2: vertex labels must be positive ints, got 0"),
+    ("1 -2\n", "line 1: vertex labels must be positive ints, got -2"),
+    ("1 2 3\n2 2 4\n", "line 2: repeated label 2 in simplex (2, 2, 4)"),
+    ("1 2\nx y\n", "line 2: not a list of integers: 'x y'"),
+    ("1 2 3\n\n1 1 5\n0 2\n", "line 3: repeated label 1 in simplex (1, 1, 5)"),
+    ("# only a comment\n\n", "no facets found in input"),
+])
+def test_from_text_error_messages(text, message):
+    with pytest.raises(ValueError) as ei:
+        from_text(text)
+    assert str(ei.value) == message
+
+
+def test_accepted_labels_build_as_per_facet_simplices():
+    for raw in ([[3, 1, 2], (2, 3, 4), [1, 2], [4]], [[_Label.ONE, 2, 3], [3, 4]], [range(1, 4), {3, 4}]):
+        K = from_facets(raw)
+        assert K.facets == _maximalize([simplex(f) for f in raw])
+    assert type(from_facets([[_Label.ONE, 2, 3]]).facets[0][0]) is _Label
+    assert from_text("3 1 2\n1 2\n2 3 4\n").facets == ((1, 2, 3), (2, 3, 4))
