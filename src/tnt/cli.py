@@ -1,10 +1,12 @@
 """Command-line interface: reproducible verification pipelines.
 
 Exit codes: 0 all checks passed, 1 a check failed (report carries the
-witness), 2 usage or input parse error, 3 a search budget ran out with an
-Unknown result.  Randomized commands require an explicit --seed; reports
-embed the tool version and input hashes, and identical inputs plus seeds
-produce byte-identical JSON.
+witness), 2 a usage error or an input the command cannot take, 3 a search
+budget ran out with an Unknown result.  Commands raise ValueError; ``main``
+alone turns it, KeyError and OSError into exit 2 with one ``error:`` line on
+stderr and nothing on stdout.  Randomized commands require an explicit
+--seed; reports embed the tool version and input hashes, and identical
+inputs plus seeds produce byte-identical JSON.
 """
 from __future__ import annotations
 
@@ -40,11 +42,15 @@ def _load(path: str) -> SimplicialComplex:
     try:
         return load_complex(path)
     except OSError as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"cannot read {path}: {e}") from None
     except ValueError as e:
-        print(f"error: {path}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _seed(args, what: str) -> int:
+    if args.seed is None:
+        raise ValueError(f"--seed is required for {what}")
+    return args.seed
 
 
 def _emit(args, payload: dict, text_lines: list[str], M: SimplicialComplex | None = None) -> None:
@@ -172,17 +178,15 @@ def _suite_walkup_m3(M: SimplicialComplex, args) -> tuple[list[dict], bool]:
 
 
 def _suite_lemma34(M: SimplicialComplex, args) -> tuple[list[dict], bool]:
+    seed = _seed(args, "the lemma34 suite")
     checks: list[dict] = []
-    if args.seed is None:
-        print("error: --seed is required for the lemma34 suite", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
     d = M.dim
-    cert = stackedness_certificate(M, 1, budget=args.budget, seed=args.seed)
+    cert = stackedness_certificate(M, 1, budget=args.budget, seed=seed)
     if cert is None:
         _check(checks, "stacked_certificate", False, "unknown within budget")
         return checks, True
     _check(checks, "stacked_certificate", True, f"{len(cert.moves)} moves")
-    rng = random.Random(args.seed)
+    rng = random.Random(seed)
     verts = M.vertices
     eng = homology.engine(M)
     violations = []
@@ -203,9 +207,6 @@ _SUITES = {"m6_16": _suite_m6_16, "walkup_m3": _suite_walkup_m3, "lemma34": _sui
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in _SUITES:
-        print(f"error: unknown suite {args.suite!r}; available: {', '.join(sorted(_SUITES))}", file=sys.stderr)
-        return EXIT_USAGE
     M = _load(args.file)
     checks, unknown = _SUITES[args.suite](M, args)
     ok = all(c["ok"] for c in checks)
@@ -222,36 +223,30 @@ def cmd_verify(args) -> int:
 
 def cmd_construct(args) -> int:
     kind = args.kind
-    try:
-        if kind == "boundary-simplex":
-            M = boundary_simplex(args.d)
-        elif kind == "cross-polytope":
-            M = cross_polytope_boundary(args.d)
-        elif kind == "cyclic":
-            if args.n is None:
-                raise ValueError("cyclic needs --n")
-            M = cyclic_polytope_boundary(args.d, args.n)
-        elif kind == "stacked-sphere":
-            if args.n is None:
-                raise ValueError("stacked-sphere needs --n")
-            if args.seed is None:
-                raise ValueError("stacked-sphere needs --seed")
-            M = stacked_sphere(args.d, args.n, seed=args.seed)
-        elif kind == "kuehnel":
-            M = kuehnel_series(args.d)
-        elif kind == "dataset":
-            if not args.name:
-                raise ValueError(f"dataset needs --name (one of {', '.join(dataset_names())})")
-            M = dataset(args.name)
-        elif kind == "product":
-            if not args.factors or len(args.factors) != 2:
-                raise ValueError("product needs two --factors files")
-            M = simplicial_product(_load(args.factors[0]), _load(args.factors[1]))
-        else:
-            raise ValueError(f"unknown construction {kind!r}")
-    except (ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    if kind == "boundary-simplex":
+        M = boundary_simplex(args.d)
+    elif kind == "cross-polytope":
+        M = cross_polytope_boundary(args.d)
+    elif kind == "cyclic":
+        if args.n is None:
+            raise ValueError("cyclic needs --n")
+        M = cyclic_polytope_boundary(args.d, args.n)
+    elif kind == "stacked-sphere":
+        if args.n is None:
+            raise ValueError("stacked-sphere needs --n")
+        if args.seed is None:
+            raise ValueError("stacked-sphere needs --seed")
+        M = stacked_sphere(args.d, args.n, seed=args.seed)
+    elif kind == "kuehnel":
+        M = kuehnel_series(args.d)
+    elif kind == "dataset":
+        if not args.name:
+            raise ValueError(f"dataset needs --name (one of {', '.join(dataset_names())})")
+        M = dataset(args.name)
+    else:  # product; argparse admits no other kind
+        if not args.factors:
+            raise ValueError("product needs two --factors files")
+        M = simplicial_product(_load(args.factors[0]), _load(args.factors[1]))
     if args.out:
         save_complex(M, args.out)
         print(f"wrote {len(M.facets)} facets to {args.out}")
@@ -265,15 +260,9 @@ def cmd_construct(args) -> int:
 
 def cmd_reduce(args) -> int:
     M = _load(args.file)
-    if args.seed is None:
-        print("error: --seed is required for reduce", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        schedule = AnnealSchedule(steps=args.steps)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    best, cert = vertex_reduce(M, target_f0=args.target_f0, schedule=schedule, seed=args.seed)
+    seed = _seed(args, "reduce")
+    schedule = AnnealSchedule(steps=args.steps)
+    best, cert = vertex_reduce(M, target_f0=args.target_f0, schedule=schedule, seed=seed)
     if args.out:
         save_complex(best, args.out)
     if args.cert:
@@ -313,27 +302,18 @@ def _ambient_from_args(M: SimplicialComplex, args) -> AmbientPolytope:
         return AmbientPolytope.cross(pairs)
     # derive diagonals from the missing edges when they form a perfect matching
     missing = M.missing_faces(1)
-    seen: dict[int, int] = {}
-    for a, b in missing:
-        if a in seen or b in seen:
-            raise ValueError("missing edges do not form a perfect matching; pass --diagonals")
-        seen[a] = b
-        seen[b] = a
-    if len(seen) != len(M.vertices):
+    ends = [v for e in missing for v in e]
+    if len(set(ends)) != len(ends):
+        raise ValueError("missing edges do not form a perfect matching; pass --diagonals")
+    if len(ends) != len(M.vertices):
         raise ValueError("missing edges do not cover every vertex; pass --diagonals")
     return AmbientPolytope.cross(missing)
 
 
 def cmd_tight(args) -> int:
     M = _load(args.file)
-    try:
-        ambient = _ambient_from_args(M, args)
-        rep = morse.tightness_verify(
-            M, ambient, i_max=args.imax, ceiling=args.ceiling, sample=args.samples, seed=args.seed
-        )
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    ambient = _ambient_from_args(M, args)
+    rep = morse.tightness_verify(M, ambient, i_max=args.imax, ceiling=args.ceiling, sample=args.samples, seed=args.seed)
     if rep.tight:
         scope = "exhaustive" if rep.exhaustive else "sampled"
         lines = [f"tight ({scope}: {rep.subsets_checked} subsets, i_max {rep.i_max})"]
@@ -349,10 +329,7 @@ def cmd_tight(args) -> int:
 
 def cmd_morse(args) -> int:
     M = _load(args.file)
-    if args.seed is None:
-        print("error: --seed is required for morse", file=sys.stderr)
-        return EXIT_USAGE
-    rng = random.Random(args.seed)
+    rng = random.Random(_seed(args, "morse"))
     chi = M.euler_characteristic()
     betti = homology.betti_numbers(M).betti
     hist: dict[tuple[int, ...], int] = {}
@@ -386,14 +363,7 @@ def cmd_morse(args) -> int:
 
 def cmd_stacked(args) -> int:
     M = _load(args.file)
-    if args.seed is None:
-        print("error: --seed is required for stacked", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cert = stackedness_certificate(M, args.k, budget=args.budget, seed=args.seed)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    cert = stackedness_certificate(M, args.k, budget=args.budget, seed=_seed(args, "stacked"))
     if cert is None:
         payload = {"k": args.k, "status": "unknown", "budget": args.budget}
         _emit(args, payload, [f"unknown: no certificate within {args.budget} move attempts"], M)
@@ -409,50 +379,52 @@ def cmd_stacked(args) -> int:
 # -- bounds -------------------------------------------------------------------
 
 
+# each bound's options that have no default, by argparse dest (= flag name)
+_BOUND_NEEDS = {
+    "tight-neighborly": ("dim", "beta1"), "heawood": ("chi",), "glbc": ("dim", "k", "j", "f"),
+    "six": ("chi", "f0"), "binomial": ("f0", "dim", "beta1"), "ds6": ("f", "chi"),
+}
+
+
 def cmd_bounds(args) -> int:
-    try:
-        fv = None
-        if args.bound in ("glbc", "ds6"):
-            if args.f is None:
-                raise ValueError(f"bounds {args.bound} needs --f")
-            fv = [int(x) for x in args.f.split(",")]
-        rep = None
-        if args.bound == "tight-neighborly":
-            val = bounds.tight_neighborly_bound(args.dim, args.beta1)
-            rep = bounds.BoundsReport("tight_neighborly", {"d": args.dim, "beta1": args.beta1}, val, args.f0)
-        elif args.bound == "heawood":
-            rep = bounds.BoundsReport("heawood", {"chi": args.chi}, bounds.heawood_bound(args.chi), args.f0)
-        elif args.bound == "glbc":
-            val = bounds.glbc_bound(args.dim, args.k, args.j, fv)
-            rep = bounds.BoundsReport(
-                "glbc",
-                {"d": args.dim, "k": args.k, "j": args.j, "partial_f": fv},
-                val,
-                args.actual,
-                note="equality iff k-stacked, conditional on the generalized lower bound conjecture",
-            )
-        elif args.bound == "six":
-            val = bounds.six_manifold_bound(args.chi, args.f0, args.f1, args.two_neighborly)
-            inputs = {"chi": args.chi, "f0": args.f0, "f1": args.f1, "two_neighborly": args.two_neighborly}
-            rep = bounds.BoundsReport("six_manifold", inputs, val, args.actual)
-        elif args.bound == "binomial":
-            chk = bounds.binomial_form_check(args.f0, args.dim, args.beta1)
-            payload = {
-                "name": "binomial_form",
-                "inputs": {"f0": args.f0, "d": args.dim, "beta1": args.beta1},
-                "satisfied": chk.satisfied,
-                "equality": chk.equality,
-                "lhs": chk.lhs,
-                "rhs": chk.rhs,
-            }
-            line = f"{chk.lhs} >= {chk.rhs}: {chk.satisfied} (equality: {chk.equality})"
-        else:  # ds6
-            val = bounds.dehn_sommerville6_residual(fv, args.chi)
-            payload = {"name": "dehn_sommerville6_residual", "inputs": {"f": fv, "chi": args.chi}, "residual": val}
-            line = f"residual: {val}"
-    except (ValueError, TypeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    missing = [f"--{dest}" for dest in _BOUND_NEEDS[args.bound] if getattr(args, dest) is None]
+    if missing:
+        raise ValueError(f"bounds {args.bound} needs {' '.join(missing)}")
+    fv = [int(x) for x in args.f.split(",")] if args.bound in ("glbc", "ds6") else None
+    rep = None
+    if args.bound == "tight-neighborly":
+        val = bounds.tight_neighborly_bound(args.dim, args.beta1)
+        rep = bounds.BoundsReport("tight_neighborly", {"d": args.dim, "beta1": args.beta1}, val, args.f0)
+    elif args.bound == "heawood":
+        rep = bounds.BoundsReport("heawood", {"chi": args.chi}, bounds.heawood_bound(args.chi), args.f0)
+    elif args.bound == "glbc":
+        val = bounds.glbc_bound(args.dim, args.k, args.j, fv)
+        rep = bounds.BoundsReport(
+            "glbc",
+            {"d": args.dim, "k": args.k, "j": args.j, "partial_f": fv},
+            val,
+            args.actual,
+            note="equality iff k-stacked, conditional on the generalized lower bound conjecture",
+        )
+    elif args.bound == "six":
+        val = bounds.six_manifold_bound(args.chi, args.f0, args.f1, args.two_neighborly)
+        inputs = {"chi": args.chi, "f0": args.f0, "f1": args.f1, "two_neighborly": args.two_neighborly}
+        rep = bounds.BoundsReport("six_manifold", inputs, val, args.actual)
+    elif args.bound == "binomial":
+        chk = bounds.binomial_form_check(args.f0, args.dim, args.beta1)
+        payload = {
+            "name": "binomial_form",
+            "inputs": {"f0": args.f0, "d": args.dim, "beta1": args.beta1},
+            "satisfied": chk.satisfied,
+            "equality": chk.equality,
+            "lhs": chk.lhs,
+            "rhs": chk.rhs,
+        }
+        line = f"{chk.lhs} >= {chk.rhs}: {chk.satisfied} (equality: {chk.equality})"
+    else:  # ds6
+        val = bounds.dehn_sommerville6_residual(fv, args.chi)
+        payload = {"name": "dehn_sommerville6_residual", "inputs": {"f": fv, "chi": args.chi}, "residual": val}
+        line = f"residual: {val}"
     if rep is not None:
         payload = rep.to_json()
         line = f"{rep.name}: bound {rep.bound}"
@@ -511,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--name", default=None, help="dataset name")
     sp.add_argument("--factors", nargs=2, default=None, help="two facet files for product")
     sp.add_argument("-o", "--out", default=None)
-    common(sp, seed=True)
+    sp.add_argument("--seed", type=int, default=None, help="seed for stacked-sphere")
     sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("reduce", help="anneal toward fewer vertices")
@@ -548,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_stacked)
 
     sp = sub.add_parser("bounds", help="closed-form f-vector bounds")
-    sp.add_argument("bound", choices=["tight-neighborly", "heawood", "glbc", "six", "binomial", "ds6"])
+    sp.add_argument("bound", choices=list(_BOUND_NEEDS))
     sp.add_argument("--dim", type=int, default=None)
     sp.add_argument("--beta1", type=int, default=None)
     sp.add_argument("--chi", type=int, default=None)
@@ -566,12 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only place an exception becomes an exit code."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_PASS
+    except (ValueError, KeyError, OSError) as e:  # KeyError: an unknown dataset name
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -36,7 +36,8 @@ def simplex(vertices: Iterable[int]) -> Simplex:
     """Normalize an iterable of labels to a canonical simplex tuple.
 
     Raises ValueError on empty input, repeated labels, or labels that are
-    not positive ints.
+    not positive ints.  Labels come back as plain ints, so an ``int``
+    subclass such as an ``IntEnum`` member prints and hashes as its number.
     """
     s = tuple(sorted(vertices))
     if not s:
@@ -47,7 +48,7 @@ def simplex(vertices: Iterable[int]) -> Simplex:
     for a, b in zip(s, s[1:]):
         if a == b:
             raise ValueError(f"repeated label {a} in simplex {s}")
-    return s
+    return tuple(map(int, s))
 
 
 def _plain_simplices(raw: list) -> list[Simplex] | None:

@@ -426,6 +426,62 @@ def test_bounds_bad_f_is_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("bound", ["tight-neighborly", "heawood", "glbc", "six", "binomial", "ds6"])
+def test_bounds_without_options_names_one(bound, capsys):
+    assert run_cli(["bounds", bound]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: bounds {bound} needs --")
+
+
+# -- inputs a command cannot take --------------------------------------------------
+
+
+@pytest.fixture()
+def rejected_inputs(tmp_path):
+    files = {
+        "octa": cross_polytope_boundary(3),
+        "points": from_text("1\n2\n"),
+        "triangles": from_text("1 2 3\n4 5 6\n"),
+        "nonpure": from_text("1 2 3\n3 4\n"),
+        "stacked": stacked_sphere(3, 7, seed=1),
+    }
+    for name, K in files.items():
+        save_complex(K, str(tmp_path / f"{name}.facets"))
+    return tmp_path
+
+
+# each exited 1 with a traceback, as if a check had failed
+REJECTED = {
+    "m6_16_octahedron": ["verify", "octa.facets", "--suite", "m6_16"],
+    "m6_16_two_points": ["verify", "points.facets", "--suite", "m6_16"],
+    "m6_16_two_triangles": ["verify", "triangles.facets", "--suite", "m6_16"],
+    "walkup_m3_disconnected": ["verify", "triangles.facets", "--suite", "walkup_m3"],
+    "lemma34_zero_dim": ["verify", "points.facets", "--suite", "lemma34", "--seed", "1"],
+    "morse_nonpure": ["morse", "nonpure.facets", "--seed", "1"],
+    "construct_out_unwritable": ["construct", "kuehnel", "-o", "no_dir/out.facets"],
+    "reduce_out_unwritable": ["reduce", "octa.facets", "--seed", "1", "--steps", "10", "-o", "no_dir/out.facets"],
+    "reduce_cert_unwritable": ["reduce", "octa.facets", "--seed", "1", "--steps", "10", "--cert", "no_dir/c.json"],
+    "stacked_cert_unwritable": ["stacked", "stacked.facets", "--k", "1", "--seed", "3", "--cert", "no_dir/c.json"],
+}
+
+
+@pytest.mark.parametrize("case", REJECTED)
+def test_rejected_input_is_one_error_line(case, rejected_inputs, capsys, monkeypatch):
+    monkeypatch.chdir(rejected_inputs)
+    assert run_cli(REJECTED[case]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_rejected_input_exit_code_through_module(rejected_inputs):
+    proc = run_tree([sys.executable, "-m", "tnt", *REJECTED["m6_16_octahedron"]], rejected_inputs)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: diagonals must partition the vertex set into disjoint pairs\n"
+
+
 # -- entry points -------------------------------------------------------------------
 
 

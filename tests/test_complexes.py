@@ -274,6 +274,15 @@ class _Label(IntEnum):
     ONE = 1
 
 
+def test_int_subclass_labels_become_plain_ints():
+    K = from_facets([[_Label.ONE, 2, 3]])
+    assert all(type(v) is int for f in K.facets for v in f)
+    assert all(type(v) is int for v in simplex([_Label.ONE, 2]))
+    plain = from_facets([[1, 2, 3]])
+    assert K.canonical_hash() == plain.canonical_hash()
+    assert to_text(K) == "1 2 3\n"
+
+
 # messages as raised when every facet went through simplex() in turn
 @pytest.mark.parametrize("raw, exc, message", [
     ([[True, 2, 3]], ValueError, "vertex labels must be positive ints, got True"),
@@ -315,5 +324,4 @@ def test_accepted_labels_build_as_per_facet_simplices():
     for raw in ([[3, 1, 2], (2, 3, 4), [1, 2], [4]], [[_Label.ONE, 2, 3], [3, 4]], [range(1, 4), {3, 4}]):
         K = from_facets(raw)
         assert K.facets == _maximalize([simplex(f) for f in raw])
-    assert type(from_facets([[_Label.ONE, 2, 3]]).facets[0][0]) is _Label
     assert from_text("3 1 2\n1 2\n2 3 4\n").facets == ((1, 2, 3), (2, 3, 4))

@@ -180,6 +180,23 @@ def test_cyclic_polytope_gale_pins():
     assert betti_numbers(C).betti == (1, 0, 1)
 
 
+def _gale_all_pairs(d, n):
+    # Gale evenness as stated: every two non-elements of S have an even
+    # number of elements of S strictly between them
+    facets = []
+    for s in combinations(range(1, n + 1), d):
+        comp = [v for v in range(1, n + 1) if v not in s]
+        if all(sum(lo < x < hi for x in s) % 2 == 0 for lo, hi in combinations(comp, 2)):
+            facets.append(s)
+    return tuple(facets)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_cyclic_polytope_matches_all_pairs_gale(d):
+    for n in range(d + 1, 13):
+        assert cyclic_polytope_boundary(d, n).facets == _gale_all_pairs(d, n), (d, n)
+
+
 def test_kuehnel_series_self_validation():
     K2 = kuehnel_series(2)
     assert K2.f_vector() == (7, 21, 14)
