@@ -544,8 +544,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_PASS
-    except (ValueError, KeyError, OSError) as e:  # KeyError: an unknown dataset name
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, KeyError, OSError) as e:  # KeyError: an unknown dataset name; str() quotes it
+        print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,19 +1,22 @@
 """GF(2) simplicial homology and induced-kernel computations.
 
 Betti numbers come from boundary-matrix ranks: beta_j = f_j - rank d_j -
-rank d_{j+1}.  A per-complex :class:`ChainEngine` caches face indices,
-int boundary rows and boundary-space bases, so that vertex spans and links
-need no chain complex of their own.  A span is one int mask per dimension
-of the faces inside it, and its ranks are those of the ambient rows the
-masks pick out.  The faces holding a face s, rows masked to the faces
-holding s one dimension down, are the augmented chain complex of lk(s);
-a mu contribution keeps those holding a vertex v inside span(lower u {v}).
-Ranks are cleared top-down: the rows of faces that are pivot columns one
-dimension up are left out.
+rank d_{j+1}.  A per-complex :class:`ChainEngine` caches face indices, int
+boundary rows, boundary-space bases and cocycles, so that vertex spans and
+links need no chain complex of their own.  A span is one int mask per
+dimension of the faces inside it; its ranks are those of the ambient rows
+the masks pick out, cleared top-down: the rows of faces that are pivot
+columns one dimension up are left out.  The faces holding a face s, rows
+masked to the faces holding s one dimension down, are the augmented chain
+complex of lk(s); a mu contribution keeps those holding a vertex v inside
+span(lower u {v}).  A span's rows also carry K's cocycles as their lowest
+columns: a cycle bounds in K exactly when it pairs to zero with them, and a
+cleared row stays dependent, as it heads a boundary, which does.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Sequence
 
 from . import gf2
@@ -90,6 +93,26 @@ class ChainEngine:
         inside = [(1 << n) - 1 for n in self.f]
         return self.span_betti((inside, self._masked_ranks(inside, 0)))
 
+    @functools.cached_property
+    def cocycle_rows(self) -> list[tuple[int, list[int]]]:
+        """Per degree i, beta_i(K) and the rows of d_i (zeros for i = 0)
+        shifted up by beta_i, bit k then a face's value under the k-th cocycle
+        of an H^i(K) basis: per cycle on the faces heading no echelon row of
+        B_i (clearing), its pivot plus the pivots that even out those rows."""
+        out = []
+        for i, b in enumerate(self.betti()):
+            rows = self.boundary_rows(i) or [0] * self.f[i]
+            if b:
+                ech = gf2._pivots(self.boundary_rows(i + 1))
+                free = [c for c in range(self.f[i]) if c + 1 not in ech]
+                cycles = gf2.left_nullspace_of_words([rows[c] for c in free], self.f[i - 1] if i else 0)
+                phis = [1 << free[h - 1] for h in gf2._pivots(cycles)]
+                for p in sorted(ech):  # the rows below p keep their parity
+                    phis = [phi | ((ech[p] & phi).bit_count() & 1) << (p - 1) for phi in phis]
+                rows = [(r << b) | c for r, c in zip(rows, gf2.GF2Matrix(b, self.f[i], phis).transpose().words)]
+            out.append((b, rows))
+        return out
+
     # -- vertex-span machinery ---------------------------------------------
 
     def _vertex_faces(self):
@@ -115,15 +138,22 @@ class ChainEngine:
             m |= 1 << vpos[v]
         return m
 
-    def span_selection(self, wmask: int, jmax: int | None = None) -> tuple[list[int], list[int]]:
-        """The span of a vertex mask as ``(inside, ranks)``: its
-        :meth:`_span_masks` up to ``jmax`` (default dim) and their
-        :meth:`_masked_ranks`.  Cut at jmax below dim, the rank of
-        d_{jmax+1} is not taken, so only the Betti numbers below jmax are
-        exact.
+    def span_selection(self, wmask: int, jmax: int | None = None) -> tuple[list[int], list[int], list[int]]:
+        """The span of a vertex mask as ``(inside, ranks, image)``: its
+        :meth:`_span_masks` up to ``jmax`` (default dim), their
+        :meth:`_masked_ranks`, and the ranks of H_t(span) -> H_t(K), 0 at
+        t = 0 (:meth:`span_kernel_dim`).  Cut at jmax below dim, the rank of
+        d_{jmax+1} is not taken, so only the Betti numbers below jmax are exact.
         """
         inside = self._span_masks(wmask, self.dim if jmax is None else min(jmax, self.dim))
-        return inside, self._masked_ranks(inside, 0)
+        ranks, image, cleared = [0] * (len(inside) + 1), [0] * len(inside), 0
+        paired = self.cocycle_rows
+        for t in range(len(inside) - 1, 0, -1):
+            b, rows = paired[t]
+            piv = self.span_rank(inside[t] & ~cleared, rows, (inside[t - 1] << b) | ((1 << b) - 1))
+            cleared, image[t] = piv >> b, (piv & ((1 << b) - 1)).bit_count()
+            ranks[t] = cleared.bit_count()
+        return inside, ranks, image
 
     def _span_masks(self, wmask: int, top: int, holding: Sequence[int] = ()) -> list[int]:
         """Per dimension j from dim ``holding`` (0 when empty) up to ``top``
@@ -160,41 +190,37 @@ class ChainEngine:
         ranks = [0] * (len(inside) + 1)
         cleared = 0
         for t in range(len(inside) - 1, 0, -1):
-            cleared = self.span_rank(inside[t] & ~cleared, base + t, inside[t - 1])
+            cleared = self.span_rank(inside[t] & ~cleared, self.boundary_rows(base + t), inside[t - 1])
             ranks[t] = cleared.bit_count()
         return ranks
 
-    def span_rank(self, sel: int, j: int, cols: int) -> int:
-        """Pivot columns of the rows of d_j picked by the j-face mask ``sel``,
-        masked to the (j-1)-face mask ``cols``, as an int over the
-        (j-1)-faces; its bit count is the rank of those rows."""
-        rows = self.boundary_rows(j)
+    def span_rank(self, sel: int, rows: list[int], cols: int) -> int:
+        """Pivot columns of the ``rows`` picked by the mask ``sel``, masked to
+        ``cols``, as an int over the columns; its bit count is their rank."""
         cleared = 0
         for h in gf2._pivots([rows[c] & cols for c in gf2.bits_of(sel)]):
             cleared |= 1 << h
         return cleared >> 1
 
-    def span_betti(self, span: tuple[list[int], list[int]]) -> tuple[int, ...]:
+    def span_betti(self, span: tuple[list[int], ...]) -> tuple[int, ...]:
         """Betti numbers of a :meth:`span_selection`, or of any face masks
         with their :meth:`_masked_ranks` (empty masks give ())."""
-        inside, ranks = span
+        inside, ranks = span[0], span[1]
         return tuple(x.bit_count() - ranks[j] - ranks[j + 1] for j, x in enumerate(inside))
 
-    def span_kernel_dim(self, span: tuple[list[int], list[int]], i: int) -> int:
-        """dim ker(H_i(span) -> H_i(K)) of a :meth:`span_selection`, via the
-        masked boundary basis.
-
-        A cycle of the span bounds in K exactly when it lies in B_i(K) with
-        support inside the span's i-faces; those form the subspace of the
-        boundary space vanishing on the complementary columns.
+    def span_kernel_dim(self, span: tuple[list[int], list[int], list[int]], i: int) -> int:
+        """dim ker(H_i(span) -> H_i(K)) of a :meth:`span_selection`: b_i of
+        the span less the rank of the map.  A cycle bounds in K exactly when
+        K's cocycles pair to zero with it, so as the lowest columns of the
+        selection's rows (:attr:`cocycle_rows`) they hold the pivots that
+        count the rank, and a cleared row, heading a boundary, pairs to zero
+        too.  For i = 0 it is the number of components of K the span meets.
         """
-        inside, ranks = span
+        inside, ranks, image = span
         if i < 0 or i >= len(inside):
             return 0
-        basis = self.boundary_basis(i)
-        out_i = ((1 << self.f[i]) - 1) ^ inside[i]
-        z_cap_b = len(basis) - gf2.rank_of_words([b & out_i for b in basis], self.f[i])
-        return z_cap_b - ranks[i + 1]
+        im = image[i] if i else len(gf2._pivots(self.cocycle_rows[0][1][c] for c in gf2.bits_of(inside[0])))
+        return inside[i].bit_count() - ranks[i] - ranks[i + 1] - im
 
 
 def engine(K: SimplicialComplex) -> ChainEngine:

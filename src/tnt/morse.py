@@ -312,19 +312,13 @@ def tightness_verify(
     eng = homology.engine(M)
     jcap = min(i_max + 1, M.dim)
     checked = 0
-    for w in subsets:
-        checked += 1
+    for checked, w in enumerate(subsets, 1):
         if len(w) == 0:
             continue
         span = eng.span_selection(eng.word_of(w), jcap)
         bet = eng.span_betti(span)
-        # i = 0: the span must stay connected
-        if bet[0] > 1:
-            return TightnessReport(False, (w, 0, bet[0] - 1), checked, exhaustive, i_max, ambient.kind)
-        for i in range(1, min(i_max + 1, len(bet))):
-            if bet[i] <= 0:
-                continue
-            kd = eng.span_kernel_dim(span, i)
+        for i in range(min(i_max + 1, len(bet))):
+            kd = bet[0] - 1 if i == 0 else bet[i] and eng.span_kernel_dim(span, i)  # i = 0: M is connected
             if kd > 0:
                 return TightnessReport(False, (w, i, kd), checked, exhaustive, i_max, ambient.kind)
     total = _family_size(M, ambient) if exhaustive else checked

@@ -116,6 +116,14 @@ def test_construct_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_unknown_dataset_error_line(capsys):
+    # the KeyError's message, without the quotes str() puts around it
+    assert run_cli(["construct", "dataset", "--name", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown dataset 'nope'; available: M6_16, walkup_P, walkup_M3\n"
+
+
 def test_construct_product(tmp_path, capsys):
     f1, f2 = tmp_path / "f1.facets", tmp_path / "f2.facets"
     save_complex(boundary_simplex(2), str(f1))

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import dense_span_kernel_dim, oracle_betti, random_sphere
+from conftest import dense_span_kernel_dim, oracle_betti, packed_gf2_rank, random_sphere, span_failures
 from tnt import (
     SimplicialComplex,
     betti_numbers,
@@ -13,8 +13,10 @@ from tnt import (
     cyclic_polytope_boundary,
     dataset,
     induced_kernel_dim,
+    kuehnel_series,
     reduced_betti,
     relative_mu_contribution,
+    simplicial_product,
     stacked_sphere,
 )
 from tnt.homology import engine
@@ -294,3 +296,105 @@ def test_span_kernel_matches_dense_oracle():
             assert kd == dense_span_kernel_dim(S, w, i), (w, i)
             nonzero += kd > 0
     assert nonzero >= 6
+
+
+# -- the pairing with K's cocycles ---------------------------------------------
+
+PAIRING_FIXTURES = {
+    # beta_1 = 2
+    "torus": lambda: simplicial_product(boundary_simplex(2), boundary_simplex(2)),
+    # a tetrahedron boundary and a disjoint octahedron: beta_0 = beta_2 = 2
+    "two_spheres": lambda: SimplicialComplex(
+        list(boundary_simplex(3).facets) + [tuple(v + 4 for v in f) for f in cross_polytope_boundary(3).facets]
+    ),
+    # non-pure: a triangle with a hanging circle, a point and a separate circle
+    "nonpure": lambda: SimplicialComplex([[1, 2, 3], [3, 4], [4, 5], [3, 5], [6], [7, 8], [8, 9], [7, 9]]),
+    # non-pure and connected: a 2-sphere, a filled triangle on one of its
+    # edges and a circle through one of its vertices
+    "nonpure_sphere": lambda: SimplicialComplex(
+        list(boundary_simplex(3).facets) + [[1, 2, 5], [4, 6], [6, 7], [4, 7]]
+    ),
+    # S^2 x S^1 and the cyclic 3-sphere with a tightness witness
+    "kuehnel_3": lambda: kuehnel_series(3),
+    "cyclic_4_6": lambda: cyclic_polytope_boundary(4, 6),
+}
+
+
+def _check_pairing(K, subsets, kernel):
+    """Every degree of every subset's span, whole and cut at each jmax,
+    against ``kernel(w, i)``, an oracle's dim ker(H_i(span w) -> H_i(K))."""
+    eng = engine(K)
+    nonzero = 0
+    for w in subsets:
+        word = eng.word_of(w)
+        full = eng.span_selection(word)
+        bet = eng.span_betti(full)
+        kd = [kernel(w, i) for i in range(len(bet))]
+        for i in range(-1, K.dim + 2):
+            assert eng.span_kernel_dim(full, i) == (kd[i] if 0 <= i < len(bet) else 0), (w, i)
+        # image[t] is the rank of H_t(span) -> H_t(K)
+        assert full[2][1:] == [bet[t] - kd[t] for t in range(1, len(bet))], w
+        nonzero += sum(x > 0 for x in full[2]) + sum(x > 0 for x in kd)
+        for jmax in range(K.dim):
+            cut = eng.span_selection(word, jmax)
+            # the image is exact at every cut dimension, the kernel below it
+            assert cut[2] == full[2][: len(cut[0])], (w, jmax)
+            for i in range(min(jmax, len(cut[0]))):
+                assert eng.span_kernel_dim(cut, i) == kd[i], (w, jmax, i)
+    return nonzero
+
+
+@pytest.mark.parametrize("name", sorted(PAIRING_FIXTURES))
+def test_span_kernel_pairing_matches_dense_oracle(name):
+    K = PAIRING_FIXTURES[name]()
+    subsets = [w for r in range(len(K.vertices) + 1) for w in combinations(K.vertices, r)]
+    assert _check_pairing(K, subsets, lambda w, i: dense_span_kernel_dim(K, w, i)) > 0
+
+
+def test_span_kernel_pairing_on_a_sphere_product():
+    # S^2 x S^4 on 24 vertices: one cocycle in each even degree.  Products of
+    # vertex sets of the factors span products of spheres and simplices
+    P = simplicial_product(boundary_simplex(3), boundary_simplex(5))
+    rng = random.Random(19)
+    subsets = []
+    for a in (range(1, 5), (1, 3, 4)):
+        for b in (range(1, 7), (2, 3, 5, 6), (4,)):
+            subsets.append(tuple(sorted(6 * (u - 1) + v for u in a for v in b)))
+    # spans with a 4-cycle and a 5-cycle that bound in P
+    subsets += [(1, 2, 3, 4, 7, 8, 9, 10, 11, 12, 17, 19, 20, 21, 24)]
+    subsets += [(1, 4, 5, 6, 7, 8, 12, 13, 14, 15, 17, 20, 21, 22, 23, 24)]
+    subsets += [tuple(sorted(rng.sample(P.vertices, rng.randint(3, 16)))) for _ in range(24)]
+    fails = {(w, i): kd for w, i, kd in span_failures(P, subsets)}
+    assert {i for _, i in fails} >= {0, 1, 4, 5}
+    assert _check_pairing(P, subsets, lambda w, i: fails.get((w, i), 0)) >= 10
+
+
+COCYCLE_FIXTURES = {
+    **PAIRING_FIXTURES,
+    # S^1 x S^2: beta_1 = beta_2 = 1
+    "sphere_product": lambda: simplicial_product(boundary_simplex(2), boundary_simplex(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COCYCLE_FIXTURES))
+def test_cocycle_rows_hold_a_cohomology_basis(name):
+    K = COCYCLE_FIXTURES[name]()
+    eng = engine(K)
+    bet = oracle_betti(K)
+    for i, (b, rows) in enumerate(eng.cocycle_rows):
+        assert b == bet[i]
+        faces = K.faces(i)
+        index = {f: c for c, f in enumerate(faces)}
+        # above the lowest b bits, the rows of d_i (none for i = 0)
+        assert [r >> b for r in rows] == (eng.boundary_rows(i) if i else [0] * len(faces))
+        co = [r & ((1 << b) - 1) for r in rows]
+        # each cocycle sums to zero over the boundary of every (i+1)-face
+        for g in K.faces(i + 1) if i < K.dim else []:
+            acc = 0
+            for k in range(len(g)):
+                acc ^= co[index[g[:k] + g[k + 1 :]]]
+            assert acc == 0, (i, g)
+        # and they are independent modulo the coboundaries
+        cob = [sum(1 << c for c, f in enumerate(faces) if set(h) <= set(f)) for h in K.faces(i - 1)] if i else []
+        cocycles = [sum((x >> k & 1) << c for c, x in enumerate(co)) for k in range(b)]
+        assert packed_gf2_rank(cob + cocycles) == packed_gf2_rank(cob) + b, i

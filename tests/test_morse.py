@@ -734,3 +734,44 @@ def test_tight_neighborly_check_boundary_simplex():
     assert rep.beta1 == 0
     assert rep.bound == 5
     assert rep.equality
+
+
+# -- the source paper's theorem as a cross-check of the sweep ---------------------
+
+THEOREM_FIXTURES = {
+    **{f"kuehnel_{d}": (lambda d=d: kuehnel_series(d)) for d in (2, 3, 4, 5)},
+    **{f"simplex_{d}": (lambda d=d: boundary_simplex(d)) for d in (4, 5)},
+    "cyclic_4_6": lambda: cyclic_polytope_boundary(4, 6),
+    "cyclic_5_8": lambda: cyclic_polytope_boundary(5, 8),
+    "cross_4": lambda: cross_polytope_boundary(4),
+    "walkup_M3": lambda: dataset("walkup_M3"),
+    "walkup_P": lambda: dataset("walkup_P"),
+    "M6_16": lambda: dataset("M6_16"),
+}
+
+
+def _tight_neighborly(K):
+    """2-neighborly with every vertex link certified stacked (so in
+    Walkup's class K(d)), each read from its own code path."""
+    return K.is_k_neighborly(2) and walkup_class_membership(K, 1).certified
+
+
+def test_tight_neighborly_fixtures_sweep_tight():
+    # the source paper (arXiv 0911.5037): in dimension d >= 4, tight-neighborly
+    # triangulations are tight; the exhaustive simplex-ambient sweep must agree
+    covered = []
+    for name, make in sorted(THEOREM_FIXTURES.items()):
+        K = make()
+        if K.dim >= 4 and _tight_neighborly(K):
+            rep = tightness_verify(K, AmbientPolytope.simplex(len(K.vertices)))
+            assert rep.tight and rep.exhaustive and rep.witness is None, name
+            covered.append(name)
+    assert {"kuehnel_4", "kuehnel_5"} <= set(covered)
+
+
+def test_tight_neighborly_theorem_needs_d_at_least_4():
+    # the control: 2-neighborly with stacked links, yet of dimension 3 and not tight
+    C = cyclic_polytope_boundary(4, 6)
+    assert C.dim == 3 and _tight_neighborly(C)
+    rep = tightness_verify(C, AmbientPolytope.simplex(6))
+    assert not rep.tight and rep.witness == ((1, 3, 5), 1, 1)

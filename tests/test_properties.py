@@ -23,7 +23,7 @@ from tnt import (
 from tnt.gf2 import GF2Matrix
 from tnt.homology import engine
 
-from conftest import dense_gf2_rank, mu_contribution_oracle, oracle_betti, random_sphere
+from conftest import dense_gf2_rank, dense_span_kernel_dim, mu_contribution_oracle, oracle_betti, random_sphere
 
 facet_lists = st.lists(
     st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True),
@@ -191,7 +191,7 @@ def _check_cleared_ranks(K, rng):
     # vertex spans, cut at every jmax
     for jmax in range(d + 1):
         w = {v for v in verts if rng.random() < 0.6}
-        inside, ranks = eng.span_selection(eng.word_of(w), jmax)
+        inside, ranks, _ = eng.span_selection(eng.word_of(w), jmax)
         assert inside == _face_masks(eng, (), w, jmax)
         assert ranks == _uncleared_dense_ranks(eng, inside, 0), (w, jmax)
     # the star of a single vertex, whole and inside a random span (as the
@@ -217,6 +217,21 @@ def test_cleared_ranks_match_dense_oracle_on_spheres(seed, d):
 @given(facet_lists, st.integers(0, 10**6))
 def test_cleared_ranks_match_dense_oracle_on_small_complexes(raw, seed):
     _check_cleared_ranks(from_facets(raw), random.Random(seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(facet_lists, st.integers(0, 10**6))
+def test_span_kernels_match_dense_oracle_on_small_complexes(raw, seed):
+    # random complexes, most of them non-pure or disconnected: every degree
+    # of a random span, cut at every jmax, where the cut leaves it exact
+    K = from_facets(raw)
+    eng = engine(K)
+    rng = random.Random(seed)
+    for jmax in range(K.dim + 1):
+        w = [v for v in K.vertices if rng.random() < 0.6]
+        span = eng.span_selection(eng.word_of(w), jmax)
+        for i in range(jmax if jmax < K.dim else K.dim + 1):
+            assert eng.span_kernel_dim(span, i) == dense_span_kernel_dim(K, w, i), (w, jmax, i)
 
 
 def _check_mu_contributions(K, rng):
