@@ -276,10 +276,10 @@ def tightness_verify(
     i_max (default dim M).  Returns the first witness in (size, lex)
     order, or an exhaustive Tight verdict.
 
-    Above ``ceiling`` vertices a seeded ``sample`` of admissible subsets
-    is required and the report is labeled non-exhaustive; the ceiling is
-    checked before any subset is built, and so is i_max, which must be
-    nonnegative.
+    Above ``ceiling`` vertices a seeded ``sample`` of at least one
+    admissible subset is required and the report is labeled non-exhaustive;
+    the ceiling is checked before any subset is built, and so is i_max,
+    which must be nonnegative.  Exhaustive runs ignore ``sample``.
 
     On a closed GF(2)-homology d-manifold, W fails at degree i exactly
     when its complement fails at degree d - 1 - i (Lefschetz duality and
@@ -302,10 +302,10 @@ def tightness_verify(
         subsets = chain(_admissible_subsets(M, ambient, n // 2), _upper_half(M, ambient))
     elif exhaustive:
         subsets = _admissible_subsets(M, ambient)
-    elif sample is None or seed is None:
+    elif sample is None or seed is None or sample < 1:
         raise ValueError(
             f"vertex count {n} above enumeration ceiling {ceiling}; "
-            "pass sample= and seed= for a sampled run"
+            "pass sample= (at least 1) and seed= for a sampled run"
         )
     else:
         subsets = _sampled_subsets(M, ambient, sample, random.Random(seed))

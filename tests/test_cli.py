@@ -289,6 +289,18 @@ def test_tight_negative_imax_is_usage_error(tmp_path, capsys):
     assert out == "" and "i_max" in err
 
 
+def test_tight_zero_samples_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "M6_16.facets"
+    save_complex(dataset("M6_16"), str(path))
+    argv = ["tight", str(path), "--ambient", "cross", "--ceiling", "10", "--samples", "0", "--seed", "5", "--json"]
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: vertex count 16 above enumeration ceiling 10; pass sample= (at least 1) and seed= for a sampled run\n"
+    )
+
+
 @pytest.mark.parametrize("diagonals", ["1,2;3", "1,2;5,x"])
 def test_tight_bad_diagonals_part_named(octa_file, capsys, diagonals):
     assert run_cli(["tight", octa_file, "--ambient", "cross", "--diagonals", diagonals]) == 2

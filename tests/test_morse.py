@@ -402,6 +402,18 @@ def test_tightness_sampled_mode():
         tightness_verify(M, amb, ceiling=10)  # sampled mode needs sample+seed
 
 
+def test_sampled_run_needs_a_subset():
+    # a sampled run of no subset would be a vacuous verdict
+    M = dataset("M6_16")
+    amb = AmbientPolytope.cross(M.missing_faces(1))
+    with pytest.raises(ValueError, match=r"sample= \(at least 1\)"):
+        tightness_verify(M, amb, ceiling=10, sample=0, seed=5)
+    # an exhaustive run ignores sample
+    O = cross_polytope_boundary(3)
+    rep = tightness_verify(O, AmbientPolytope.simplex(6), sample=0, seed=5)
+    assert rep.exhaustive and rep.to_json() == tightness_verify(O, AmbientPolytope.simplex(6)).to_json()
+
+
 # -- complement duality ------------------------------------------------------------
 
 
@@ -458,6 +470,22 @@ DUALITY_FIXTURES = {
     "cross_4_simplex": lambda: (cross_polytope_boundary(4), None),
     "cross_4_cross": lambda: (cross_polytope_boundary(4), [(1, 2), (3, 4), (5, 6), (7, 8)]),
 }
+
+
+@pytest.mark.parametrize("name", sorted(DUALITY_FIXTURES))
+def test_unmasked_span_ranks_match_masked(name):
+    # a span's rows lie in the span, so span_selection ranks them whole:
+    # masked to the span one dimension down, each rank and pivot is the same
+    K = SimplicialComplex(DUALITY_FIXTURES[name]()[0].facets)
+    eng = homology.engine(K)
+    rng = random.Random(name)
+    for _ in range(30):
+        w = [v for v in K.vertices if rng.random() < rng.random()]
+        inside, ranks, _ = eng.span_selection(eng.word_of(w))
+        assert ranks == eng._masked_ranks(inside, 0), w
+        for t in range(1, len(inside)):
+            rows = eng.boundary_rows(t)
+            assert eng.span_rank(inside[t], rows) == eng.span_rank(inside[t], rows, inside[t - 1]), (w, t)
 
 
 @pytest.mark.parametrize("name", sorted(DUALITY_FIXTURES))

@@ -2,10 +2,12 @@
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnt import (
+    SimplicialComplex,
     apply_move,
     betti_numbers,
     from_facets,
@@ -20,7 +22,7 @@ from tnt import (
     to_text,
     valid_moves,
 )
-from tnt.gf2 import GF2Matrix
+from tnt.gf2 import GF2Matrix, rref_of_words
 from tnt.homology import engine
 
 from conftest import dense_gf2_rank, dense_span_kernel_dim, mu_contribution_oracle, oracle_betti, random_sphere
@@ -204,6 +206,71 @@ def _check_cleared_ranks(K, rng):
     for s in rng.sample(faces, min(6, len(faces))):
         masks = _face_masks(eng, s, verts, d)
         assert eng._masked_ranks(masks, len(s) - 1) == _uncleared_dense_ranks(eng, masks, len(s) - 1), s
+
+
+def _scattered_complex(rng, n):
+    """A non-pure, disconnected complex on n vertices with scattered labels:
+    random simplices of up to five vertices and one isolated vertex."""
+    labels = sorted(rng.sample(range(1, 4 * n), n))
+    facets = [rng.sample(labels[:-1], rng.randint(2, min(5, n - 1))) for _ in range(n)]
+    K = SimplicialComplex(facets + [[v] for v in labels])
+    assert not K.is_pure and K.connectivity() > 1
+    return K
+
+
+# The span tables take 5 vertex positions per chunk: one short chunk, one
+# full, a full one and one of a vertex, two full and one of a vertex, and
+# fourteen (the 70-vertex path too).
+@pytest.mark.parametrize("n", [4, 5, 6, 11, 70])
+def test_span_tables_match_face_lists(n):
+    rng = random.Random(n)
+    complexes = [_scattered_complex(rng, n)]
+    if n == 70:
+        complexes.append(SimplicialComplex([[i, i + 1] for i in range(1, 70)]))
+    cut = 0
+    for K in complexes:
+        eng = engine(K)
+        verts, vpos = K.vertices, eng._vertex_faces()[1]
+        spans = [set(), set(verts), {verts[-1]}, set(verts[::8])]
+        spans += [{v for v in verts if rng.random() < p} for p in (0.2, 0.5, 0.8) for _ in range(4)]
+        for w in spans:
+            # bits above the vertex positions are ignored: -1 selects every vertex
+            word = eng.word_of(w)
+            high = -1 << n if len(w) == n else rng.getrandbits(9) << n
+            for top in range(K.dim + 1):
+                masks = eng._span_masks(word, top)
+                assert masks == _face_masks(eng, (), w, top), (sorted(w), top)
+                assert eng._span_masks(word | high, top) == masks, (sorted(w), top)
+                cut += len(masks) <= top
+            # stars: the faces holding a face s, inside the span and outside it
+            faces = K.faces(rng.randrange(K.dim + 1))
+            for s in rng.sample(faces, min(2, len(faces))):
+                for u in (w, w | set(s)):
+                    holding = [vpos[v] for v in s]
+                    assert eng._span_masks(eng.word_of(u), K.dim, holding) == _face_masks(eng, s, u, K.dim), (s, u)
+    assert cut > 0  # some spans' top dimensions are empty
+
+
+@settings(max_examples=100, deadline=None)
+@given(bit_matrices, st.integers(0, 2**90 - 1), st.integers(0, 2**8 - 1), st.randoms(use_true_random=False))
+def test_span_rank_pivots_match_rref(bits, cols, sel, rnd):
+    ncols = len(bits[0])
+    rows = [sum(b << j for j, b in enumerate(r)) for r in bits]
+    sel &= (1 << len(rows)) - 1
+    picked = [r for c, r in enumerate(rows) if sel >> c & 1]
+    eng = engine(from_facets([[1]]))
+    perm = list(range(len(rows)))
+    rnd.shuffle(perm)
+    moved = [0] * len(rows)
+    for c, r in enumerate(rows):
+        moved[perm[c]] = r
+    msel = sum(1 << perm[c] for c in range(len(rows)) if sel >> c & 1)
+    for mask in (None, cols):
+        piv = rref_of_words(picked if mask is None else [r & mask for r in picked], ncols)[1]
+        got = eng.span_rank(sel, rows, mask)
+        assert got == sum(1 << h for h in piv)
+        # the same rows in another order have the same pivots
+        assert eng.span_rank(msel, moved, mask) == got
 
 
 @settings(max_examples=40, deadline=None)
