@@ -261,7 +261,13 @@ def _is_homology_manifold(K: SimplicialComplex) -> bool:
     facet must have the GF(2) Betti numbers of a sphere of its dimension:
     two points for the link of a ridge, so K is closed.  The link ranks
     are read from the boundary rows of ``engine(K)``; no link complex is
-    built.  Cached in ``K._cache``.
+    built.  An automorphism g of K maps lk(s) onto lk(gs), so one face is
+    checked per orbit: the images of each face that passes, under the at
+    most 63 automorphisms of ``symmetry._some_automorphisms`` (none above
+    32 vertices), are skipped, the search going one map further per pass.
+    Each is a true automorphism, so this holds whether or not they close
+    up into a group; and a failing face ends the check, so only passes
+    need marking.  Cached in ``K._cache``.
     """
     if "homology_manifold" not in K._cache:
         K._cache["homology_manifold"] = _homology_manifold(K)
@@ -283,14 +289,23 @@ def _homology_manifold(K: SimplicialComplex) -> bool:
     # closed homology k-manifold and b_i = b_{k-i} once it is connected.  So
     # it is a sphere (two points when k = 0) exactly when reduced b_i =
     # (i == k) for 0 <= i <= k // 2.
+    from .symmetry import _some_automorphisms  # imported here: symmetry imports engine from this module
+
+    maps: list[list[int]] = []  # automorphisms as the image bit of each vertex position
+    passed: set[int] = set()  # vertex masks of the images of faces with sphere links
     for k in range(d):
         m = d - k
         top = min(d, m + k // 2 + 1)
         for s in eng.faces[m - 1]:
-            star = eng._span_masks(-1, top, [vpos[v] for v in s])  # -1: all vertices
+            ps = [vpos[v] for v in s]
+            if sum(1 << p for p in ps) in passed:
+                continue
+            star = eng._span_masks(-1, top, ps)  # -1: all vertices
             ranks = eng._masked_ranks(star, m - 1)
             if any(star[t].bit_count() - ranks[t] - ranks[t + 1] != (t == k + 1) for t in range(1, k // 2 + 2)):
                 return False
+            maps = _some_automorphisms(K, len(maps) + 1)
+            passed.update(sum(map(g.__getitem__, ps)) for g in maps)
     return True
 
 

@@ -17,10 +17,9 @@ from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 from . import bounds as _bounds
-from . import homology
+from . import homology, symmetry
 from .bistellar import MoveCertificate, k_stacked_exact, stackedness_certificate
 from .complexes import SimplicialComplex, Simplex
-from .symmetry import find_central_involution
 
 __all__ = [
     "MuVector",
@@ -276,6 +275,19 @@ def tightness_verify(
     i_max (default dim M).  Returns the first witness in (size, lex)
     order, or an exhaustive Tight verdict.
 
+    An automorphism g of M maps (M, span W) onto (M, span gW), so W and
+    gW fail at the same degrees.  An exhaustive run marks the images of
+    each passing W of at least 3 vertices under the automorphisms of
+    ``symmetry._some_automorphisms`` (at most 63 of them, none above 32
+    vertices) and skips the marked subsets: each is a true automorphism,
+    so the marks are sound whether or not they close up into a group, and
+    they hold whether or not g preserves the ambient's family.  Only
+    passes are marked, as a failing W ends the sweep; so the first failing
+    subset is computed, and the witness and ``subsets_checked`` are the
+    unreduced sweep's.  The search goes one automorphism further per
+    pass, so a sweep that fails early searches little; sampled runs
+    search for none.
+
     Above ``ceiling`` vertices a seeded ``sample`` of at least one
     admissible subset is required and the report is labeled non-exhaustive;
     the ceiling is checked before any subset is built, and so is i_max,
@@ -310,17 +322,29 @@ def tightness_verify(
     else:
         subsets = _sampled_subsets(M, ambient, sample, random.Random(seed))
     eng = homology.engine(M)
+    vpos = eng._vertex_faces()[1]
+    maps: list[list[int]] = []  # automorphisms as the image bit of each vertex position
+    passed: set[int] = set()  # vertex masks of the images of passing subsets
     jcap = min(i_max + 1, M.dim)
     checked = 0
     for checked, w in enumerate(subsets, 1):
         if len(w) == 0:
             continue
-        span = eng.span_selection(eng.word_of(w), jcap)
+        ps = [vpos[v] for v in w]
+        wmask = sum(1 << p for p in ps)
+        if wmask in passed:
+            continue
+        span = eng.span_selection(wmask, jcap)
         bet = eng.span_betti(span)
         for i in range(min(i_max + 1, len(bet))):
             kd = bet[0] - 1 if i == 0 else bet[i] and eng.span_kernel_dim(span, i)  # i = 0: M is connected
             if kd > 0:
                 return TightnessReport(False, (w, i, kd), checked, exhaustive, i_max, ambient.kind)
+        # points and pairs cost less than their images, and a sweep that
+        # fails at a non-edge then never searches
+        if exhaustive and len(w) > 2:
+            maps = symmetry._some_automorphisms(M, len(maps) + 1)
+            passed.update(sum(map(g.__getitem__, ps)) for g in maps)
     total = _family_size(M, ambient) if exhaustive else checked
     return TightnessReport(True, None, total, exhaustive, i_max, ambient.kind)
 
@@ -412,7 +436,7 @@ def central_symmetry(M: SimplicialComplex) -> dict[int, int] | None:
     a fixed face), which drives the search.  Returns the lexicographically
     least such involution as a vertex map, or None; SearchLimitError above 32 vertices.
     """
-    return find_central_involution(M)
+    return symmetry.find_central_involution(M)
 
 
 @dataclass(slots=True, eq=False)

@@ -1,14 +1,19 @@
 """Automorphism search for labeled simplicial complexes.
 
-One backtracking search over vertex images serves both public searches.
-Its pruning: a vertex's signature, the f-vector of its link read as the
-bit counts of its star masks in ``engine(K)``, must match; and for every
-previously mapped vertex the cofacet count of the pair must be preserved.
-Complete maps are verified against the facet set before being yielded.
+One backtracking search over vertex images serves both public searches
+and the automorphisms by whose orbits tightness sweeps and the manifold
+check skip work.  Its pruning: a vertex's signature, the f-vector of its
+link read as the bit counts of its star masks in ``engine(K)``, must
+match; for every previously mapped vertex the cofacet count of the pair
+must be preserved; and a facet whose vertices are all mapped must map to
+a facet, so complete maps are automorphisms.  Signatures and pair counts
+are computed once per complex.
 """
 from __future__ import annotations
 
-from itertools import combinations
+import functools
+from itertools import combinations, islice, repeat
+from operator import xor
 
 from .complexes import SimplicialComplex
 from .errors import SearchLimitError
@@ -17,26 +22,29 @@ from .homology import engine
 __all__ = ["automorphisms", "automorphism_group_order", "is_automorphism", "find_central_involution"]
 
 _VERTEX_CAP = 32
+_SOME_MAPS = 63  # orbit sweeps mark a pass's images under at most this many maps
 
 
 def _signatures(K: SimplicialComplex):
-    """Each vertex's link f-vector: the number of j-faces holding it, j >= 1."""
-    vfaces, vpos = engine(K)._vertex_faces()
-    return {v: tuple(masks[i].bit_count() for masks in vfaces[1:]) for v, i in vpos.items()}
+    """Each vertex's link f-vector: the number of j-faces holding it, j >= 1.
+    Cached in ``K._cache``."""
+    if "vertex_signatures" not in K._cache:
+        vfaces, vpos = engine(K)._vertex_faces()
+        sig = {v: tuple(masks[i].bit_count() for masks in vfaces[1:]) for v, i in vpos.items()}
+        K._cache["vertex_signatures"] = sig
+    return K._cache["vertex_signatures"]
 
 
-def _pair_counts(K: SimplicialComplex):
-    """The cofacet count of a vertex pair, in either order; 0 when the
-    pair never shares a facet."""
-    pc: dict[tuple[int, int], int] = {}
-    for f in K.facets:
-        for a, b in combinations(f, 2):
-            pc[(a, b)] = pc.get((a, b), 0) + 1
-
-    def pair(a: int, b: int) -> int:
-        return pc.get((a, b) if a < b else (b, a), 0)
-
-    return pair
+def _pair_counts(K: SimplicialComplex) -> dict[int, dict[int, int]]:
+    """Per vertex v, the cofacet count of each pair (v, u) that shares a
+    facet.  Cached in ``K._cache``."""
+    if "pair_counts" not in K._cache:
+        pc: dict[int, dict[int, int]] = {v: {} for v in K.vertices}
+        for f in K.facets:
+            for a, b in combinations(f, 2):
+                pc[a][b] = pc[b][a] = pc[a].get(b, 0) + 1
+        K._cache["pair_counts"] = pc
+    return K._cache["pair_counts"]
 
 
 def is_automorphism(K: SimplicialComplex, perm: dict[int, int]) -> bool:
@@ -48,35 +56,109 @@ def is_automorphism(K: SimplicialComplex, perm: dict[int, int]) -> bool:
     return all(tuple(sorted(perm[v] for v in f)) in facets for f in facets)
 
 
-def _vertex_maps(K: SimplicialComplex, sig, pair, order, allowed):
+def _vertex_maps(K: SimplicialComplex, sig, pairs, order, allowed):
     """Yield every automorphism with each ``order[k]`` mapped to a vertex w
     with ``allowed(order[k], w, image)``, where ``image`` holds the vertices
     before it; images are tried in ascending order, so maps come
-    lexicographically by image tuple along ``order``."""
+    lexicographically by image tuple along ``order``.
+
+    A facet is checked once its last vertex along ``order`` is mapped, so
+    a complete map sends every facet to a facet and, being a bijection,
+    the facet set onto itself.  On a complex whose pair counts are all
+    equal, such as a 2-neighborly surface, this check is the only pruning:
+    signatures and pair counts leave all n! maps open."""
     by_sig: dict = {}
     for v in K.vertices:
         by_sig.setdefault(sig[v], []).append(v)
+    # the pair counts of order[k] with each vertex before it
+    want = [list(map(pairs[v].get, order[:k], repeat(0))) for k, v in enumerate(order)]
+    rank = {v: k for k, v in enumerate(order)}
+    closing: list[list] = [[] for _ in order]  # facets by the rank of their last vertex
+    for f in K.facets:
+        closing[max(map(rank.__getitem__, f))].append(f)
+    bit = {v: 1 << i for i, v in enumerate(K.vertices)}
+    facets = {sum(map(bit.__getitem__, f)) for f in K.facets}
     image: dict[int, int] = {}
+    image_bit: dict[int, int] = {}
     used: set[int] = set()
 
     def extend(k: int):
         if k == len(order):
-            if is_automorphism(K, image):
-                yield dict(image)
+            yield dict(image)
             return
         v = order[k]
+        before = list(map(image.__getitem__, order[:k]))
         for w in by_sig[sig[v]]:
             if w in used or not allowed(v, w, image):
                 continue
-            if any(pair(u, v) != pair(image[u], w) for u in order[:k]):
+            if list(map(pairs[w].get, before, repeat(0))) != want[k]:
                 continue
-            image[v] = w
-            used.add(w)
-            yield from extend(k + 1)
-            used.discard(w)
+            image[v], image_bit[v] = w, bit[w]
+            if all(sum(map(image_bit.__getitem__, f)) in facets for f in closing[k]):
+                used.add(w)
+                yield from extend(k + 1)
+                used.discard(w)
             del image[v]
 
     return extend(0)
+
+
+def _all_maps(K: SimplicialComplex):
+    """Every automorphism of a nonempty complex from :func:`_vertex_maps`,
+    vertices taken greedily: the one closing the most facets on those
+    before it, then the one sharing facets with the most of them, then
+    the rarest signature.  Closing facets early prunes early: once two
+    points of a Steiner triple system are mapped, so is the third."""
+    sig, pairs = _signatures(K), _pair_counts(K)
+    sig_count: dict = {}
+    for v in K.vertices:
+        sig_count[sig[v]] = sig_count.get(sig[v], 0) + 1
+    star: dict[int, list[int]] = {v: [] for v in K.vertices}
+    for i, f in enumerate(K.facets):
+        for v in f:
+            star[v].append(i)
+    left = [len(f) for f in K.facets]  # per facet, its vertices not yet ordered
+    rest = [functools.reduce(xor, f) for f in K.facets]  # their XOR: the last one when one is left
+    closes = dict.fromkeys(K.vertices, 0)  # per vertex, the facets it would close
+    for n, x in zip(left, rest):
+        if n == 1:
+            closes[x] += 1
+    shared = dict.fromkeys(K.vertices, 0)
+    remaining = list(K.vertices)
+    order: list[int] = []
+    while remaining:
+        best = max(remaining, key=lambda v: (closes[v], shared[v], -sig_count[sig[v]], -v))
+        order.append(best)
+        remaining.remove(best)
+        for u in pairs[best]:
+            shared[u] += 1
+        for i in star[best]:
+            left[i] -= 1
+            rest[i] ^= best
+            if left[i] == 1:
+                closes[rest[i]] += 1
+    return _vertex_maps(K, sig, pairs, order, lambda v, w, image: True)
+
+
+def _some_automorphisms(K: SimplicialComplex, count: int = _SOME_MAPS) -> list[list[int]]:
+    """Non-identity automorphisms in the order :func:`_all_maps` finds them,
+    each as the bit of every vertex position's image (positions in
+    ``K.vertices``): at least the first ``count`` when there are so many,
+    at most 63, and none above 32 vertices, where no search runs and
+    nothing is raised.  The search is cached in ``K._cache`` and stops at
+    the last map asked for, so a later call for more resumes it, and the
+    list returned grows with it.  Each map is checked against the facet
+    set, so any subset of them maps faces, links and spans of K onto
+    isomorphic ones: they need not close up into a group."""
+    if "some_automorphisms" not in K._cache:
+        found = iter(())
+        if 0 < len(K.vertices) <= _VERTEX_CAP:
+            bit = {v: 1 << p for p, v in enumerate(K.vertices)}
+            found = ([bit[g[v]] for v in K.vertices] for g in _all_maps(K) if any(v != w for v, w in g.items()))
+        K._cache["some_automorphisms"] = ([], islice(found, _SOME_MAPS))
+    maps, rest = K._cache["some_automorphisms"]
+    maps.extend(islice(rest, max(count - len(maps), 0)))
+    return maps
 
 
 def automorphisms(K: SimplicialComplex, order_cap: int = 10000) -> list[dict[int, int]]:
@@ -91,21 +173,8 @@ def automorphisms(K: SimplicialComplex, order_cap: int = 10000) -> list[dict[int
         return [{}]
     if n > _VERTEX_CAP:
         raise SearchLimitError(f"automorphism search supports at most {_VERTEX_CAP} vertices, got {n}")
-    sig = _signatures(K)
-    pair = _pair_counts(K)
-    # greedily by constraint to the prefix, then by signature rarity
-    sig_count: dict = {}
-    for v in verts:
-        sig_count[sig[v]] = sig_count.get(sig[v], 0) + 1
-    remaining = list(verts)
-    order: list[int] = []
-    while remaining:
-        best = max(remaining, key=lambda v: (sum(1 for u in order if pair(u, v)), -sig_count[sig[v]], -v))
-        order.append(best)
-        remaining.remove(best)
-
     found: list[dict[int, int]] = []
-    for perm in _vertex_maps(K, sig, pair, order, lambda v, w, image: True):
+    for perm in _all_maps(K):
         found.append(perm)
         if len(found) > order_cap:
             raise SearchLimitError(f"automorphism group order exceeds cap {order_cap}")

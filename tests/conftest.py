@@ -171,6 +171,12 @@ def span_failures(K: SimplicialComplex, subsets) -> list[tuple[tuple[int, ...], 
     return out
 
 
+def as_vertex_maps(K: SimplicialComplex, maps) -> list[dict[int, int]]:
+    """Automorphisms given as the image bit of each vertex position (the
+    form ``symmetry._some_automorphisms`` returns) as vertex dicts."""
+    return [{v: K.vertices[b.bit_length() - 1] for v, b in zip(K.vertices, g)} for g in maps]
+
+
 # -- move oracle ----------------------------------------------------------------
 
 

@@ -31,10 +31,10 @@ from tnt import (
     tightness_verify,
     walkup_class_membership,
 )
-from tnt import homology, morse
+from tnt import homology, morse, symmetry
 from tnt.morse import _admissible_subsets, _family_size, _sampled_subsets, _upper_half
 
-from conftest import dense_span_kernel_dim, homology_manifold_oracle, random_sphere, span_failures
+from conftest import as_vertex_maps, dense_span_kernel_dim, homology_manifold_oracle, random_sphere, span_failures
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -583,16 +583,19 @@ class _SweepSpy:
         return (1,)
 
 
-def _spy_sweep(monkeypatch, K, ambient, **kw):
+def _spy_sweep(monkeypatch, K, ambient, orbits=False, **kw):
     """Run the sweep with every span checked as tight, recording the
     subsets that reach span_selection.  Only the engine that
     ``tightness_verify`` fetches through ``morse.homology.engine`` is
     spied on, so other callers of the engine, such as the manifold
-    precondition, run unstubbed."""
+    precondition, run unstubbed.  Unless ``orbits``, the automorphism
+    search finds nothing, so no subset is skipped as an image."""
     seen = []
     spy_homology = types.SimpleNamespace(**vars(homology))
     spy_homology.engine = lambda M: _SweepSpy(homology.engine(M), seen)
     monkeypatch.setattr(morse, "homology", spy_homology)
+    if not orbits:
+        monkeypatch.setattr(symmetry, "_some_automorphisms", lambda M, count=0: [])
     rep = tightness_verify(K, ambient, **kw)
     monkeypatch.undo()
     return rep, seen
@@ -613,6 +616,23 @@ def test_non_manifolds_sweep_the_full_family(name, monkeypatch):
     assert tightness_verify(K, ambient).witness == fails[0]
 
 
+@pytest.mark.parametrize("name", sorted(NON_MANIFOLDS))
+def test_orbit_sweep_skips_only_images_of_passes(name, monkeypatch):
+    # with every span tight, a family subset is skipped only as the image,
+    # under a map of the search, of a computed subset of 3 or more vertices
+    K = NON_MANIFOLDS[name]()
+    ambient = AmbientPolytope.simplex(len(K.vertices))
+    family = _family(K, ambient)
+    rep, seen = _spy_sweep(monkeypatch, K, ambient, orbits=True)
+    maps = as_vertex_maps(K, symmetry._some_automorphisms(K))
+    assert maps and len(seen) < len(family) - 1
+    assert rep.tight and rep.subsets_checked == len(family)
+    images = {tuple(sorted(g[v] for v in w)) for w in seen if len(w) > 2 for g in maps}
+    computed = set(seen)
+    assert len(computed) == len(seen) and computed <= set(family)
+    assert all(w in images for w in family[1:] if w not in computed)
+
+
 def test_half_sweep_only_on_the_manifold_precondition(monkeypatch):
     K = SimplicialComplex(kuehnel_series(3).facets)
     n = len(K.vertices)
@@ -631,6 +651,40 @@ def test_half_sweep_only_on_the_manifold_precondition(monkeypatch):
     rep, seen = _spy_sweep(monkeypatch, M, amb, ceiling=10, sample=40, seed=5)
     assert seen == _sampled_subsets(M, amb, 40, random.Random(5)) and not rep.exhaustive
     assert any(2 * len(w) > len(M.vertices) for w in seen)
+
+
+def test_sampled_sweeps_search_no_automorphisms(monkeypatch):
+    def refuse(M):
+        raise AssertionError("searched for automorphisms")
+
+    monkeypatch.setattr(symmetry, "_some_automorphisms", refuse)
+    G = SimplicialComplex(combinations(range(1, 37), 2))  # every span is connected
+    rep = tightness_verify(G, AmbientPolytope.simplex(36), sample=300, seed=1)
+    assert rep.tight and not rep.exhaustive and rep.subsets_checked == 300
+    M = SimplicialComplex(dataset("M6_16").facets)
+    rep = tightness_verify(M, AmbientPolytope.cross(M.missing_faces(1)), ceiling=15, sample=50, seed=2)
+    assert not rep.exhaustive and rep.tight
+
+
+def test_early_failures_search_little():
+    # (1, 3, 5) fails after at most five passing triples, each taking one
+    # more automorphism of the 71; a non-edge fails before any search
+    C = SimplicialComplex(cyclic_polytope_boundary(4, 6).facets)
+    assert tightness_verify(C, AmbientPolytope.simplex(6)).witness == ((1, 3, 5), 1, 1)
+    assert 1 <= len(C._cache["some_automorphisms"][0]) <= 5
+    X = SimplicialComplex(cross_polytope_boundary(4).facets)
+    assert tightness_verify(X, AmbientPolytope.simplex(8)).witness == ((1, 2), 0, 1)
+    assert "some_automorphisms" not in X._cache
+
+
+def test_huge_group_sweep_is_unreduced(monkeypatch):
+    # boundary_simplex(8) has 9! automorphisms: 63 of them mark images
+    B = SimplicialComplex(boundary_simplex(8).facets)
+    rep = tightness_verify(B, AmbientPolytope.simplex(9))
+    assert len(symmetry._some_automorphisms(B)) == 63
+    assert rep.tight and rep.subsets_checked == 2**9
+    monkeypatch.setattr(symmetry, "_some_automorphisms", lambda M, count=0: [])
+    assert tightness_verify(SimplicialComplex(B.facets), AmbientPolytope.simplex(9)).to_json() == rep.to_json()
 
 
 def _precondition_others():
@@ -671,6 +725,73 @@ def test_homology_manifold_matches_oracle_on_fixtures():
     for K in complexes:
         K = SimplicialComplex(K.facets)
         assert homology._is_homology_manifold(K) == homology_manifold_oracle(K), K
+
+
+def _non_edge_matching(K):
+    """Diagonals of a cross ambient for K: a perfect matching of its
+    vertices by non-edges, or None when there is none."""
+    edges = K.face_set(1)
+
+    def match(rest):
+        if not rest:
+            return []
+        for b in rest[1:]:
+            if (rest[0], b) not in edges:
+                m = match([v for v in rest[1:] if v != b])
+                if m is not None:
+                    return [(rest[0], b), *m]
+        return None
+
+    return match(list(K.vertices))
+
+
+ORBIT_FIXTURES = {
+    **{name: lambda f=f: f()[0] for name, f in DUALITY_FIXTURES.items() if name != "cross_4_cross"},
+    **NON_MANIFOLDS,
+    "kuehnel_4_relabelled": lambda: _relabel(kuehnel_series(4), random.Random(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_FIXTURES))
+def test_orbit_sweep_matches_unreduced_sweep_and_oracle(name, monkeypatch):
+    # at every i_max and on both ambients where K has a cross ambient, the
+    # sweep that skips images under automorphisms reports what the sweep
+    # without them and the oracle's full sweep report
+    K = SimplicialComplex(ORBIT_FIXTURES[name]().facets)
+    maps = as_vertex_maps(K, symmetry._some_automorphisms(K))
+    diagonals = _non_edge_matching(K)
+    ambients = [AmbientPolytope.simplex(len(K.vertices))]
+    ambients += [AmbientPolytope.cross(diagonals)] if diagonals else []
+    assert bool(diagonals) == (name in ("cross_4_simplex", "suspended_triangles"))
+    for ambient in ambients:
+        family = _family(K, ambient)
+        fails = span_failures(K, family)
+        if ambient.kind == "simplex":  # each map permutes the failures
+            assert maps
+            for g in maps:
+                assert {(tuple(sorted(g[v] for v in w)), i, kd) for w, i, kd in fails} == set(fails)
+        for i_max in range(K.dim + 1):
+            cut = [f for f in fails if f[1] <= i_max]
+            expect = (False, cut[0], family.index(cut[0][0]) + 1) if cut else (True, None, len(family))
+            rep = tightness_verify(K, ambient, i_max=i_max)
+            with monkeypatch.context() as m:
+                m.setattr(symmetry, "_some_automorphisms", lambda M, count=0: [])
+                unreduced = tightness_verify(SimplicialComplex(K.facets), ambient, i_max=i_max)
+            assert (rep.tight, rep.witness, rep.subsets_checked) == expect, (ambient.kind, i_max)
+            assert rep.to_json() == unreduced.to_json()
+
+
+def test_orbit_manifold_check_matches_oracle(monkeypatch):
+    # symmetric non-manifolds: one face per orbit finds the bad link
+    complexes = [NON_MANIFOLDS[name]() for name in sorted(NON_MANIFOLDS)]
+    complexes += [_suspension(kuehnel_series(3), 10, 11), _suspension(cross_polytope_boundary(3), 7, 8)]
+    for K in complexes:
+        K = SimplicialComplex(K.facets)
+        assert symmetry._some_automorphisms(K)
+        with monkeypatch.context() as m:
+            m.setattr(symmetry, "_some_automorphisms", lambda M, count=0: [])
+            unreduced = homology._homology_manifold(K)
+        assert homology._homology_manifold(K) == unreduced == homology_manifold_oracle(K), K
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
-from conftest import random_sphere
+from conftest import as_vertex_maps, random_sphere
 from tnt import (
     SimplicialComplex,
     automorphism_group_order,
@@ -15,8 +20,11 @@ from tnt import (
     dataset,
     find_central_involution,
     is_automorphism,
+    kuehnel_series,
+    stacked_sphere,
 )
 from tnt.errors import SearchLimitError
+from tnt.symmetry import _pair_counts, _signatures, _some_automorphisms
 
 
 def test_path_graph_automorphisms():
@@ -153,6 +161,46 @@ def test_searches_match_brute_force_oracle():
     assert checked >= 20
 
 
+def _cyclic_triples(n, blocks):
+    return SimplicialComplex([sorted((i + a) % n + 1 for a in b) for b in blocks for i in range(n)])
+
+
+def test_searches_prune_by_facets():
+    # every permutation of the Fano plane or the 7-vertex torus keeps each
+    # signature and pair count, so only the facets tell automorphisms apart
+    for K, order in ((_cyclic_triples(7, [(0, 1, 3)]), 168), (kuehnel_series(2), 42)):
+        auts, _ = _brute_force(K)
+        assert automorphisms(K) == auts and len(auts) == order
+
+
+STEINER_13 = textwrap.dedent(
+    """
+    import time
+    from tnt import AmbientPolytope, SimplicialComplex, automorphism_group_order, tightness_verify
+
+    # the cyclic Steiner triple system on 13 points: each pair in one triple
+    K = SimplicialComplex([sorted((i + a) % 13 + 1 for a in b) for b in ((0, 1, 4), (0, 2, 7)) for i in range(13)])
+    start = time.perf_counter()
+    assert automorphism_group_order(K) == 39
+    assert tightness_verify(SimplicialComplex(K.facets), AmbientPolytope.simplex(13)).tight
+    assert time.perf_counter() - start < 10
+    print("ok")
+    """
+)
+
+
+def test_uniform_pair_counts_search_is_not_factorial():
+    # with pair counts alone the search had 13! leaves; sweeps search too
+    proc = subprocess.run(
+        [sys.executable, "-c", STEINER_13],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
 def test_central_involution_key_order_pinned():
     C4 = SimplicialComplex([[1, 2], [2, 3], [3, 4], [4, 1]])
     assert list(find_central_involution(C4).items()) == [(1, 3), (3, 1), (2, 4), (4, 2)]
@@ -178,3 +226,54 @@ def test_symmetry_builds_no_link_complexes():
     automorphisms(M)
     find_central_involution(M)
     assert not [key for key in M._cache if isinstance(key, tuple) and key[0] == "link"]
+
+
+def test_some_automorphisms_are_true_and_bounded():
+    groups = {
+        boundary_simplex(8): None,  # order 9!
+        cross_polytope_boundary(5): None,  # order 3840
+        cyclic_polytope_boundary(6, 12): 24,
+        kuehnel_series(5): 26,
+        dataset("M6_16"): 2,
+        stacked_sphere(3, 12, seed=0): 1,
+        _cycle(32): 64,
+    }
+    for K, order in groups.items():
+        K = SimplicialComplex(K.facets)
+        maps = as_vertex_maps(K, _some_automorphisms(K))
+        assert all(is_automorphism(K, g) for g in maps)
+        assert all(any(v != w for v, w in g.items()) for g in maps)
+        keys = {tuple(g[v] for v in K.vertices) for g in maps}
+        assert len(keys) == len(maps) == min(63, (order or 10**6) - 1)
+        if order is not None:  # the whole group but the identity
+            assert keys == {tuple(g[v] for v in K.vertices) for g in automorphisms(K)[1:]}
+        assert _some_automorphisms(K) is _some_automorphisms(K, 1)  # cached
+
+
+def test_some_automorphisms_resume_the_search():
+    K = SimplicialComplex(cross_polytope_boundary(5).facets)
+    first = list(_some_automorphisms(K, 1))
+    maps = _some_automorphisms(K, 10)
+    assert len(first) == 1 and len(maps) == 10 and maps[0] == first[0]
+    assert _some_automorphisms(K) is maps and len(maps) == 63  # the same list, grown
+    assert _some_automorphisms(K, 1000) is maps and len(maps) == 63
+    assert _some_automorphisms(SimplicialComplex(K.facets)) == maps
+
+
+def test_some_automorphisms_never_search_above_the_cap():
+    for n in (33, 400):
+        K = _cycle(n)
+        start = time.perf_counter()
+        assert _some_automorphisms(K) == []
+        assert time.perf_counter() - start < 1.0
+        assert "pair_counts" not in K._cache
+    assert _some_automorphisms(SimplicialComplex()) == []
+
+
+def test_searches_share_their_inputs():
+    M = SimplicialComplex(dataset("M6_16").facets)
+    find_central_involution(M)
+    sig, pairs = _signatures(M), _pair_counts(M)
+    assert len(automorphisms(M)) == 2
+    assert _signatures(M) is sig and _pair_counts(M) is pairs
+    assert pairs[1] == {u: n for u, n in pairs[1].items() if n} and 2 not in pairs[1]  # 1, 2 a diagonal
