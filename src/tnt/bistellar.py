@@ -136,44 +136,57 @@ class _MoveState:
     """The one mutable complex of a move search, updated move by move.
 
     A move changes only the star of A u B, so applying it swaps d + 2
-    facets and touches only their faces, as in the BISTELLAR program of
-    Bjoerner and Lutz (Exp. Math. 9, 2000) and simpcomp's SCReduceComplex
-    (Effenberger and Spreer).  ``facets`` maps each facet to its slot in
-    ``_slots`` (free slots hold None and are listed in ``_free``).  A
-    vertex star is an int with bit j set when the facet in slot j contains
-    the vertex, and ``_low`` masks the slots of lower-dimensional facets,
-    so the AND of a face's vertex stars holds its facets and, without
-    ``_low``, its top-dimensional cofacets.  For each index i the state was
-    built for, ``_cof`` counts the top cofacets of each face of size
-    d - i + 1 that has one, and the ready set holds the faces with exactly
-    i + 1 of them; a swapped facet changes the count of each of its subfaces by
-    one.  Only a ready face can make a move, so cofacets are decoded only
-    for those: where a face is pooled and in :meth:`probe`.  Only valid
-    moves may be applied.  A valid move never swallows a lower-dimensional
-    facet: one inside dA * B would contain B, which is no face.
+    facets and touches only the faces inside U = A u B, as in the BISTELLAR
+    program of Bjoerner and Lutz (Exp. Math. 9, 2000) and simpcomp's
+    SCReduceComplex (Effenberger and Spreer).  ``facets`` maps each facet
+    to its slot in ``_slots`` (free slots hold None and are listed in
+    ``_free``).  A vertex star is an int with bit j set when the facet in
+    slot j contains the vertex, and ``_low`` masks the slots of
+    lower-dimensional facets, so the AND of a face's vertex stars holds its
+    facets and, without ``_low``, its top-dimensional cofacets.  For each
+    index i the state was built for, ``_cof`` counts the top cofacets of
+    each face of size d - i + 1 that has one, and the ready set holds the
+    faces with exactly i + 1 of them.  Only a ready face can make a move,
+    so cofacets are decoded only for those: where a face is pooled and in
+    :meth:`probe`.  The pool caches, per ready face A, the :meth:`span` B
+    and the move (A, B), which depend only on the cofacets of A.  Only
+    valid moves may be applied.  A valid move never swallows a
+    lower-dimensional facet: one inside dA * B would contain B, which is no
+    face; so every facet it swaps is top-dimensional.
 
-    The pool caches, per ready face A, the :meth:`span` B and the move
-    (A, B).  They depend only on the cofacets of A, so the entry is dropped
-    only where A leaves the ready set, and a pooled A leaves it only by
-    losing a cofacet: :meth:`apply` removes facets before it adds any, and
-    a face gaining a cofacet in a move either lost one earlier in it or
-    contains B, which was no face before.
+    A state built for fewer indices, as the stackedness search and a
+    filtered :func:`valid_moves` build, fills the pool lazily and looks up
+    whether B is a face anew on each :meth:`moves` call.  Its :meth:`apply`
+    swaps the facets in the slots and stars, then recounts each face of an
+    indexed size inside U once, from the AND of its vertex stars, and sets
+    its ready membership.  A face outside U lies in no swapped facet.  A
+    face inside U has at most d + 1 < |U| vertices, so it misses some x in
+    U and loses the cofacet U - x (x in B) or gains it (x in A): its pool
+    entry goes even when its count comes back unchanged.  That is
+    C(d + 2, s) recounts per size s, where stepping the subfaces of every
+    swapped facet makes (d + 2) C(d + 1, s) updates.
 
     A state built for every index 1..d keeps the pool full and the valid
     moves of each index current, as BISTELLAR keeps its move lists: a list
     per index with the position of each A, and the ready faces A wanting
-    each B.  B is a face of size 2..d + 1, so it starts or stops being one
+    each B.  Its :meth:`apply` steps the subfaces of each swapped facet in
+    :meth:`_remove` and :meth:`_add`, one count at a time, since
+    :meth:`draw` picks a move by its position in these lists and that
+    position follows the order in which the counts cross the thresholds
+    there; the seeded anneals of :func:`vertex_reduce` reproduce that
+    order.  B is a face of size 2..d + 1, so it starts or stops being one
     exactly where its count appears or vanishes, or where it is added or
     removed as a facet; :meth:`_add` and :meth:`_remove` re-mark the moves
     wanting it there and drop those of the faces leaving the ready set.  A
-    face entering the ready set is settled once :meth:`apply` has swapped
-    all the facets of the move, since its cofacets, hence its B, are only
-    final then.  :meth:`draw` samples from these lists.  A state built for
-    fewer indices, as the stackedness search builds, fills the pool lazily
-    and looks up whether B is a face anew on each :meth:`moves` call.
+    pool entry goes only where A leaves the ready set, and a pooled A
+    leaves it only by losing a cofacet: :meth:`apply` removes facets before
+    it adds any, and a face gaining a cofacet in a move either lost one
+    earlier in it or contains B, which was no face before.  A face entering
+    the ready set is settled once :meth:`apply` has swapped all the facets
+    of the move, since its cofacets, hence its B, are only final then.
 
     :meth:`probe` counts the index-d moves after a move without applying
-    it.  With U = A u B the move removes R = {U - w : w in B} and adds
+    it.  The move removes R = {U - w : w in B} and adds
     N = {U - v : v in A}.  The B of a vertex has d + 1 labels, so it is a
     face after the move exactly when it is in N, or a facet now and not in
     R.  A vertex outside U keeps its cofacets, so only its cached B needs
@@ -346,13 +359,55 @@ class _MoveState:
         return union, [opposite[w] for w in move.B], [opposite[v] for v in move.A]
 
     def apply(self, move: BistellarMove) -> None:
-        _, removed, added = self._sides(move)
+        union, removed, added = self._sides(move)
+        if self._valid is not None:
+            for f in removed:
+                self._remove(f)
+            for f in added:
+                self._add(f)
+            if self._fresh:
+                self._settle()
+            return
+        # every swapped facet is top-dimensional, so _low stays
+        facets, slots, free, star = self.facets, self._slots, self._free, self.star
         for f in removed:
-            self._remove(f)
+            j = facets.pop(f)
+            slots[j] = None
+            free.append(j)
+            bit = 1 << j
+            for v in f:
+                if star[v] == bit:
+                    del star[v]
+                else:
+                    star[v] ^= bit
         for f in added:
-            self._add(f)
-        if self._fresh:
-            self._settle()
+            if not free:
+                free.append(len(slots))
+                slots.append(None)
+            j = facets[f] = free.pop()
+            slots[j] = f
+            bit = 1 << j
+            for v in f:
+                star[v] = star.get(v, 0) | bit
+        top = ~self._low
+        tops = {v: star.get(v, 0) & top for v in union}
+        d, cofs, pool = self.d, self._cof, self._pool
+        for i in self.indices:
+            ready = self._ready[i]
+            for a in combinations(union, d - i + 1):
+                m = -1
+                for v in a:
+                    m &= tops[v]
+                n = m.bit_count()
+                if n:
+                    cofs[a] = n
+                else:
+                    cofs.pop(a, None)
+                if n == i + 1:
+                    ready.add(a)
+                else:
+                    ready.discard(a)
+                pool.pop(a, None)
 
     def probe(self, move: BistellarMove) -> int:
         """The number of index-d moves after ``move``, leaving the state
@@ -550,10 +605,13 @@ def stackedness_certificate(
     :func:`_removals_can_reach_simplex`) it comes back before any search.
     The budget counts the moves the search takes, and each lookahead probe
     costs one unit although it applies nothing; undoing the moves at a
-    restart costs nothing.  Greedy policy: always take an index-d move when
-    one exists (it deletes a vertex); otherwise probe the lower allowed
-    indices and pick a move maximizing the number of index-d moves
-    available afterwards, breaking ties with the seeded generator.
+    restart costs nothing.  Reaching the simplex boundary is checked before
+    the budget, so S = dSimplex certifies with no moves at budget 0, as
+    does a run whose last affordable move reaches it.  Greedy policy:
+    always take an index-d move when one exists (it deletes a vertex);
+    otherwise probe the lower allowed indices and pick a move maximizing
+    the number of index-d moves available afterwards, breaking ties with
+    the seeded generator.
     """
     d = S.dim
     if d < 1:
@@ -571,15 +629,17 @@ def stackedness_certificate(
     # i >= d - k + 1 >= (d + 1) / 2 changes the facet count by d - 2i < 0,
     # so no run comes back to a complex it has been at
     moves: list[BistellarMove] = []
-    while spent < budget:
+    while True:
         # a restart undoes the moves instead of rebuilding the state
         while moves:
             state.apply(moves.pop().inverse())
-        while spent < budget:
+        while True:
             if state.is_boundary_simplex():
                 cert = MoveCertificate(S.canonical_hash(), moves, state.complex().canonical_hash())
                 cert.replay(S)
                 return cert
+            if spent >= budget:
+                return None
             tops = state.moves([d])
             if tops:
                 picked = rng.choice(tops)
@@ -609,7 +669,6 @@ def stackedness_certificate(
             state.apply(picked)
             moves.append(picked)
             spent += 1
-    return None
 
 
 def _removals_can_reach_simplex(S: SimplicialComplex) -> bool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from itertools import combinations
 from operator import and_
 from typing import Sequence
 
@@ -59,8 +60,10 @@ class ChainEngine:
     """Chain-level view of a complex: face indices and int boundary rows.
 
     ``boundary_rows(j)`` has one int per j-face, bit c set for each
-    (j-1)-face c in its boundary; boundary-space bases are cached.  Use
-    :func:`engine` to get the per-complex cached instance.
+    (j-1)-face c in its boundary; boundary-space bases are cached.  No int
+    is built up bit by bit: a row is a sum of distinct powers of two, and
+    a vertex-face mask is parsed by ``int`` from one string of digits
+    per vertex.  Use :func:`engine` to get the per-complex cached instance.
     """
 
     def __init__(self, K: SimplicialComplex):
@@ -76,15 +79,13 @@ class ChainEngine:
         self._bbasis: dict[int, list[int]] = {}
 
     def boundary_rows(self, j: int) -> list[int]:
-        """Rows of d_j, one int per j-face over (j-1)-face columns."""
+        """Rows of d_j, one int per j-face over (j-1)-face columns: the sum
+        of 1 << c over the indices c of the face's j-vertex subfaces."""
         if j < 1 or j > self.dim:
             return []
         if self.brows[j] is None:
-            lower = self.index[j - 1]
-            self.brows[j] = [
-                sum(1 << lower[face[:k] + face[k + 1 :]] for k in range(len(face)))
-                for face in self.faces[j]
-            ]
+            lower = self.index[j - 1].__getitem__
+            self.brows[j] = [sum(map((1).__lshift__, map(lower, combinations(face, j)))) for face in self.faces[j]]
         return self.brows[j]
 
     def boundary_basis(self, i: int) -> list[int]:
@@ -121,18 +122,20 @@ class ChainEngine:
     # -- vertex-span machinery ---------------------------------------------
 
     def _vertex_faces(self):
-        """Per dimension and vertex position, the int of faces holding it."""
+        """Per dimension and vertex position, the int of faces holding it,
+        parsed from a bytearray of b"0" with b"1" at the faces holding the
+        vertex, the last face first (most significant digit)."""
         if self._vfaces is None:
-            vpos = {v: i for i, v in enumerate(self.K.vertices)}
+            verts = self.K.vertices
             vfaces = []
             for fs in self.faces:
-                masks = [0] * len(vpos)
-                for i, face in enumerate(fs):
+                digits = {v: bytearray(b"0") * len(fs) for v in verts}
+                for p, face in enumerate(reversed(fs)):
                     for v in face:
-                        masks[vpos[v]] |= 1 << i
-                vfaces.append(masks)
+                        digits[v][p] = 49  # b"1"
+                vfaces.append([int(digits[v], 2) for v in verts])
             self._vfaces = vfaces
-            self._vpos = vpos
+            self._vpos = {v: i for i, v in enumerate(verts)}
         return self._vfaces, self._vpos
 
     def word_of(self, w) -> int:

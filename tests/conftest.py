@@ -199,6 +199,20 @@ def dense_valid_moves(K: SimplicialComplex, indices) -> list[tuple[int, tuple, t
     return out
 
 
+def plain_boundary_rows(K: SimplicialComplex) -> tuple[list[list[int]], list[list[int]]]:
+    """Per dimension j, the boundary rows of d_j over the (j-1)-faces (none
+    for j = 0), each face minus one vertex looked up in a dict over
+    ``K.faces(j - 1)``, and per vertex of ``K.vertices`` the int of the
+    j-faces holding it, by testing every j-face."""
+    rows, masks = [], []
+    for j in range(K.dim + 1):
+        faces = K.faces(j)
+        index = {f: c for c, f in enumerate(K.faces(j - 1))} if j else {}
+        rows.append([sum(2 ** index[f[:k] + f[k + 1 :]] for k in range(len(f))) for f in faces] if j else [])
+        masks.append([sum(2 ** c for c, f in enumerate(faces) if v in f) for v in K.vertices])
+    return rows, masks
+
+
 def top_cofacet_scan(K: SimplicialComplex, sizes) -> dict[tuple, set[tuple]]:
     """Every face of K of the given sizes, with the top-dimensional facets
     whose vertex set contains it, by a plain scan over the facets."""

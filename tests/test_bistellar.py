@@ -182,9 +182,12 @@ def _decoded_stars(state):
 
 def _check_state(state, K):
     """The slots hold exactly K's facets, each free slot is listed once,
-    the stars and the lower-facet mask decode to K's, and every face of an
+    the stars and the lower-facet mask decode to K's, every face of an
     indexed size has the count and the decoded cofacets of a plain scan
-    over K's top facets (a face with none has no count)."""
+    over K's top facets (a face with none has no count), the ready set of
+    index i holds exactly the faces with i + 1 of them, and every pool
+    entry is a ready face with the B and the move its scanned cofacets
+    give, so a B left stale by a move shows at once."""
     d = K.dim
     assert set(state.facets) == set(K.facets)
     assert all(state._slots[j] == f for f, j in state.facets.items())
@@ -196,6 +199,15 @@ def _check_state(state, K):
     for a, cof in scan.items():
         got = state.cofacets(a)
         assert len(got) == len(cof) and set(got) == cof, a
+    assert state._ready == {
+        i: {a for a, cof in scan.items() if len(a) == d - i + 1 and len(cof) == i + 1} for i in state.indices
+    }
+    for a, (b, mv) in state._pool.items():
+        i = d + 1 - len(a)
+        assert a in state._ready[i], a
+        span = tuple(sorted(set().union(*scan[a]).difference(a)))
+        want = span if len(span) == i + 1 else None
+        assert (b, mv) == (want, None if want is None else BistellarMove(a, want)), a
 
 
 def _check_has_face(state, K, rng):
@@ -270,6 +282,30 @@ def test_move_pool_stays_current_over_move_runs(seed, d, all_indices):
                 _check_valid_sets(state, after)
                 _check_state(state, after)
             K = after
+    assert state.complex() == K
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_restricted_state_walk_on_5_spheres(seed):
+    # the state of a k = 3 search on a 5-sphere, built for indices 3..5:
+    # many faces of size 3 inside U = A u B lose as many cofacets in a move
+    # as they gain (two vertices of A and one of B under an index-2 move),
+    # and the recount must give them back their count and ready membership;
+    # moves() pools every ready face before each move, so a pool entry that
+    # outlives its cofacets would show
+    rng = random.Random(seed)
+    K = random_sphere(rng, d=5, walk=4)
+    built = range(3, 6)
+    state = _MoveState(K, built)
+    assert state._valid is None
+    for _ in range(8):
+        assert _triples(state.moves()) == dense_valid_moves(K, built)
+        mv = _walk_move(K, rng)
+        after = apply_move(K, mv)
+        state.apply(mv)
+        _check_state(state, after)
+        K = after
     assert state.complex() == K
 
 
@@ -725,6 +761,23 @@ def test_boundary_simplex_certificate_trivial():
     B = boundary_simplex(4)
     cert = stackedness_certificate(B, 1, budget=100, seed=0)
     assert cert is not None and cert.moves == ()
+
+
+def test_reaching_the_boundary_simplex_needs_no_budget_left():
+    # the boundary is checked before the budget: dSimplex certifies at
+    # budget 0 for every allowed k, and a k = 1 search on a stacked sphere
+    # with m removals to make certifies at budget m, not m + 1
+    for d in range(2, 7):
+        B = boundary_simplex(d)
+        for k in range(1, d // 2 + 1):
+            cert = stackedness_certificate(B, k, budget=0, seed=0)
+            assert cert is not None and cert.moves == (), (d, k)
+    for d, n in ((2, 6), (3, 7), (4, 9)):
+        S = stacked_sphere(d, n, seed=1)
+        m = n - d - 2
+        cert = stackedness_certificate(S, 1, budget=m, seed=0)
+        assert cert is not None and len(cert.moves) == m and is_boundary_simplex(cert.replay(S))
+        assert stackedness_certificate(S, 1, budget=m - 1, seed=0) is None
 
 
 def test_k_stacked_exact_octahedron():

@@ -354,6 +354,15 @@ def test_stacked_unknown_exit(octa_file, capsys):
     assert payload["status"] == "unknown"
 
 
+def test_stacked_boundary_simplex_at_budget_zero(tmp_path, capsys):
+    # no move is needed, so no budget is either
+    src = tmp_path / "simplex.facets"
+    save_complex(boundary_simplex(4), str(src))
+    assert run_cli(["stacked", str(src), "--k", "1", "--budget", "0", "--seed", "3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["moves"]) == ("certified", 0)
+
+
 def test_stacked_bad_k(octa_file, capsys):
     assert run_cli(["stacked", octa_file, "--k", "0", "--seed", "3"]) == 2
     capsys.readouterr()

@@ -3,7 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import dense_span_kernel_dim, oracle_betti, packed_gf2_rank, random_sphere, span_failures
+from conftest import (
+    dense_span_kernel_dim,
+    oracle_betti,
+    packed_gf2_rank,
+    plain_boundary_rows,
+    random_sphere,
+    span_failures,
+)
 from tnt import (
     SimplicialComplex,
     betti_numbers,
@@ -19,7 +26,7 @@ from tnt import (
     simplicial_product,
     stacked_sphere,
 )
-from tnt.homology import engine
+from tnt.homology import ChainEngine, engine
 
 
 def test_boundary_matrix_shapes():
@@ -30,6 +37,33 @@ def test_boundary_matrix_shapes():
     assert m0.shape == (0, 4)
     m2 = boundary_matrix(B, 2)
     assert m2.shape == (6, 4)
+
+
+def _check_engine_build(K):
+    eng = ChainEngine(K)
+    rows, masks = plain_boundary_rows(K)
+    assert [eng.boundary_rows(j) for j in range(K.dim + 1)] == rows
+    vfaces, vpos = eng._vertex_faces()
+    assert vfaces == masks
+    assert vpos == {v: p for p, v in enumerate(K.vertices)}
+
+
+def test_engine_build_matches_plain_rows_on_random_spheres():
+    rng = random.Random(71)
+    for _ in range(12):
+        _check_engine_build(random_sphere(rng, d=rng.choice([1, 2, 3, 4]), walk=rng.randrange(6)))
+
+
+@pytest.mark.parametrize("name", ["nonpure", "M6_16", "stacked_70"])
+def test_engine_build_matches_plain_rows(name):
+    K = {
+        # lower facets: a triangle, an edge and two isolated vertices
+        "nonpure": lambda: SimplicialComplex([[1, 2, 3, 4], [2, 3, 5], [5, 6], [7], [9]]),
+        "M6_16": lambda: dataset("M6_16"),
+        # 70 vertices, more than 64
+        "stacked_70": lambda: stacked_sphere(3, 70, seed=2),
+    }[name]()
+    _check_engine_build(K)
 
 
 def test_boundary_matrix_entries():

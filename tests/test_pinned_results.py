@@ -116,13 +116,15 @@ STACKED_CERTS = {
 # (hash[:16], [(certificate digest, moves) or None per budget in SMALL_BUDGETS],
 # smallest budget that yields a certificate); k = 2, seed 7.  Recorded while
 # every probe still applied and undid its move, so they show that a probe
-# costs exactly one unit of budget.
+# costs exactly one unit of budget.  The smallest budgets are one below the
+# first recording since the search checks for the simplex boundary before
+# the budget: the move that reaches it needs no unit to spare.
 SMALL_BUDGETS = (1, 5, 17, 40, 200)
 SMALL_BUDGET_CERTS = {
-    "M6_16 link 1": ("fd12ca18448b22b2", [None, None, None, None, ("fae8eb7dde038a84", 28)], 134),
-    "M6_16 link 12": ("8de1c4c2225c04c5", [None, None, None, None, ("51f102d03e889916", 28)], 117),
-    "sphere 0": ("77fa1b528f58728b", [None, None, None, ("e9f8513fa53e3245", 7), ("e9f8513fa53e3245", 7)], 20),
-    "sphere 8": ("32dbb8f344e17cf2", [None, None, ("cfa73b06a4486b10", 3), ("cfa73b06a4486b10", 3), ("cfa73b06a4486b10", 3)], 7),
+    "M6_16 link 1": ("fd12ca18448b22b2", [None, None, None, None, ("fae8eb7dde038a84", 28)], 133),
+    "M6_16 link 12": ("8de1c4c2225c04c5", [None, None, None, None, ("51f102d03e889916", 28)], 116),
+    "sphere 0": ("77fa1b528f58728b", [None, None, None, ("e9f8513fa53e3245", 7), ("e9f8513fa53e3245", 7)], 19),
+    "sphere 8": ("32dbb8f344e17cf2", [None, None, ("cfa73b06a4486b10", 3), ("cfa73b06a4486b10", 3), ("cfa73b06a4486b10", 3)], 6),
 }
 
 # sha256 of json.dumps of the per-vertex contributions of 20 orderings, the
