@@ -231,6 +231,7 @@ class _MoveState:
             self._settle()
 
     def _add(self, f: Simplex) -> None:
+        """Add the facet ``f``; only a state built for every index calls this."""
         slots, free = self._slots, self._free
         if not free:
             free.append(len(slots))
@@ -246,23 +247,23 @@ class _MoveState:
             self._low |= bit
             return
         cofs, want, fresh = self._cof, self._want, self._fresh
-        if want is not None and f in want:
+        if f in want:
             self._mark(f)
         for i in self.indices:
             ready = self._ready[i]
             for a in combinations(f, d - i + 1):
                 n = cofs[a] = cofs.get(a, 0) + 1
                 if n == 1:
-                    if want is not None and a in want:
+                    if a in want:
                         self._mark(a)
                 elif n == i + 1:
                     ready.add(a)
-                    if want is not None:
-                        fresh.append(a)
+                    fresh.append(a)
                 elif n == i + 2:
                     ready.discard(a)
 
     def _remove(self, f: Simplex) -> None:
+        """Remove the facet ``f``; only a state built for every index calls this."""
         j = self.facets.pop(f)
         self._slots[j] = None
         self._free.append(j)
@@ -278,7 +279,7 @@ class _MoveState:
             self._low ^= bit
             return
         cofs, want, fresh, pool = self._cof, self._want, self._fresh, self._pool
-        if want is not None and f in want:
+        if f in want:
             self._mark(f)
         for i in self.indices:
             ready = self._ready[i]
@@ -286,18 +287,17 @@ class _MoveState:
                 n = cofs[a] - 1
                 if n == i + 1:
                     ready.add(a)
-                    if want is not None:
-                        fresh.append(a)
+                    fresh.append(a)
                 elif n == i:
                     ready.discard(a)
                     hit = pool.pop(a, None)
-                    if want is not None and hit is not None:
+                    if hit is not None:
                         self._unwant(a, hit[0])
                 if n:
                     cofs[a] = n
                 else:
                     del cofs[a]
-                    if want is not None and a in want:
+                    if a in want:
                         self._mark(a)
 
     def _mark(self, b: Simplex) -> None:
@@ -605,7 +605,8 @@ def stackedness_certificate(
     :func:`_removals_can_reach_simplex`) it comes back before any search.
     The budget counts the moves the search takes, and each lookahead probe
     costs one unit although it applies nothing; undoing the moves at a
-    restart costs nothing.  Reaching the simplex boundary is checked before
+    restart costs nothing.  A step whose probes would leave no unit for its
+    move ends the search.  Reaching the simplex boundary is checked before
     the budget, so S = dSimplex certifies with no moves at budget 0, as
     does a run whose last affordable move reaches it.  Greedy policy:
     always take an index-d move when one exists (it deletes a vertex);
@@ -655,9 +656,9 @@ def stackedness_certificate(
                 best_score = -1
                 if len(cands) > 16:
                     cands = rng.sample(cands, 16)
+                if spent + len(cands) >= budget:  # no unit left for the move
+                    return None
                 for mv in cands:
-                    if spent >= budget:
-                        break
                     spent += 1
                     score = state.probe(mv)
                     if score > best_score:

@@ -1,18 +1,23 @@
 """Dense GF(2) linear algebra on Python-int rows.
 
-A row is one int: bit j is column j.  Elimination reduces each row against
-a dict of pivot rows keyed on ``bit_length()``, so the pivot of a row is its
-highest set column.  All operations are deterministic and leave their
-inputs unmodified; rows hold no bits at or above ``ncols``.
+A row is one int: bit j is column j.  :func:`echelon` is the package's one
+elimination loop: it reduces each picked row against a dict of pivot rows
+keyed on ``bit_length()``, so the pivot of a row is its highest set column.
+Ranks, reduced echelon forms, left null spaces and the span ranks of
+:class:`~tnt.homology.ChainEngine` all read its result.  All operations are
+deterministic and leave their inputs unmodified; rows hold no bits at or
+above ``ncols``.
 """
 from __future__ import annotations
+
+from typing import Iterable
 
 __all__ = [
     "GF2Matrix",
     "bits_of",
+    "echelon",
     "rank_of_words",
     "rref_of_words",
-    "nullspace_of_words",
     "left_nullspace_of_words",
 ]
 
@@ -28,81 +33,59 @@ def bits_of(x: int) -> list[int]:
     return out
 
 
-def _pivots(words) -> dict[int, int]:
-    """Echelon basis of the row span: ``bit_length()`` of each row -> row."""
-    piv: dict[int, int] = {}
-    for x in words:
-        while x:
-            h = x.bit_length()
-            p = piv.get(h)
-            if p is None:
-                piv[h] = x
-                break
+def echelon(rows: list[int], picks: Iterable[int], cols: int | None = None, piv: dict[int, int] | None = None) -> int:
+    """Pivot columns, as an int, of the ``rows`` at the indices ``picks``,
+    each masked to ``cols`` (None: unmasked), taken in that order.  Their
+    echelon rows go into ``piv``, keyed on ``bit_length()``, when a dict
+    is given."""
+    if piv is None:
+        piv = {}
+    heads = 0
+    for c in picks:
+        x = rows[c] if cols is None else rows[c] & cols
+        while x and (p := piv.get(h := x.bit_length())):
             x ^= p
-    return piv
+        if x:
+            piv[h] = x
+            heads |= 1 << h
+    return heads >> 1
 
 
 def rank_of_words(words: list[int], ncols: int) -> int:
     """GF(2) rank of the rows ``words`` over ``ncols`` columns."""
-    return len(_pivots(words))
+    return echelon(words, range(len(words))).bit_count()
 
 
 def rref_of_words(words: list[int], ncols: int) -> tuple[list[int], list[int]]:
     """Reduced echelon form.  Returns (nonzero rows, pivot columns), both
     ordered by ascending pivot column; each pivot column is set in its own
     row only."""
-    piv = _pivots(words)
-    order = sorted(piv)
+    piv: dict[int, int] = {}
+    pivots = bits_of(echelon(words, range(len(words)), piv=piv))
     rows: list[int] = []
-    for h in order:
-        x = piv[h]
+    for p in pivots:
+        x = piv[p + 1]
         # rows[k] holds no pivot column but its own, so clearing one pivot
         # column never sets another; higher pivots lie above x's top bit
         for k, y in enumerate(rows):
-            if (x >> (order[k] - 1)) & 1:
+            if (x >> pivots[k]) & 1:
                 x ^= y
         rows.append(x)
-    return rows, [h - 1 for h in order]
+    return rows, pivots
 
 
 def left_nullspace_of_words(words: list[int], ncols: int) -> list[int]:
-    """Basis of the left null space of ``words``.
+    """Basis of the left null space of ``words``, in echelon form.
 
     Each basis vector is an int over the row indices of ``words``: bit r
-    set means row r is in a set of rows that sums to zero.
+    set means row r is in a set of rows that sums to zero.  They are the
+    echelon rows of the rows augmented with their identity, data above bit
+    ``len(words)``, that are left with no data.
     """
     nr = len(words)
     piv: dict[int, int] = {}
-    out = []
-    for r, x in enumerate(words):
-        # data above bit nr, the row's identity below it
-        x = (x << nr) | (1 << r)
-        while x >> nr:
-            h = x.bit_length()
-            p = piv.get(h)
-            if p is None:
-                piv[h] = x
-                break
-            x ^= p
-        else:
-            out.append(x)
-    return out
-
-
-def nullspace_of_words(words: list[int], ncols: int) -> list[int]:
-    """Basis of the right null space, one row per free column, ascending."""
-    rows, pivots = rref_of_words(words, ncols)
-    pivset = set(pivots)
-    out = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = 1 << f
-        for x, p in zip(rows, pivots):
-            if (x >> f) & 1:
-                v |= 1 << p
-        out.append(v)
-    return out
+    echelon([(x << nr) | (1 << r) for r, x in enumerate(words)], range(nr), piv=piv)
+    return [x for x in piv.values() if not x >> nr]
 
 
 class GF2Matrix:
@@ -121,11 +104,6 @@ class GF2Matrix:
 
     def rank(self) -> int:
         return rank_of_words(self.words, self.ncols)
-
-    def nullspace(self) -> "GF2Matrix":
-        """Matrix whose rows are a basis of the right kernel."""
-        ns = nullspace_of_words(self.words, self.ncols)
-        return GF2Matrix(len(ns), self.ncols, ns)
 
     def transpose(self) -> "GF2Matrix":
         cols = [0] * self.ncols

@@ -2,8 +2,9 @@
 
 Betti numbers come from boundary-matrix ranks: beta_j = f_j - rank d_j -
 rank d_{j+1}.  A per-complex :class:`ChainEngine` caches face indices, int
-boundary rows, boundary-space bases and cocycles, so that vertex spans and
-links need no chain complex of their own.  A span is one int mask per
+boundary rows and cocycles, so that vertex spans, links and subcomplexes
+need no chain complex of their own.  Every rank is taken by the one
+elimination loop, :func:`tnt.gf2.echelon`.  A span is one int mask per
 dimension of the faces inside it, read from per-engine tables at most 6.4
 times the size of the vertex-face masks.  Its ranks are those of the whole
 ambient rows the masks pick out (a face of a full subcomplex has its
@@ -60,7 +61,7 @@ class ChainEngine:
     """Chain-level view of a complex: face indices and int boundary rows.
 
     ``boundary_rows(j)`` has one int per j-face, bit c set for each
-    (j-1)-face c in its boundary; boundary-space bases are cached.  No int
+    (j-1)-face c in its boundary; the rows and K's cocycles are cached.  No int
     is built up bit by bit: a row is a sum of distinct powers of two, and
     a vertex-face mask is parsed by ``int`` from one string of digits
     per vertex.  Use :func:`engine` to get the per-complex cached instance.
@@ -76,7 +77,6 @@ class ChainEngine:
         self.brows: list[list[int] | None] = [None] * (d + 1)
         self._vfaces: list[list[int]] | None = None
         self._vpos: dict[int, int] | None = None
-        self._bbasis: dict[int, list[int]] = {}
 
     def boundary_rows(self, j: int) -> list[int]:
         """Rows of d_j, one int per j-face over (j-1)-face columns: the sum
@@ -87,12 +87,6 @@ class ChainEngine:
             lower = self.index[j - 1].__getitem__
             self.brows[j] = [sum(map((1).__lshift__, map(lower, combinations(face, j)))) for face in self.faces[j]]
         return self.brows[j]
-
-    def boundary_basis(self, i: int) -> list[int]:
-        """RREF basis rows of the boundary space B_i over the i-face columns."""
-        if i not in self._bbasis:
-            self._bbasis[i] = gf2.rref_of_words(self.boundary_rows(i + 1), self.f[i])[0]
-        return self._bbasis[i]
 
     def betti(self) -> tuple[int, ...]:
         """Betti numbers: those of the span of every face."""
@@ -109,10 +103,12 @@ class ChainEngine:
         for i, b in enumerate(self.betti()):
             rows = self.boundary_rows(i) or [0] * self.f[i]
             if b:
-                ech = gf2._pivots(self.boundary_rows(i + 1))
+                up, ech = self.boundary_rows(i + 1), {}
+                gf2.echelon(up, range(len(up)), piv=ech)
                 free = [c for c in range(self.f[i]) if c + 1 not in ech]
+                # an echelon basis: its rows' top bits are the cycles' pivots
                 cycles = gf2.left_nullspace_of_words([rows[c] for c in free], self.f[i - 1] if i else 0)
-                phis = [1 << free[h - 1] for h in gf2._pivots(cycles)]
+                phis = [1 << free[z.bit_length() - 1] for z in cycles]
                 for p in sorted(ech):  # the rows below p keep their parity
                     phis = [phi | ((ech[p] & phi).bit_count() & 1) << (p - 1) for phi in phis]
                 rows = [(r << b) | c for r, c in zip(rows, gf2.GF2Matrix(b, self.f[i], phis).transpose().words)]
@@ -147,14 +143,19 @@ class ChainEngine:
         return m
 
     def span_selection(self, wmask: int, jmax: int | None = None) -> tuple[list[int], list[int], list[int]]:
-        """The span of a vertex mask as ``(inside, ranks, image)``: its
-        :meth:`_span_masks` up to ``jmax`` (default dim), their
-        :meth:`_masked_ranks`, and the ranks of H_t(span) -> H_t(K), 0 at
-        t = 0 (:meth:`span_kernel_dim`).  Cut at jmax below dim, the rank of
-        d_{jmax+1} is not taken, so only the Betti numbers below jmax are exact.
-        Rows are not masked: a face of the span has its boundary in it.
+        """The span of a vertex mask as the :meth:`_paired_ranks` of its
+        :meth:`_span_masks` up to ``jmax`` (default dim).  Cut at jmax below
+        dim, the rank of d_{jmax+1} is not taken, so only the Betti numbers
+        below jmax are exact."""
+        return self._paired_ranks(self._span_masks(wmask, self.dim if jmax is None else min(jmax, self.dim)))
+
+    def _paired_ranks(self, inside: list[int]) -> tuple[list[int], list[int], list[int]]:
+        """A subcomplex given by the masks ``inside`` of its t-faces, t from
+        0, as ``(inside, ranks, image)``: the masks, their
+        :meth:`_masked_ranks`, and the ranks of H_t(A) -> H_t(K), 0 at t = 0
+        (:meth:`span_kernel_dim`).  Rows are not masked: a face of a
+        subcomplex has its boundary in it.
         """
-        inside = self._span_masks(wmask, self.dim if jmax is None else min(jmax, self.dim))
         ranks, image, cleared = [0] * (len(inside) + 1), [0] * len(inside), 0
         paired = self.cocycle_rows
         for t in range(len(inside) - 1, 0, -1):
@@ -218,16 +219,7 @@ class ChainEngine:
         """Pivot columns, as an int, of the ``rows`` picked by ``sel``, masked
         to ``cols`` (None for a span's rows, which lie in it), taken by rising
         face: any order has these pivots, but falling ones fill in more."""
-        piv: dict[int, int] = {}  # bit_length() of each echelon row -> row
-        cleared = 0
-        for c in gf2.bits_of(sel):
-            x = rows[c] if cols is None else rows[c] & cols
-            while x and (p := piv.get(h := x.bit_length())):
-                x ^= p
-            if x:
-                piv[h] = x
-                cleared |= 1 << h
-        return cleared >> 1
+        return gf2.echelon(rows, gf2.bits_of(sel), cols)
 
     def span_betti(self, span: tuple[list[int], ...]) -> tuple[int, ...]:
         """Betti numbers of a :meth:`span_selection`, or of any face masks
@@ -246,7 +238,7 @@ class ChainEngine:
         inside, ranks, image = span
         if i < 0 or i >= len(inside):
             return 0
-        im = image[i] if i else len(gf2._pivots(self.cocycle_rows[0][1][c] for c in gf2.bits_of(inside[0])))
+        im = image[i] if i else self.span_rank(inside[0], self.cocycle_rows[0][1]).bit_count()
         return inside[i].bit_count() - ranks[i] - ranks[i + 1] - im
 
 
@@ -342,9 +334,10 @@ def reduced_betti(K: SimplicialComplex) -> tuple[int, ...]:
 def induced_kernel_dim(K: SimplicialComplex, A: SimplicialComplex, i: int) -> int:
     """Dimension of ker(H_i(A) -> H_i(K)) for a subcomplex A of K.
 
-    Computed as dim(Z_i(A) cap B_i(K)) - dim B_i(A), with the intersection
-    obtained from dim U + dim W - dim(U + W).  Raises ValueError if A is
-    not a subcomplex of K or i is negative.
+    A's faces up to dimension i + 1, as masks over ``engine(K)``'s face
+    indices, go through the same cleared ranks, paired with K's cocycles,
+    as a vertex span (:meth:`ChainEngine.span_kernel_dim`).  Raises
+    ValueError if A is not a subcomplex of K or i is negative.
     """
     if i < 0:
         raise ValueError("i must be nonnegative")
@@ -353,19 +346,9 @@ def induced_kernel_dim(K: SimplicialComplex, A: SimplicialComplex, i: int) -> in
             raise ValueError(f"not a subcomplex: {f} is not a face of the ambient complex")
     if i > A.dim:
         return 0
-    eng_k = engine(K)
-    eng_a = engine(A)
-    fi_k = eng_k.f[i] if i <= K.dim else 0
-    # Z_i(A) embedded in the ambient i-chain coordinates
-    emb = [eng_k.index[i][f] for f in eng_a.faces[i]]
-    if i == 0:
-        z_rows = [1 << c for c in emb]
-    else:
-        ker = gf2.left_nullspace_of_words(eng_a.boundary_rows(i), eng_a.f[i - 1])
-        z_rows = [sum(1 << emb[local] for local in gf2.bits_of(z)) for z in ker]
-    basis = eng_k.boundary_basis(i)
-    z_cap_b = len(z_rows) + len(basis) - gf2.rank_of_words(z_rows + basis, fi_k)
-    return z_cap_b - len(eng_a.boundary_basis(i))
+    eng = engine(K)
+    inside = [sum(map((1).__lshift__, map(eng.index[j].__getitem__, A.faces(j)))) for j in range(min(i + 1, A.dim) + 1)]
+    return eng.span_kernel_dim(eng._paired_ranks(inside), i)
 
 
 _MU_CACHE_CAP = 4096  # per complex; one 20-ordering mu_vector batch of M6_16 makes about 300

@@ -104,17 +104,17 @@ def mu_contribution_oracle(K: SimplicialComplex, v: int, lower) -> tuple[int, ..
     return tuple(out)
 
 
-def dense_span_kernel_dim(K: SimplicialComplex, W, i: int) -> int:
-    """dim ker(H_i(span W) -> H_i(K)) from dense boundary matrices.
+def dense_kernel_dim(K: SimplicialComplex, is_face, i: int) -> int:
+    """dim ker(H_i(A) -> H_i(K)) from dense boundary matrices, for the
+    subcomplex A of K whose faces f are those with ``is_face(f)``.
 
     With D the matrix of d_{i+1} (one row per (i+1)-face, one column per
     i-face), B_i(K) has dimension rank D, the boundaries supported inside
-    span W form the kernel of D restricted to the columns outside W, and
-    B_i(span W) is spanned by the rows of the (i+1)-faces inside W.
+    A form the kernel of D restricted to the columns outside A, and B_i(A)
+    is spanned by the rows of the (i+1)-faces of A.
     """
     if not K.facets or i + 1 > K.dim:
         return 0
-    w = set(W)
     lower = sorted({f for fac in K.facets for f in combinations(fac, i + 1)})
     upper = sorted({f for fac in K.facets for f in combinations(fac, i + 2)})
     index = {f: c for c, f in enumerate(lower)}
@@ -124,10 +124,22 @@ def dense_span_kernel_dim(K: SimplicialComplex, W, i: int) -> int:
         for k in range(len(f)):
             row[index[f[:k] + f[k + 1 :]]] = 1
         D.append(row)
-    outside = [c for c, f in enumerate(lower) if not w.issuperset(f)]
+    outside = [c for c, f in enumerate(lower) if not is_face(f)]
     r_out = dense_gf2_rank([[row[c] for c in outside] for row in D])
-    inside = [row for f, row in zip(upper, D) if w.issuperset(f)]
+    inside = [row for f, row in zip(upper, D) if is_face(f)]
     return dense_gf2_rank(D) - r_out - dense_gf2_rank(inside)
+
+
+def dense_span_kernel_dim(K: SimplicialComplex, W, i: int) -> int:
+    """dim ker(H_i(span W) -> H_i(K)) by :func:`dense_kernel_dim`: a face
+    of K is a face of span W when W holds its vertices."""
+    return dense_kernel_dim(K, set(W).issuperset, i)
+
+
+def faces_of(A: SimplicialComplex):
+    """The test "f is a face of A", against A's facets as plain sets."""
+    facets = [set(g) for g in A.facets]
+    return lambda f: any(g.issuperset(f) for g in facets)
 
 
 def packed_gf2_rank(rows: list[int]) -> int:

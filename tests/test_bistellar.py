@@ -336,16 +336,19 @@ def test_draw_follows_the_index_rule():
     assert _MoveState(boundary_simplex(4), range(1, 5)).draw(random.Random(0)) is None
 
 
-def _incremental_state(K, indices):
-    """A state emptied facet by facet and refilled with ``_add``, the way
-    ``apply`` changes it."""
-    state = _MoveState(K, indices)
+def _incremental_state(K):
+    """A state built for every index, emptied facet by facet with
+    ``_remove`` and refilled with ``_add``, the way ``apply`` changes it,
+    then settled as ``apply`` settles it."""
+    state = _MoveState(K, range(1, K.dim + 1))
     for f in K.facets:
         state._remove(f)
     assert not state.facets and not state.star and not state._cof and not any(state._ready.values())
     assert not state._low and not any(state._slots) and sorted(state._free) == list(range(len(state._slots)))
+    assert not state._pool and not state._want and not any(state._valid.values())
     for f in K.facets:
         state._add(f)
+    state._settle()
     return state
 
 
@@ -363,13 +366,17 @@ def test_bulk_state_build_matches_incremental_build(seed, d, pure):
         K = SimplicialComplex(list(K.facets) + extra)
         assert not K.is_pure
     built = sorted(rng.sample(range(d + 2), rng.randint(1, d + 2)))
-    bulk, inc = _MoveState(K, built), _incremental_state(K, built)
+    bulk, full, inc = _MoveState(K, built), _MoveState(K, range(1, d + 1)), _incremental_state(K)
     # slots are reused in another order, so the masks are compared decoded
-    assert set(bulk.facets) == set(inc.facets)
-    assert _decoded_stars(bulk) == _decoded_stars(inc)
-    assert _slot_facets(bulk, bulk._low) == _slot_facets(inc, inc._low)
-    for attr in ("_cof", "_ready"):
-        assert getattr(bulk, attr) == getattr(inc, attr), attr
+    assert set(full.facets) == set(inc.facets)
+    assert _decoded_stars(full) == _decoded_stars(inc)
+    assert _slot_facets(full, full._low) == _slot_facets(inc, inc._low)
+    for attr in ("_cof", "_ready", "_pool", "_want"):
+        assert getattr(full, attr) == getattr(inc, attr), attr
+    assert {i: set(m) for i, m in full._valid.items()} == {i: set(m) for i, m in inc._valid.items()}
+    # a build for fewer indices counts the faces of its sizes alike
+    sizes = {d - i + 1 for i in bulk.indices}
+    assert bulk._cof == {a: n for a, n in full._cof.items() if len(a) in sizes}
     _check_state(bulk, K)
     _check_state(inc, K)
     assert _triples(bulk.moves()) == dense_valid_moves(K, built)
@@ -778,6 +785,36 @@ def test_reaching_the_boundary_simplex_needs_no_budget_left():
         cert = stackedness_certificate(S, 1, budget=m, seed=0)
         assert cert is not None and len(cert.moves) == m and is_boundary_simplex(cert.replay(S))
         assert stackedness_certificate(S, 1, budget=m - 1, seed=0) is None
+
+
+def test_search_spends_no_more_than_its_budget(monkeypatch):
+    # each probe and each move the search takes costs one unit; undoing
+    # moves at a restart is free, and an undo has index d - i < d - k + 1,
+    # below every allowed index i.  The 9 walked 4-spheres of the pinned
+    # small-budget certificates, k = 2, seed 7, at every budget 1..59
+    rng = random.Random(53)
+    walked = [random_sphere(rng, d=4, walk=10) for _ in range(9)]
+    spent = [0]
+    probe, apply = _MoveState.probe, _MoveState.apply
+
+    def counted_probe(self, move):
+        spent[0] += 1
+        return probe(self, move)
+
+    def counted_apply(self, move):
+        spent[0] += move.index >= self.d - 1
+        apply(self, move)
+
+    monkeypatch.setattr(_MoveState, "probe", counted_probe)
+    monkeypatch.setattr(_MoveState, "apply", counted_apply)
+    over = []
+    for n, S in enumerate(walked):
+        for budget in range(1, 60):
+            spent[0] = 0
+            cert = stackedness_certificate(S, 2, budget=budget, seed=7)
+            if spent[0] > budget:
+                over.append((n, budget, spent[0], cert is not None))
+    assert not over
 
 
 def test_k_stacked_exact_octahedron():

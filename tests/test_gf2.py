@@ -5,7 +5,6 @@ from tnt.gf2 import (
     GF2Matrix,
     bits_of,
     left_nullspace_of_words,
-    nullspace_of_words,
     rank_of_words,
     rref_of_words,
 )
@@ -45,7 +44,6 @@ def test_rank_does_not_mutate():
     m.rank()
     rref_of_words(m.words, 70)
     left_nullspace_of_words(m.words, 70)
-    m.nullspace()
     assert m.words == before
 
 
@@ -65,30 +63,6 @@ def test_rref_pivots_and_idempotence():
         # the rows span the same space and are already reduced
         assert rank_of_words(rows + m.words, nc) == len(rows) == rank_of_words(rows, nc)
         assert rref_of_words(rows, nc) == (rows, pivots)
-
-
-def test_nullspace_annihilates_rows():
-    rng = random.Random(4)
-    for _ in range(80):
-        nr, nc = rng.randint(0, 10), rng.randint(1, 90)
-        dense = random_dense(rng, nr, nc)
-        m = to_matrix(dense, nc)
-        ns = m.nullspace()
-        assert ns.nrows == nc - m.rank()
-        for i in range(ns.nrows):
-            sup = set(bits_of(ns.words[i]))
-            assert sup, "nullspace vector must be nonzero"
-            for row in dense:
-                assert sum(row[j] for j in sup) % 2 == 0
-
-
-def test_nullspace_vectors_independent():
-    rng = random.Random(5)
-    dense = random_dense(rng, 6, 40)
-    m = to_matrix(dense, 40)
-    ns = m.nullspace()
-    if ns.nrows:
-        assert rank_of_words(ns.words, 40) == ns.nrows
 
 
 def test_left_nullspace_marks_zero_row_combinations():
@@ -124,7 +98,5 @@ def test_zero_and_empty_edges():
     assert rank_of_words([], 5) == 0
     assert rref_of_words([], 5) == ([], [])
     assert left_nullspace_of_words([], 5) == []
-    assert nullspace_of_words([], 3) == [1, 2, 4]
     z = GF2Matrix(3, 17)
     assert z.rank() == 0
-    assert z.nullspace().nrows == 17

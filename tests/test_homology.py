@@ -4,7 +4,9 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    dense_kernel_dim,
     dense_span_kernel_dim,
+    faces_of,
     oracle_betti,
     packed_gf2_rank,
     plain_boundary_rows,
@@ -216,9 +218,9 @@ def test_induced_kernel_rejects_non_subcomplex():
 
 
 def test_induced_kernel_two_routes_agree():
-    # the masked-column fast path must equal the public formula route, on
-    # random subsets (kernels almost all zero) and on subsets with known
-    # non-zero kernels
+    # the span route and the public induced_kernel_dim of the span must
+    # both equal the dense oracle, on random subsets (kernels almost all
+    # zero) and on subsets with known non-zero kernels
     rng = random.Random(15)
     cases = []
     for _ in range(25):
@@ -244,11 +246,37 @@ def test_induced_kernel_two_routes_agree():
         for i in range(1, S.dim + 1):
             fast = eng.span_kernel_dim(eng.span_selection(wmask), i)
             public = induced_kernel_dim(S, A, i)
-            assert fast == public, (w, i, fast, public)
+            assert fast == public == dense_span_kernel_dim(S, w, i), (w, i, fast, public)
             if known is not None:
                 assert fast == known.get(i, 0), (w, i, fast)
             nonzero += fast > 0
     assert nonzero >= 40
+
+
+def test_induced_kernel_of_subcomplexes_that_are_not_spans():
+    # A given by its faces, not by a vertex set, against the dense oracle
+    # with "f is a face of A"
+    O = cross_polytope_boundary(3)
+    t = O.facets[0]
+    rim = SimplicialComplex(list(combinations(t, 2)))  # bounds the triangle t
+    assert induced_kernel_dim(O, rim, 1) == 1 == dense_kernel_dim(O, faces_of(rim), 1)
+    rng = random.Random(18)
+    cases = [(O, rim)]
+    for _ in range(12):
+        S = random_sphere(rng)
+        # closures of random facet subsets
+        picked = [f for f in S.facets if rng.random() < 0.6] or [S.facets[0]]
+        cases.append((S, SimplicialComplex(picked)))
+        # skeleta: every j-cycle of S but those of its top dimension is in the kernel
+        for j in range(S.dim):
+            cases.append((S, SimplicialComplex(S.faces(j))))
+    nonzero = 0
+    for S, A in cases:
+        for i in range(S.dim + 2):
+            kd = induced_kernel_dim(S, A, i)
+            assert kd == dense_kernel_dim(S, faces_of(A), i), (A.facets, i)
+            nonzero += kd > 0
+    assert nonzero >= 20
 
 
 def test_relative_mu_contribution_cases():
