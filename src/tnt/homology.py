@@ -88,23 +88,24 @@ class ChainEngine:
             self.brows[j] = [sum(map((1).__lshift__, map(lower, combinations(face, j)))) for face in self.faces[j]]
         return self.brows[j]
 
-    def betti(self) -> tuple[int, ...]:
-        """Betti numbers: those of the span of every face."""
+    def betti(self, pivs: list[dict[int, int]] | None = None) -> tuple[int, ...]:
+        """Betti numbers: those of the span of every face; the echelon rows
+        of each d_j go into ``pivs[j]`` when given (:meth:`_masked_ranks`)."""
         inside = [(1 << n) - 1 for n in self.f]
-        return self.span_betti((inside, self._masked_ranks(inside, 0)))
+        return self.span_betti((inside, self._masked_ranks(inside, 0, pivs)))
 
     @functools.cached_property
     def cocycle_rows(self) -> list[tuple[int, list[int]]]:
         """Per degree i, beta_i(K) and the rows of d_i (zeros for i = 0)
         shifted up by beta_i, bit k then a face's value under the k-th cocycle
         of an H^i(K) basis: per cycle on the faces heading no echelon row of
-        B_i (clearing), its pivot plus the pivots that even out those rows."""
-        out = []
-        for i, b in enumerate(self.betti()):
+        B_i (clearing), its pivot plus the pivots that even out those rows.
+        The echelon rows are :meth:`betti`'s own."""
+        out, pivs = [], [{} for _ in range(self.dim + 2)]
+        for i, b in enumerate(self.betti(pivs)):
             rows = self.boundary_rows(i) or [0] * self.f[i]
             if b:
-                up, ech = self.boundary_rows(i + 1), {}
-                gf2.echelon(up, range(len(up)), piv=ech)
+                ech = pivs[i + 1]
                 free = [c for c in range(self.f[i]) if c + 1 not in ech]
                 # an echelon basis: its rows' top bits are the cycles' pivots
                 cycles = gf2.left_nullspace_of_words([rows[c] for c in free], self.f[i - 1] if i else 0)
@@ -198,7 +199,7 @@ class ChainEngine:
             inside = [x & self._vfaces[j][p] for j, x in enumerate(inside, start)]
         return [x for x in inside if x]
 
-    def _masked_ranks(self, inside: list[int], base: int) -> list[int]:
+    def _masked_ranks(self, inside: list[int], base: int, pivs: list[dict[int, int]] | None = None) -> list[int]:
         """Ranks of the chain complex of the face masks ``inside``, whose
         ``inside[t]`` holds faces of dimension base + t: a vertex span, or
         the faces of one holding a fixed face.  ``ranks[t]`` is the rank of
@@ -206,20 +207,23 @@ class ChainEngine:
         with ``ranks[0]`` = 0 and a 0 appended.  Taken top-down, leaving out
         the rows of the pivot columns of the dimension above (clearing,
         Chen and Kerber 2011): by dd = 0 such a row is a sum of rows below
-        it in its echelon row, so no rank changes.
+        it in its echelon row, so no rank changes, and as rows rise it would
+        reduce to zero, so the echelon rows, kept in ``pivs[t]`` when given,
+        are those of all the rows.
         """
         ranks = [0] * (len(inside) + 1)
         cleared = 0
         for t in range(len(inside) - 1, 0, -1):
-            cleared = self.span_rank(inside[t] & ~cleared, self.boundary_rows(base + t), inside[t - 1])
+            cleared = self.span_rank(inside[t] & ~cleared, self.boundary_rows(base + t), inside[t - 1], pivs and pivs[t])
             ranks[t] = cleared.bit_count()
         return ranks
 
-    def span_rank(self, sel: int, rows: list[int], cols: int | None = None) -> int:
+    def span_rank(self, sel: int, rows: list[int], cols: int | None = None, piv: dict[int, int] | None = None) -> int:
         """Pivot columns, as an int, of the ``rows`` picked by ``sel``, masked
         to ``cols`` (None for a span's rows, which lie in it), taken by rising
-        face: any order has these pivots, but falling ones fill in more."""
-        return gf2.echelon(rows, gf2.bits_of(sel), cols)
+        face: any order has these pivots, but falling ones fill in more.  The
+        echelon rows go into ``piv`` when given."""
+        return gf2.echelon(rows, gf2.bits_of(sel), cols, piv)
 
     def span_betti(self, span: tuple[list[int], ...]) -> tuple[int, ...]:
         """Betti numbers of a :meth:`span_selection`, or of any face masks
@@ -257,12 +261,11 @@ def _is_homology_manifold(K: SimplicialComplex) -> bool:
     two points for the link of a ridge, so K is closed.  The link ranks
     are read from the boundary rows of ``engine(K)``; no link complex is
     built.  An automorphism g of K maps lk(s) onto lk(gs), so one face is
-    checked per orbit: the images of each face that passes, under the at
-    most 63 automorphisms of ``symmetry._some_automorphisms`` (none above
-    32 vertices), are skipped, the search going one map further per pass.
-    Each is a true automorphism, so this holds whether or not they close
-    up into a group; and a failing face ends the check, so only passes
-    need marking.  Cached in ``K._cache``.
+    checked per orbit: ``symmetry._orbit_marks`` marks the images of each
+    face that passes, as in a tightness sweep, and marked faces are
+    skipped.  Each map is a true automorphism, so this holds whether or
+    not they close up into a group; and a failing face ends the check, so
+    only passes need marking.  Cached in ``K._cache``.
     """
     if "homology_manifold" not in K._cache:
         K._cache["homology_manifold"] = _homology_manifold(K)
@@ -284,10 +287,9 @@ def _homology_manifold(K: SimplicialComplex) -> bool:
     # closed homology k-manifold and b_i = b_{k-i} once it is connected.  So
     # it is a sphere (two points when k = 0) exactly when reduced b_i =
     # (i == k) for 0 <= i <= k // 2.
-    from .symmetry import _some_automorphisms  # imported here: symmetry imports engine from this module
+    from .symmetry import _orbit_marks  # imported here: symmetry imports engine from this module
 
-    maps: list[list[int]] = []  # automorphisms as the image bit of each vertex position
-    passed: set[int] = set()  # vertex masks of the images of faces with sphere links
+    passed, mark = _orbit_marks(K)  # vertex masks of the images of faces with sphere links
     for k in range(d):
         m = d - k
         top = min(d, m + k // 2 + 1)
@@ -299,8 +301,7 @@ def _homology_manifold(K: SimplicialComplex) -> bool:
             ranks = eng._masked_ranks(star, m - 1)
             if any(star[t].bit_count() - ranks[t] - ranks[t + 1] != (t == k + 1) for t in range(1, k // 2 + 2)):
                 return False
-            maps = _some_automorphisms(K, len(maps) + 1)
-            passed.update(sum(map(g.__getitem__, ps)) for g in maps)
+            mark(ps)
     return True
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import asdict, dataclass
-from itertools import chain, combinations
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, combinations, product
+from typing import Iterable, Sequence
 
 from . import bounds as _bounds
-from . import homology, symmetry
+from . import gf2, homology, symmetry
 from .bistellar import MoveCertificate, k_stacked_exact, stackedness_certificate
 from .complexes import SimplicialComplex, Simplex
 
@@ -155,42 +155,28 @@ def _family_size(M: SimplicialComplex, ambient: AmbientPolytope) -> int:
     return 2 * 3**m - 2**m
 
 
-def _admissible_subsets(
-    M: SimplicialComplex, ambient: AmbientPolytope, cap: int | None = None
-) -> list[tuple[int, ...]]:
-    """The admissible subsets with at most ``cap`` vertices (all when None),
-    in (size, lex) order."""
-    verts = M.vertices
-    top = len(verts) if cap is None else cap
+def _admissible_masks(M: SimplicialComplex, ambient: AmbientPolytope, lo: int = 0, hi: int | None = None) -> Iterable[int]:
+    """The admissible subsets with ``lo`` to ``hi`` vertices (hi None: all),
+    in (size, lex) order, each as a vertex mask: bit p for ``M.vertices[p]``."""
+    n = len(M.vertices)
+    hi = n if hi is None else min(hi, n)
     if ambient.kind == "simplex":
-        return [w for size in range(top + 1) for w in combinations(verts, size)]
+        bits = [1 << p for p in range(n)]
+        return chain.from_iterable(map(sum, combinations(bits, k)) for k in range(lo, hi + 1))
     # cross polytope: a half-space trace meets every diagonal at most once
-    # (it misses the center) or hits every diagonal at least once (contains it);
-    # one of the second kind with at most m vertices meets each exactly once
-    subsets: set[tuple[int, ...]] = set()
-    ds = ambient.diagonals
-    per_le = [((), (a,), (b,)) for a, b in ds]
-    per_ge = [((a,), (b,), (a, b)) for a, b in ds]
-    for per in (per_le, per_ge) if top > len(ds) else (per_le,):
-        stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-        while stack:
-            i, acc = stack.pop()
-            if i == len(per):
-                if len(acc) <= top:
-                    subsets.add(tuple(sorted(acc)))
-                continue
-            for choice in per[i]:
-                stack.append((i + 1, acc + choice))
-    return sorted(subsets, key=lambda w: (len(w), w))
-
-
-def _upper_half(M: SimplicialComplex, ambient: AmbientPolytope) -> Iterator[tuple[int, ...]]:
-    """The admissible subsets with 2|W| > n, in (size, lex) order, unless M
-    is a closed GF(2)-homology manifold (then none: see tightness_verify).
-    The check runs only when the sweep gets here."""
-    if not homology._is_homology_manifold(M):
-        n = len(M.vertices)
-        yield from (w for w in _admissible_subsets(M, ambient) if 2 * len(w) > n)
+    # (it misses the center) or hits every diagonal at least once (contains
+    # it); the first kind has at most m vertices, the second at least m, and
+    # those with m meet each diagonal exactly once, so lie in both
+    bit = {v: 1 << p for p, v in enumerate(M.vertices)}
+    ds = [(bit[a], bit[b]) for a, b in ambient.diagonals]
+    m = len(ds)
+    masks = list(map(sum, product(*((0, a, b) for a, b in ds)))) if lo <= m else []
+    if hi > m:
+        masks += (w for w in map(sum, product(*((a, b, a | b) for a, b in ds))) if w.bit_count() > m)
+    # of two equal sizes, the set holding the lowest vertex not in both
+    # comes first in lex order, so the bit-reversed masks fall
+    rev = {w: int(f"{w:0{n}b}"[::-1], 2) for w in masks if lo <= w.bit_count() <= hi}
+    return sorted(rev, key=lambda w: (w.bit_count(), -rev[w]))
 
 
 def _sampled_subsets(
@@ -275,76 +261,79 @@ def tightness_verify(
     i_max (default dim M).  Returns the first witness in (size, lex)
     order, or an exhaustive Tight verdict.
 
-    An automorphism g of M maps (M, span W) onto (M, span gW), so W and
-    gW fail at the same degrees.  An exhaustive run marks the images of
-    each passing W of at least 3 vertices under the automorphisms of
-    ``symmetry._some_automorphisms`` (at most 63 of them, none above 32
-    vertices) and skips the marked subsets: each is a true automorphism,
-    so the marks are sound whether or not they close up into a group, and
-    they hold whether or not g preserves the ambient's family.  Only
-    passes are marked, as a failing W ends the sweep; so the first failing
-    subset is computed, and the witness and ``subsets_checked`` are the
-    unreduced sweep's.  The search goes one automorphism further per
-    pass, so a sweep that fails early searches little; sampled runs
-    search for none.
+    Subsets are vertex masks, bit p for ``M.vertices[p]``; only a witness
+    is decoded.  An automorphism g of M maps (M, span W) onto (M, span gW),
+    so W and gW fail at the same degrees.  An exhaustive run marks the
+    images of each passing W of at least 3 vertices under the maps of
+    ``symmetry._orbit_marks`` (at most 63, none above 32 vertices or past
+    its search budget) and skips the marked subsets: each is a true
+    automorphism, so the marks are sound whether or not they close up into
+    a group or preserve the ambient's family.  Only passes are marked, as a
+    failing W ends the sweep; so the witness and ``subsets_checked`` are
+    the unreduced sweep's.  The search goes one map further per pass, so a
+    sweep that fails early searches little; sampled runs search for none.
 
     Above ``ceiling`` vertices a seeded ``sample`` of at least one
     admissible subset is required and the report is labeled non-exhaustive;
     the ceiling is checked before any subset is built, and so is i_max,
     which must be nonnegative.  Exhaustive runs ignore ``sample``.
 
-    On a closed GF(2)-homology d-manifold, W fails at degree i exactly
-    when its complement fails at degree d - 1 - i (Lefschetz duality and
-    the exact sequence of the pair; Kuehnel, LNM 1612), and both families
-    are closed under complement.  So the first witness in (size, lex)
-    order has 2|W| <= n: an exhaustive run with i_max >= dim sweeps the
-    larger subsets only if M is no such manifold, and its report is the
+    On a closed GF(2)-homology d-manifold, the kernels of W at degree i and
+    of its complement at d - 1 - i have equal dimension (Lefschetz duality
+    and the exact sequence of the pair; Kuehnel, LNM 1612), and both
+    families are closed under complement.  So the first witness in (size,
+    lex) order has 2|W| <= n when i_max >= dim, and an exhaustive run then
+    sweeps no larger W; below dim it reads each larger W off the span of
+    its complement, at degrees d - 1 - i.  The precondition is checked
+    when the sweep first reaches the larger subsets; every report is the
     full sweep's.
     """
     if M.connectivity() != 1:
         raise ValueError("tightness check requires a connected complex")
     ambient.validate_for(M)
+    d = M.dim
     if i_max is None:
-        i_max = M.dim
+        i_max = d
     if i_max < 0:
         raise ValueError(f"i_max must be nonnegative, got {i_max}")
     n = len(M.vertices)
     exhaustive = n <= ceiling
-    if exhaustive and i_max >= M.dim:
-        subsets = chain(_admissible_subsets(M, ambient, n // 2), _upper_half(M, ambient))
-    elif exhaustive:
-        subsets = _admissible_subsets(M, ambient)
-    elif sample is None or seed is None or sample < 1:
+    if not exhaustive and (sample is None or seed is None or sample < 1):
         raise ValueError(
             f"vertex count {n} above enumeration ceiling {ceiling}; "
             "pass sample= (at least 1) and seed= for a sampled run"
         )
-    else:
-        subsets = _sampled_subsets(M, ambient, sample, random.Random(seed))
     eng = homology.engine(M)
-    vpos = eng._vertex_faces()[1]
-    maps: list[list[int]] = []  # automorphisms as the image bit of each vertex position
-    passed: set[int] = set()  # vertex masks of the images of passing subsets
-    jcap = min(i_max + 1, M.dim)
-    checked = 0
-    for checked, w in enumerate(subsets, 1):
-        if len(w) == 0:
-            continue
-        ps = [vpos[v] for v in w]
-        wmask = sum(1 << p for p in ps)
-        if wmask in passed:
-            continue
-        span = eng.span_selection(wmask, jcap)
-        bet = eng.span_betti(span)
-        for i in range(min(i_max + 1, len(bet))):
-            kd = bet[0] - 1 if i == 0 else bet[i] and eng.span_kernel_dim(span, i)  # i = 0: M is connected
-            if kd > 0:
-                return TightnessReport(False, (w, i, kd), checked, exhaustive, i_max, ambient.kind)
-        # points and pairs cost less than their images, and a sweep that
-        # fails at a non-edge then never searches
-        if exhaustive and len(w) > 2:
-            maps = symmetry._some_automorphisms(M, len(maps) + 1)
-            passed.update(sum(map(g.__getitem__, ps)) for g in maps)
+
+    def phases():
+        """(masks, dual) per run of subsets; dual: read off the complement."""
+        if not exhaustive:
+            yield map(eng.word_of, _sampled_subsets(M, ambient, sample, random.Random(seed))), False
+            return
+        yield _admissible_masks(M, ambient, 0, n // 2), False
+        manifold = homology._is_homology_manifold(M)  # once the sweep gets here
+        if not manifold or i_max < d:
+            yield _admissible_masks(M, ambient, n // 2 + 1), manifold
+
+    passed, mark = symmetry._orbit_marks(M)  # vertex masks of the images of passing subsets
+    passed.add(0)  # the empty span injects
+    full, jcap, checked = (1 << n) - 1, min(i_max + 1, d), 0
+    for masks, dual in phases():
+        for checked, wmask in enumerate(masks, checked + 1):
+            if wmask in passed:
+                continue
+            span = eng.span_selection(full ^ wmask) if dual else eng.span_selection(wmask, jcap)
+            bet = eng.span_betti(span)
+            for i in range(i_max + 1):
+                j = d - 1 - i if dual else i
+                # j = 0: M is connected and the span is not empty
+                if j < len(bet) and (kd := bet[0] - 1 if j == 0 else bet[j] and eng.span_kernel_dim(span, j)) > 0:
+                    w = tuple(map(M.vertices.__getitem__, gf2.bits_of(wmask)))
+                    return TightnessReport(False, (w, i, kd), checked, exhaustive, i_max, ambient.kind)
+            # points and pairs cost less than their images, and a sweep that
+            # fails at a non-edge then never searches
+            if exhaustive and wmask.bit_count() > 2:
+                mark(gf2.bits_of(wmask))
     total = _family_size(M, ambient) if exhaustive else checked
     return TightnessReport(True, None, total, exhaustive, i_max, ambient.kind)
 

@@ -12,6 +12,7 @@ are computed once per complex.
 from __future__ import annotations
 
 import functools
+import math
 from itertools import combinations, islice, repeat
 from operator import xor
 
@@ -23,6 +24,7 @@ __all__ = ["automorphisms", "automorphism_group_order", "is_automorphism", "find
 
 _VERTEX_CAP = 32
 _SOME_MAPS = 63  # orbit sweeps mark a pass's images under at most this many maps
+_SOME_NODES = 20_000  # search nodes for them: about 5,900 on the Steiner triple system on 13 points
 
 
 def _signatures(K: SimplicialComplex):
@@ -56,7 +58,7 @@ def is_automorphism(K: SimplicialComplex, perm: dict[int, int]) -> bool:
     return all(tuple(sorted(perm[v] for v in f)) in facets for f in facets)
 
 
-def _vertex_maps(K: SimplicialComplex, sig, pairs, order, allowed):
+def _vertex_maps(K: SimplicialComplex, sig, pairs, order, allowed, budget=math.inf):
     """Yield every automorphism with each ``order[k]`` mapped to a vertex w
     with ``allowed(order[k], w, image)``, where ``image`` holds the vertices
     before it; images are tried in ascending order, so maps come
@@ -66,7 +68,8 @@ def _vertex_maps(K: SimplicialComplex, sig, pairs, order, allowed):
     a complete map sends every facet to a facet and, being a bijection,
     the facet set onto itself.  On a complex whose pair counts are all
     equal, such as a 2-neighborly surface, this check is the only pruning:
-    signatures and pair counts leave all n! maps open."""
+    signatures and pair counts leave all n! maps open.  The search stops
+    for good after ``budget`` nodes (calls of its recursion)."""
     by_sig: dict = {}
     for v in K.vertices:
         by_sig.setdefault(sig[v], []).append(v)
@@ -81,14 +84,19 @@ def _vertex_maps(K: SimplicialComplex, sig, pairs, order, allowed):
     image: dict[int, int] = {}
     image_bit: dict[int, int] = {}
     used: set[int] = set()
+    nodes = 0
 
     def extend(k: int):
+        nonlocal nodes
+        nodes += 1
         if k == len(order):
             yield dict(image)
             return
         v = order[k]
         before = list(map(image.__getitem__, order[:k]))
         for w in by_sig[sig[v]]:
+            if nodes >= budget:
+                return
             if w in used or not allowed(v, w, image):
                 continue
             if list(map(pairs[w].get, before, repeat(0))) != want[k]:
@@ -103,7 +111,7 @@ def _vertex_maps(K: SimplicialComplex, sig, pairs, order, allowed):
     return extend(0)
 
 
-def _all_maps(K: SimplicialComplex):
+def _all_maps(K: SimplicialComplex, budget=math.inf):
     """Every automorphism of a nonempty complex from :func:`_vertex_maps`,
     vertices taken greedily: the one closing the most facets on those
     before it, then the one sharing facets with the most of them, then
@@ -137,28 +145,49 @@ def _all_maps(K: SimplicialComplex):
             rest[i] ^= best
             if left[i] == 1:
                 closes[rest[i]] += 1
-    return _vertex_maps(K, sig, pairs, order, lambda v, w, image: True)
+    return _vertex_maps(K, sig, pairs, order, lambda v, w, image: True, budget)
 
 
 def _some_automorphisms(K: SimplicialComplex, count: int = _SOME_MAPS) -> list[list[int]]:
     """Non-identity automorphisms in the order :func:`_all_maps` finds them,
     each as the bit of every vertex position's image (positions in
     ``K.vertices``): at least the first ``count`` when there are so many,
-    at most 63, and none above 32 vertices, where no search runs and
-    nothing is raised.  The search is cached in ``K._cache`` and stops at
-    the last map asked for, so a later call for more resumes it, and the
-    list returned grows with it.  Each map is checked against the facet
-    set, so any subset of them maps faces, links and spans of K onto
-    isomorphic ones: they need not close up into a group."""
+    at most 63, none past ``_SOME_NODES`` search nodes, and none above 32
+    vertices, where no search runs and nothing is raised.  The search is
+    cached in ``K._cache`` and stops at the last map asked for, so a later
+    call for more resumes it, and the list returned grows with it.  Each
+    map is checked against the facet set, so any subset of them maps
+    faces, links and spans of K onto isomorphic ones: they need not close
+    up into a group, and a search cut short loses no soundness."""
     if "some_automorphisms" not in K._cache:
         found = iter(())
         if 0 < len(K.vertices) <= _VERTEX_CAP:
             bit = {v: 1 << p for p, v in enumerate(K.vertices)}
-            found = ([bit[g[v]] for v in K.vertices] for g in _all_maps(K) if any(v != w for v, w in g.items()))
+            found = ([bit[g[v]] for v in K.vertices] for g in _all_maps(K, _SOME_NODES) if any(v != w for v, w in g.items()))
         K._cache["some_automorphisms"] = ([], islice(found, _SOME_MAPS))
     maps, rest = K._cache["some_automorphisms"]
     maps.extend(islice(rest, max(count - len(maps), 0)))
     return maps
+
+
+def _orbit_marks(K: SimplicialComplex):
+    """``(passed, mark)`` for a sweep that computes one vertex set per orbit:
+    ``mark(positions)`` adds to the set ``passed`` the vertex masks (bit p
+    for ``K.vertices[p]``) of the images of those positions under the maps
+    of :func:`_some_automorphisms` found so far, searching one map further.
+    Kept as per-position columns of image bits, the maps cost no frame each.
+    K must have a vertex."""
+    passed: set[int] = set()
+    columns: list[list[int]] = [[] for _ in K.vertices]
+
+    def mark(positions) -> None:
+        known = len(columns[0])
+        for g in _some_automorphisms(K, known + 1)[known:]:
+            for col, b in zip(columns, g):
+                col.append(b)
+        passed.update(map(sum, zip(*map(columns.__getitem__, positions))))
+
+    return passed, mark
 
 
 def automorphisms(K: SimplicialComplex, order_cap: int = 10000) -> list[dict[int, int]]:

@@ -18,6 +18,7 @@ from tnt import (
     stacked_sphere,
     valid_moves,
 )
+from tnt.morse import _admissible_masks
 
 
 # -- dense rational-rank oracle ------------------------------------------------
@@ -181,6 +182,16 @@ def span_failures(K: SimplicialComplex, subsets) -> list[tuple[tuple[int, ...], 
             if kd:
                 out.append((tuple(W), i, kd))
     return out
+
+
+def decode_mask(K: SimplicialComplex, w: int) -> tuple[int, ...]:
+    """The vertices of K at the set bits of the vertex mask ``w``."""
+    return tuple(v for p, v in enumerate(K.vertices) if w >> p & 1)
+
+
+def admissible_subsets(K: SimplicialComplex, ambient, cap: int | None = None) -> list[tuple[int, ...]]:
+    """``morse._admissible_masks`` up to ``cap`` vertices, decoded."""
+    return [decode_mask(K, w) for w in _admissible_masks(K, ambient, 0, cap)]
 
 
 def as_vertex_maps(K: SimplicialComplex, maps) -> list[dict[int, int]]:

@@ -5,7 +5,7 @@ import sys
 import textwrap
 import types
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -26,15 +26,24 @@ from tnt import (
     kuehnel_series,
     lacunary_tight_pattern,
     mu_vector,
+    simplicial_product,
     stacked_sphere,
     tight_neighborly_check,
     tightness_verify,
     walkup_class_membership,
 )
-from tnt import homology, morse, symmetry
-from tnt.morse import _admissible_subsets, _family_size, _sampled_subsets, _upper_half
+from tnt import gf2, homology, morse, symmetry
+from tnt.morse import _admissible_masks, _family_size, _sampled_subsets
 
-from conftest import as_vertex_maps, dense_span_kernel_dim, homology_manifold_oracle, random_sphere, span_failures
+from conftest import (
+    admissible_subsets,
+    as_vertex_maps,
+    decode_mask,
+    dense_span_kernel_dim,
+    homology_manifold_oracle,
+    random_sphere,
+    span_failures,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -196,7 +205,7 @@ def test_lacunary_pattern_pins():
 def test_admissible_subsets_simplex_ambient():
     B = boundary_simplex(3)
     amb = AmbientPolytope.simplex(4)
-    subs = _admissible_subsets(B, amb)
+    subs = admissible_subsets(B, amb)
     assert len(subs) == 16
     assert subs[0] == ()
     assert subs == sorted(subs, key=lambda w: (len(w), w))
@@ -205,7 +214,7 @@ def test_admissible_subsets_simplex_ambient():
 def test_admissible_subsets_cross_ambient_count():
     O = cross_polytope_boundary(3)
     amb = AmbientPolytope.cross([(1, 2), (3, 4), (5, 6)])
-    subs = _admissible_subsets(O, amb)
+    subs = admissible_subsets(O, amb)
     # 3 diagonals: 3^3 + 3^3 - 2^3 = 46
     assert len(subs) == 46
     seen = set(subs)
@@ -226,7 +235,7 @@ def test_sampled_subsets_uniform(kind):
         M, amb = boundary_simplex(2), AmbientPolytope.simplex(3)
     else:
         M, amb = cross_polytope_boundary(2), AmbientPolytope.cross([(1, 2), (3, 4)])
-    family = _admissible_subsets(M, amb)
+    family = admissible_subsets(M, amb)
     draws = 700 * len(family)
     counts = Counter(w for s in range(draws) for w in _sampled_subsets(M, amb, 1, random.Random(s)))
     assert set(counts) == set(family)
@@ -237,7 +246,7 @@ def test_sampled_subsets_uniform(kind):
 def test_sampled_subsets_small_family():
     O = cross_polytope_boundary(3)
     amb = AmbientPolytope.cross([(1, 2), (3, 4), (5, 6)])
-    family = _admissible_subsets(O, amb)
+    family = admissible_subsets(O, amb)
     assert _sampled_subsets(O, amb, 1000, random.Random(1)) == family
     dense = _sampled_subsets(O, amb, 40, random.Random(1))
     assert len(set(dense)) == 40 and set(dense) <= set(family)
@@ -315,7 +324,7 @@ def test_tightness_large_input_is_lazy():
 def test_admissible_count_eight_diagonals():
     M = dataset('M6_16')
     amb = AmbientPolytope.cross(M.missing_faces(1))
-    subs = _admissible_subsets(M, amb)
+    subs = admissible_subsets(M, amb)
     assert len(subs) == 3**8 + 3**8 - 2**8 == 12866
 
 
@@ -431,19 +440,32 @@ def _family(K, ambient):
     return out
 
 
-def _assert_duality_and_full_sweep(K, ambient):
-    """W fails at i exactly when V - W fails at d - 1 - i, and the sweep
-    reports what a plain full sweep of the oracle finds."""
+def _assert_duality_and_full_sweep(K, ambient, dense=False):
+    """W at i and V - W at d - 1 - i have equal kernel dimensions, so W
+    fails at i exactly when V - W fails at d - 1 - i: by the oracle and by
+    the complement's span in the engine on every subset and degree, and,
+    if ``dense``, by ``dense_span_kernel_dim`` on every subset of a family
+    of at most 256, else on a seeded 32 of them.  The sweep reports what a
+    plain full sweep of the oracle finds."""
     family = _family(K, ambient)
     fails = span_failures(K, family)
-    failing = {(w, i) for w, i, _ in fails}
+    kernel = {(w, i): kd for w, i, kd in fails}
     V, d = set(K.vertices), K.dim
     members = set(family)
+    eng = homology.engine(K)
     for w in family:
         comp = tuple(sorted(V - set(w)))
         assert comp in members
+        span = eng.span_selection(eng.word_of(comp))
         for i in range(d):
-            assert ((w, i) in failing) == ((comp, d - 1 - i) in failing), (w, i)
+            kd = kernel.get((w, i), 0)
+            assert kd == kernel.get((comp, d - 1 - i), 0) == eng.span_kernel_dim(span, d - 1 - i), (w, i)
+    dense_family = family if len(family) <= 256 else random.Random(0).sample(family, 32)
+    for w in dense_family if dense else ():
+        comp = tuple(sorted(V - set(w)))
+        for i in range(d):
+            kd = dense_span_kernel_dim(K, w, i)
+            assert kd == dense_span_kernel_dim(K, comp, d - 1 - i) == kernel.get((w, i), 0), (w, i)
     rep = tightness_verify(K, ambient)
     if fails:
         w = fails[0][0]
@@ -488,13 +510,49 @@ def test_unmasked_span_ranks_match_masked(name):
             assert eng.span_rank(inside[t], rows) == eng.span_rank(inside[t], rows, inside[t - 1]), (w, t)
 
 
+def _fresh_cocycle_rows(eng):
+    """:attr:`ChainEngine.cocycle_rows` by the same formula, each d_{i+1}
+    eliminated whole by a fresh ``gf2.echelon``."""
+    out = []
+    for i, b in enumerate(eng.betti()):
+        rows = eng.boundary_rows(i) or [0] * eng.f[i]
+        if b:
+            up, ech = eng.boundary_rows(i + 1), {}
+            gf2.echelon(up, range(len(up)), piv=ech)
+            free = [c for c in range(eng.f[i]) if c + 1 not in ech]
+            cycles = gf2.left_nullspace_of_words([rows[c] for c in free], eng.f[i - 1] if i else 0)
+            phis = [1 << free[z.bit_length() - 1] for z in cycles]
+            for p in sorted(ech):
+                phis = [phi | ((ech[p] & phi).bit_count() & 1) << (p - 1) for phi in phis]
+            rows = [(r << b) | c for r, c in zip(rows, gf2.GF2Matrix(b, eng.f[i], phis).transpose().words)]
+        out.append((b, rows))
+    return out
+
+
+@pytest.mark.parametrize("name", [*sorted(DUALITY_FIXTURES), "product_3_5"])
+def test_cocycle_rows_reuse_the_cleared_elimination(name):
+    # the cleared elimination of betti() keeps the echelon rows of a full one
+    if name == "product_3_5":
+        K = simplicial_product(boundary_simplex(3), boundary_simplex(5))
+    else:
+        K = SimplicialComplex(DUALITY_FIXTURES[name]()[0].facets)
+    eng = homology.engine(K)
+    pivs = [{} for _ in range(K.dim + 2)]
+    eng.betti(pivs)
+    for j in range(1, K.dim + 1):
+        rows, ech = eng.boundary_rows(j), {}
+        gf2.echelon(rows, range(len(rows)), piv=ech)
+        assert pivs[j] == ech, j
+    assert eng.cocycle_rows == _fresh_cocycle_rows(eng)
+
+
 @pytest.mark.parametrize("name", sorted(DUALITY_FIXTURES))
 def test_complement_duality_and_full_sweep(name):
     K, diagonals = DUALITY_FIXTURES[name]()
     K = SimplicialComplex(K.facets)
     ambient = AmbientPolytope.simplex(len(K.vertices)) if diagonals is None else AmbientPolytope.cross(diagonals)
     assert homology._is_homology_manifold(K)
-    fails = _assert_duality_and_full_sweep(K, ambient)
+    fails = _assert_duality_and_full_sweep(K, ambient, dense=True)
     assert bool(fails) == name.startswith(("cyclic", "cross_4_simplex"))
 
 
@@ -520,7 +578,7 @@ def test_cut_span_sweep_matches_oracle(name):
 
 def test_tightness_rejects_negative_i_max(monkeypatch):
     K = SimplicialComplex([[1, 2], [2, 3], [3, 4], [4, 1]])  # 4-cycle
-    monkeypatch.setattr("tnt.morse._admissible_subsets", None)  # no subset is built
+    monkeypatch.setattr("tnt.morse._admissible_masks", None)  # no subset is built
     with pytest.raises(ValueError, match="i_max"):
         tightness_verify(K, AmbientPolytope.simplex(4), i_max=-1)
 
@@ -641,10 +699,18 @@ def test_half_sweep_only_on_the_manifold_precondition(monkeypatch):
     rep, seen = _spy_sweep(monkeypatch, K, ambient)
     assert seen == [w for w in family[1:] if 2 * len(w) <= n]
     assert rep.tight and rep.subsets_checked == len(family)
-    assert list(_upper_half(K, ambient)) == []
-    # i_max below the dimension: the full family
+    # i_max below the dimension: the lower half, then the complements of
+    # the upper half
     rep, seen = _spy_sweep(monkeypatch, K, ambient, i_max=K.dim - 1)
-    assert seen == family[1:] and rep.subsets_checked == len(family)
+    upper = [tuple(sorted(set(K.vertices) - set(w))) for w in family if 2 * len(w) > n]
+    assert seen == [w for w in family[1:] if 2 * len(w) <= n] + upper
+    assert rep.subsets_checked == len(family)
+    # no manifold: the full family at every i_max
+    X = NON_MANIFOLDS["suspended_torus"]()
+    family = _family(X, AmbientPolytope.simplex(len(X.vertices)))
+    for i_max in range(X.dim):
+        rep, seen = _spy_sweep(monkeypatch, X, AmbientPolytope.simplex(len(X.vertices)), i_max=i_max)
+        assert seen == family[1:] and rep.subsets_checked == len(family)
     # a sampled run draws from the full family
     M = SimplicialComplex(dataset("M6_16").facets)
     amb = AmbientPolytope.cross(M.missing_faces(1))
@@ -812,15 +878,42 @@ def test_homology_manifold_matches_oracle_on_random_spheres(seed, d):
         assert homology._is_homology_manifold(K) == homology_manifold_oracle(K) == manifold, K
 
 
+def test_admissible_masks_match_independent_families():
+    # decoded, the masks are plain combinations (simplex) or a product of
+    # choices per diagonal (cross), in (size, lex) order, at every size bound
+    O = cross_polytope_boundary(4)
+    shuffle = dict(zip(O.vertices, [1, 5, 2, 7, 3, 8, 4, 6]))  # diagonals (1, 5), (2, 7), (3, 8), (4, 6)
+    O = SimplicialComplex([[shuffle[v] for v in f] for f in O.facets])
+    M = dataset("M6_16")
+    cases = [
+        (cyclic_polytope_boundary(4, 9), AmbientPolytope.simplex(9)),
+        (O, AmbientPolytope.cross([(1, 5), (2, 7), (3, 8), (4, 6)])),
+        (M, AmbientPolytope.cross(M.missing_faces(1))),
+    ]
+    for K, amb in cases:
+        n = len(K.vertices)
+        if amb.kind == "simplex":
+            family = [w for k in range(n + 1) for w in combinations(K.vertices, k)]
+        else:
+            per = [[(), (a,), (b,)] for a, b in amb.diagonals], [[(a,), (b,), (a, b)] for a, b in amb.diagonals]
+            family = sorted({tuple(sorted(sum(c, ()))) for p in per for c in product(*p)}, key=lambda w: (len(w), w))
+        assert len(family) == _family_size(K, amb)
+        bounds = [(lo, hi) for lo in range(n + 2) for hi in range(lo - 1, n + 2)] if n < 10 else [(0, 8), (9, 16)]
+        for lo, hi in bounds:
+            got = [decode_mask(K, w) for w in _admissible_masks(K, amb, lo, hi)]
+            assert got == [w for w in family if lo <= len(w) <= hi], (lo, hi)
+        assert [decode_mask(K, w) for w in _admissible_masks(K, amb)] == family
+
+
 def test_admissible_subsets_size_cap():
     for K, amb in (
         (boundary_simplex(4), AmbientPolytope.simplex(5)),
         (cross_polytope_boundary(4), AmbientPolytope.cross([(1, 2), (3, 4), (5, 6), (7, 8)])),
     ):
-        full = _admissible_subsets(K, amb)
+        full = admissible_subsets(K, amb)
         assert len(full) == _family_size(K, amb) == len(_family(K, amb))
         for cap in range(len(K.vertices) + 2):
-            assert _admissible_subsets(K, amb, cap) == [w for w in full if len(w) <= cap]
+            assert admissible_subsets(K, amb, cap) == [w for w in full if len(w) <= cap]
 
 
 # -- membership, hamiltonicity, neighborliness --------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import as_vertex_maps, random_sphere
 from tnt import (
+    AmbientPolytope,
     SimplicialComplex,
     automorphism_group_order,
     automorphisms,
@@ -22,7 +23,9 @@ from tnt import (
     is_automorphism,
     kuehnel_series,
     stacked_sphere,
+    tightness_verify,
 )
+from tnt import symmetry
 from tnt.errors import SearchLimitError
 from tnt.symmetry import _pair_counts, _signatures, _some_automorphisms
 
@@ -199,6 +202,22 @@ def test_uniform_pair_counts_search_is_not_factorial():
         timeout=60,
     )
     assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
+def test_orbit_search_budget_drops_maps_not_verdicts(monkeypatch):
+    # a search cut off early finds fewer maps, each still an automorphism,
+    # and a sweep that marks images under them reports the same
+    facets = [sorted((i + a) % 13 + 1 for a in b) for b in ((0, 1, 4), (0, 2, 7)) for i in range(13)]
+    K = SimplicialComplex(facets)
+    full = _some_automorphisms(K)
+    report = tightness_verify(K, AmbientPolytope.simplex(13)).to_json()
+    monkeypatch.setattr(symmetry, "_SOME_NODES", 300)
+    K = SimplicialComplex(facets)
+    report_cut = tightness_verify(K, AmbientPolytope.simplex(13)).to_json()
+    maps = _some_automorphisms(K)
+    assert 0 < len(maps) < len(full) == 38
+    assert all(is_automorphism(K, g) for g in as_vertex_maps(K, maps))
+    assert report_cut == report
 
 
 def test_central_involution_key_order_pinned():
