@@ -11,12 +11,12 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb, exp
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, Simplex, simplex
+from .complexes import SimplicialComplex, Simplex, _masked, simplex
 from .errors import InvalidMoveError
 
 __all__ = [
@@ -80,56 +80,22 @@ def move_fvector_delta(d: int, i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_move(table: dict[Simplex, frozenset[int]], move: BistellarMove) -> None:
-    """Raise InvalidMoveError naming the first clause the move fails; ``table`` maps facets to sets."""
-    a, b = move.A, move.B
-    sa, sb = set(a), set(b)
-    cof = [f for f, fs in table.items() if sa <= fs]
-    if not cof:
-        raise InvalidMoveError("A not a face", f"A={a}")
-    if len(b) == 1 and not any(b[0] in fs for fs in table.values()):
-        if a not in table:
-            raise InvalidMoveError("link mismatch", f"A={a} is not a facet, cannot subdivide")
-        return
-    if any(sb <= fs for fs in table.values()):
-        raise InvalidMoveError("B already a face", f"B={b}")
-    # labels of B outside every cofacet of A are checked against all vertices
-    outside = sb.difference(*cof)
-    if any(not any(v in fs for fs in table.values()) for v in outside):
-        raise InvalidMoveError("label not fresh", f"B={b} mixes new and existing labels")
-    link_facets = {tuple(v for v in f if v not in sa) for f in cof}
-    db = {b[:k] + b[k + 1 :] for k in range(len(b))}
-    if link_facets != db:
-        raise InvalidMoveError("link mismatch", f"link({a}) facets != boundary of {b}")
-
-
-def _swap(table: dict[Simplex, frozenset[int]], move: BistellarMove, check: bool) -> None:
-    """Swap the facets U - w, w in B, for U - v, v in A, in the table, checking first with ``check``."""
-    if check:
-        _check_move(table, move)
-    union = sorted(set(move.A).union(move.B))
-    for w in move.B:
-        table.pop(tuple(x for x in union if x != w), None)
-    for v in move.A:
-        f = tuple(x for x in union if x != v)
-        table[f] = frozenset(f)
-
-
 def apply_move(M: SimplicialComplex, move: BistellarMove, check: bool = True) -> SimplicialComplex:
     """Apply one bistellar move, returning the new complex.
 
     With ``check`` (the default) the move is validated first and an
     InvalidMoveError names the failing clause.  ``check=False`` is for
-    callers that enumerate moves themselves.  The facets are swapped in a
-    table and sorted: a checked move keeps them maximal (every added facet
-    contains B, no face; an old facet inside one would be inside a removed
-    one).  Only ``check=False`` on a non-pure complex maximalizes again.
+    callers that enumerate valid moves themselves.  The facets are swapped
+    on a :class:`_MoveState` built for no index and sorted: a checked move
+    keeps them maximal (every added facet contains B, no face; an old facet
+    inside one would be inside a removed one).  Only ``check=False`` on a
+    non-pure complex maximalizes again.
     """
-    table = {f: frozenset(f) for f in M.facets}
-    _swap(table, move, check)
+    state = _MoveState(M, ())
+    (state.apply_checked if check else state.apply)(move)
     if check or M.is_pure:
-        return SimplicialComplex(sorted(table), _canonical=True)
-    return SimplicialComplex(table, _canonical=False)
+        return state.complex()
+    return SimplicialComplex(state.facets)
 
 
 class _MoveState:
@@ -141,18 +107,21 @@ class _MoveState:
     SCReduceComplex (Effenberger and Spreer).  ``facets`` maps each facet
     to its slot in ``_slots`` (free slots hold None and are listed in
     ``_free``).  A vertex star is an int with bit j set when the facet in
-    slot j contains the vertex, and ``_low`` masks the slots of
-    lower-dimensional facets, so the AND of a face's vertex stars holds its
-    facets and, without ``_low``, its top-dimensional cofacets.  For each
-    index i the state was built for, ``_cof`` counts the top cofacets of
-    each face of size d - i + 1 that has one, and the ready set holds the
-    faces with exactly i + 1 of them.  Only a ready face can make a move,
-    so cofacets are decoded only for those: where a face is pooled and in
-    :meth:`probe`.  The pool caches, per ready face A, the :meth:`span` B
-    and the move (A, B), which depend only on the cofacets of A.  Only
-    valid moves may be applied.  A valid move never swallows a
-    lower-dimensional facet: one inside dA * B would contain B, which is no
-    face; so every facet it swaps is top-dimensional.
+    slot j contains the vertex, copied from the complex's cached stars, and
+    ``_low`` masks the slots of lower-dimensional facets, so the AND of a
+    face's vertex stars holds its facets and, without ``_low``, its
+    top-dimensional cofacets.  For each index i the state was built for,
+    ``_cof`` counts the top cofacets of each face of size d - i + 1 that
+    has one, and the ready set holds the faces with exactly i + 1 of them.
+    Only a ready face can make a move, so cofacets are decoded only for
+    those: where a face is pooled and in :meth:`probe`.  The pool caches,
+    per ready face A, the :meth:`span` B and the move (A, B), which depend
+    only on the cofacets of A.  Only valid moves may be applied
+    (:meth:`apply_checked` checks first).  A move swaps facets of one size:
+    a top one swallows no lower facet (inside dA * B it would contain B, no
+    face), and a lower one, valid only on a non-pure complex, swaps lower ones.
+    :func:`apply_move` and the certificate replay use a state built for no
+    index, which counts nothing.
 
     A state built for fewer indices, as the stackedness search and a
     filtered :func:`valid_moves` build, fills the pool lazily and looks up
@@ -202,21 +171,26 @@ class _MoveState:
         self._slots: list[Simplex | None] = list(M.facets)
         self.facets: dict[Simplex, int] = {f: j for j, f in enumerate(self._slots)}
         self._free: list[int] = []
-        self.star: dict[int, int] = {}
-        for j, f in enumerate(self._slots):
-            for v in f:
-                self.star[v] = self.star.get(v, 0) | 1 << j
+        self.star: dict[int, int] = dict(M._stars())
         self._low = sum(1 << j for j, f in enumerate(self._slots) if len(f) <= d)
-        # one pass counts the cofacets, kept in a plain dict since a
-        # Counter deletes keys in Python code; the ready sets are read off
-        # the final counts, so no face enters or leaves them on the way
-        sizes = [d - i + 1 for i in self.indices]
-        self._cof: dict[Simplex, int] = dict(Counter(chain.from_iterable(
-            combinations(f, size) for f in M.facets if len(f) == d + 1 for size in sizes)))
+        # faces with a top cofacet, walked up from the vertices: a face grows by a
+        # larger neighbour w of its last vertex, its top cofacets ANDed with w's
+        self._cof: dict[Simplex, int] = {}
         self._ready: dict[int, set[Simplex]] = {i: set() for i in self.indices}
-        for a, n in self._cof.items():
-            if n == d + 2 - len(a):
-                self._ready[d + 1 - len(a)].add(a)
+        if self.indices:
+            tops = {v: m & ~self._low for v, m in self.star.items()}
+            verts = sorted(v for v, m in tops.items() if m)
+            up = {v: [w for w in verts[k + 1 :] if tops[v] & tops[w]] for k, v in enumerate(verts)}
+            level = {(v,): tops[v] for v in verts}
+            for size in range(1, d + 2 - self.indices[0]):
+                if size > 1:
+                    level = {a + (w,): n for a, m in level.items() for w in up[a[-1]] if (n := m & tops[w])}
+                if (i := d + 1 - size) in self._ready:
+                    ready = self._ready[i]
+                    for a, m in level.items():
+                        n = self._cof[a] = m.bit_count()
+                        if n == i + 1:
+                            ready.add(a)
         self._pool: dict[Simplex, tuple[Simplex | None, BistellarMove | None]] = {}
         # the valid sets: per index the moves and the position of each A,
         # and per B the ready faces wanting it; None unless every index
@@ -359,7 +333,16 @@ class _MoveState:
         return union, [opposite[w] for w in move.B], [opposite[v] for v in move.A]
 
     def apply(self, move: BistellarMove) -> None:
+        """Apply the valid move ``move``."""
+        self._apply(*self._sides(move))
+
+    def apply_checked(self, move: BistellarMove) -> None:
+        """Apply ``move`` once :meth:`_check` has found it valid."""
         union, removed, added = self._sides(move)
+        self._check(move, removed)
+        self._apply(union, removed, added)
+
+    def _apply(self, union: Simplex, removed: list[Simplex], added: list[Simplex]) -> None:
         if self._valid is not None:
             for f in removed:
                 self._remove(f)
@@ -368,8 +351,10 @@ class _MoveState:
             if self._fresh:
                 self._settle()
             return
-        # every swapped facet is top-dimensional, so _low stays
+        low = len(union) <= self.d + 1  # a lower-dimensional move
         facets, slots, free, star = self.facets, self._slots, self._free, self.star
+        if low:
+            self._low ^= sum(1 << facets[f] for f in removed)
         for f in removed:
             j = facets.pop(f)
             slots[j] = None
@@ -389,6 +374,8 @@ class _MoveState:
             bit = 1 << j
             for v in f:
                 star[v] = star.get(v, 0) | bit
+        if low:
+            self._low |= sum(1 << facets[f] for f in added)
         top = ~self._low
         tops = {v: star.get(v, 0) & top for v in union}
         d, cofs, pool = self.d, self._cof, self._pool
@@ -408,6 +395,33 @@ class _MoveState:
                 else:
                     ready.discard(a)
                 pool.pop(a, None)
+
+    def _check(self, move: BistellarMove, removed: list[Simplex]) -> None:
+        """Raise InvalidMoveError naming the first clause ``move`` fails.
+
+        Accepted at once when B is no face and the facets holding A (the AND of
+        its vertex stars) are the U - w, w in B, so A * dB: a label x in A and B
+        would repeat in U - w, w != x, or make B = (x,) a face.  Otherwise the
+        clauses run in order and one fails: link(A) = dB would put x in B - w,
+        w != x, but in no F - A, so A, B would be disjoint and accepted."""
+        a, b = move.A, move.B
+        star, facets = self.star, self.facets
+        m = -1
+        for v in a:
+            m &= star.get(v, 0)
+        if all(f in facets for f in removed) and m == sum(1 << facets[f] for f in removed):
+            if not self.has_face(b):
+                return
+        if not m:
+            raise InvalidMoveError("A not a face", f"A={a}")
+        if len(b) == 1 and b[0] not in star:  # a facet A would have been accepted
+            raise InvalidMoveError("link mismatch", f"A={a} is not a facet, cannot subdivide")
+        if self.has_face(b):
+            raise InvalidMoveError("B already a face", f"B={b}")
+        # labels of B outside every cofacet of A are checked against all vertices
+        if any(v not in star for v in set(b).difference(*_masked(self._slots, m))):
+            raise InvalidMoveError("label not fresh", f"B={b} mixes new and existing labels")
+        raise InvalidMoveError("link mismatch", f"link({a}) facets != boundary of {b}")
 
     def probe(self, move: BistellarMove) -> int:
         """The number of index-d moves after ``move``, leaving the state
@@ -441,34 +455,18 @@ class _MoveState:
 
     def _pooled(self, a: Simplex, i: int) -> tuple[Simplex | None, BistellarMove | None]:
         """Pool the ready face ``a`` of index ``i`` with its :meth:`span` B
-        and the move (a, B), or (None, None), and return the entry; each top
-        cofacet, decoded from the AND of the vertex stars, is ORed into B."""
-        star, slots = self.star, self._slots
-        m = ~self._low
-        for v in a:
-            m &= star[v]
-        u: set[int] = set()
-        while m:
-            low = m & -m
-            u.update(slots[low.bit_length() - 1])
-            m ^= low
-        u.difference_update(a)
-        b = tuple(sorted(u)) if len(u) == i + 1 else None
+        and the move (a, B), or (None, None), and return the entry."""
+        b = self.span(a, self.cofacets(a), i)
         hit = self._pool[a] = (b, None if b is None else _move(a, b))
         return hit
 
     def cofacets(self, a: Simplex) -> list[Simplex]:
         """The top-dimensional facets containing the face ``a``."""
-        star, slots = self.star, self._slots
+        star = self.star
         m = ~self._low
         for v in a:
             m &= star.get(v, 0)
-        out = []
-        while m:
-            low = m & -m
-            out.append(slots[low.bit_length() - 1])
-            m ^= low
-        return out
+        return _masked(self._slots, m)
 
     @staticmethod
     def span(a: Simplex, cof: Iterable[Simplex], i: int) -> Simplex | None:
@@ -557,15 +555,15 @@ class MoveCertificate:
 
     def replay(self, M: SimplicialComplex) -> SimplicialComplex:
         """Apply the moves to M, verifying both endpoint hashes.  Each move is
-        checked and swapped as by :func:`apply_move`, on one facet table, and
-        one complex is built at the end (M itself when there are no moves)."""
+        checked and swapped as by :func:`apply_move`, on one state, and one
+        complex is built at the end (M itself when there are no moves)."""
         if M.canonical_hash() != self.start:
             raise ValueError("certificate start hash does not match the complex")
         if self.moves:
-            table = {f: frozenset(f) for f in M.facets}
+            state = _MoveState(M, ())
             for mv in self.moves:
-                _swap(table, mv, True)
-            M = SimplicialComplex(sorted(table), _canonical=True)
+                state.apply_checked(mv)
+            M = state.complex()
         if M.canonical_hash() != self.end:
             raise ValueError("certificate end hash does not match the replayed complex")
         return M

@@ -1,9 +1,9 @@
 """Simplicial complexes on positive integer vertex labels.
 
-A simplex is a sorted tuple of distinct positive ints.  A
-:class:`SimplicialComplex` stores the inclusion-maximal faces (facets) in
-lexicographic order and answers face queries from per-dimension sets built
-on demand.  Complexes are immutable; every operation returns a new object.
+A simplex is a sorted tuple of distinct positive ints.  A :class:`SimplicialComplex`
+stores the inclusion-maximal faces (facets) in lexicographic order, answers face
+queries from per-dimension sets and links and stars from vertex-star bitmasks, all
+built on demand.  Complexes are immutable; every operation returns a new object.
 """
 from __future__ import annotations
 
@@ -59,6 +59,16 @@ def _plain_simplices(raw: list) -> list[Simplex] | None:
         if all(rows) and min(map(itemgetter(0), rows)) > 0 and sum(map(len, rows)) == sum(map(len, map(set, rows))):
             return rows
     return None
+
+
+def _masked(items: Sequence, mask: int) -> list:
+    """The items at the set bits of ``mask``, in order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def _maximalize(simplices: list[Simplex]) -> tuple[Simplex, ...]:
@@ -180,33 +190,45 @@ class SimplicialComplex:
 
     # -- local structure -------------------------------------------------
 
+    def _stars(self) -> dict[int, int]:
+        """Per vertex, the int with bit j set when ``facets[j]`` holds it (cached)."""
+        if "stars" not in self._cache:
+            stars: dict[int, int] = {}
+            for j, f in enumerate(self.facets):
+                bit = 1 << j
+                for v in f:
+                    stars[v] = stars.get(v, 0) | bit
+            self._cache["stars"] = stars
+        return self._cache["stars"]
+
+    def _holding(self, s: Simplex) -> list[Simplex]:
+        """The facets holding ``s``, the AND of its vertex stars, in order; KeyError when none."""
+        stars = self._stars()
+        m = -1
+        for v in s:
+            m &= stars.get(v, 0)
+        if not m:
+            raise KeyError(f"{s} is not a face")
+        return _masked(self.facets, m)
+
     def link(self, face: Iterable[int]) -> "SimplicialComplex":
         """Link of ``face``: facets are F minus ``face`` over containing facets F.
 
-        Raises KeyError if ``face`` is not a face of the complex.
+        Raises KeyError if ``face`` is not a face of the complex.  No face
+        lattice is built: the facets F come from :meth:`_holding`.
         """
         s = simplex(face)
-        if not self.has_face(s):
-            raise KeyError(f"{s} is not a face")
         key = ("link", s)
         if key not in self._cache:
             fs = set(s)
-            parts = [tuple(v for v in f if v not in fs) for f in self.facets if fs <= set(f)]
-            parts = [p for p in parts if p]
-            if self.is_pure:
-                # distinct parts of one size: nothing to maximalize or check
-                self._cache[key] = SimplicialComplex(sorted(parts), _canonical=True)
-            else:
-                self._cache[key] = SimplicialComplex(parts)
+            parts = [p for p in (tuple(v for v in f if v not in fs) for f in self._holding(s)) if p]
+            # F - s inside G - s puts F inside G, so the parts are maximal
+            self._cache[key] = SimplicialComplex(sorted(parts), _canonical=True)
         return self._cache[key]
 
     def star(self, face: Iterable[int]) -> "SimplicialComplex":
         """Closed star: all facets containing ``face``."""
-        s = simplex(face)
-        if not self.has_face(s):
-            raise KeyError(f"{s} is not a face")
-        fs = set(s)
-        return SimplicialComplex((f for f in self.facets if fs <= set(f)), _canonical=True)
+        return SimplicialComplex(self._holding(simplex(face)), _canonical=True)
 
     def span(self, w: Iterable[int]) -> "SimplicialComplex":
         """Full subcomplex on the vertex set ``w``.

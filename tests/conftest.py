@@ -6,6 +6,7 @@ search code so that the main engines are checked against a second route.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -67,12 +68,24 @@ def oracle_betti(K: SimplicialComplex) -> tuple[int, ...]:
     return tuple(out)
 
 
+def plain_link(K: SimplicialComplex, s) -> SimplicialComplex:
+    """The link of the face ``s`` of K by a plain scan: F minus ``s`` over
+    the facets F holding it, as plain sets, maximalized by
+    :func:`quadratic_maximalize`; KeyError when ``s`` is no face."""
+    fs = set(s)
+    holding = [f for f in K.facets if fs <= set(f)]
+    if not holding:
+        raise KeyError(f"{tuple(s)} is not a face")
+    parts = [tuple(v for v in f if v not in fs) for f in holding]
+    return SimplicialComplex(quadratic_maximalize(p for p in parts if p), _canonical=True)
+
+
 def homology_manifold_oracle(K: SimplicialComplex) -> bool:
     """Is K a closed GF(2)-homology manifold of dimension at least 1?
 
     Every nonempty face that is not a facet of the pure complex K must have
     a link with the Betti numbers of a sphere: (2,) in dimension 0, else
-    (1, 0, ..., 0, 1).  Links come from ``K.link``, ranks from
+    (1, 0, ..., 0, 1).  Links come from :func:`plain_link`, ranks from
     :func:`oracle_betti`.
     """
     d = K.dim
@@ -80,7 +93,7 @@ def homology_manifold_oracle(K: SimplicialComplex) -> bool:
         return False
     for j in range(d):
         for s in K.faces(j):
-            L = K.link(s)
+            L = plain_link(K, s)
             sphere = (2,) if L.dim == 0 else (1,) + (0,) * (L.dim - 1) + (1,)
             if oracle_betti(L) != sphere:
                 return False
@@ -90,10 +103,10 @@ def homology_manifold_oracle(K: SimplicialComplex) -> bool:
 def mu_contribution_oracle(K: SimplicialComplex, v: int, lower) -> tuple[int, ...]:
     """Reduced Betti numbers of the span, inside lk(v), of the link vertices
     in ``lower``: index k holds reduced b_{k-1}, padded to length dim K + 1,
-    and an empty span gives 1 at index 0.  From ``K.link``, ``.span`` and
-    :func:`oracle_betti`.
+    and an empty span gives 1 at index 0.  From :func:`plain_link`,
+    ``.span`` and :func:`oracle_betti`.
     """
-    L = K.link((v,))
+    L = plain_link(K, (v,))
     w = set(lower) & set(L.vertices)
     out = [0] * (K.dim + 1)
     if not w:
@@ -103,6 +116,22 @@ def mu_contribution_oracle(K: SimplicialComplex, v: int, lower) -> tuple[int, ..
     reduced = (bet[0] - 1,) + bet[1:]
     out[1 : len(reduced) + 1] = reduced
     return tuple(out)
+
+
+@lru_cache(maxsize=32)
+def _dense_boundary(K: SimplicialComplex, i: int):
+    """The i-faces, the (i+1)-faces, the dense matrix D of d_{i+1} over
+    them and rank D, built once per complex and degree."""
+    lower = sorted({f for fac in K.facets for f in combinations(fac, i + 1)})
+    upper = sorted({f for fac in K.facets for f in combinations(fac, i + 2)})
+    index = {f: c for c, f in enumerate(lower)}
+    D = []
+    for f in upper:
+        row = [0] * len(lower)
+        for k in range(len(f)):
+            row[index[f[:k] + f[k + 1 :]]] = 1
+        D.append(row)
+    return lower, upper, D, dense_gf2_rank(D)
 
 
 def dense_kernel_dim(K: SimplicialComplex, is_face, i: int) -> int:
@@ -116,19 +145,11 @@ def dense_kernel_dim(K: SimplicialComplex, is_face, i: int) -> int:
     """
     if not K.facets or i + 1 > K.dim:
         return 0
-    lower = sorted({f for fac in K.facets for f in combinations(fac, i + 1)})
-    upper = sorted({f for fac in K.facets for f in combinations(fac, i + 2)})
-    index = {f: c for c, f in enumerate(lower)}
-    D = []
-    for f in upper:
-        row = [0] * len(lower)
-        for k in range(len(f)):
-            row[index[f[:k] + f[k + 1 :]]] = 1
-        D.append(row)
+    lower, upper, D, rank_d = _dense_boundary(K, i)
     outside = [c for c, f in enumerate(lower) if not is_face(f)]
     r_out = dense_gf2_rank([[row[c] for c in outside] for row in D])
     inside = [row for f, row in zip(upper, D) if is_face(f)]
-    return dense_gf2_rank(D) - r_out - dense_gf2_rank(inside)
+    return rank_d - r_out - dense_gf2_rank(inside)
 
 
 def dense_span_kernel_dim(K: SimplicialComplex, W, i: int) -> int:
@@ -205,7 +226,7 @@ def as_vertex_maps(K: SimplicialComplex, maps) -> list[dict[int, int]]:
 
 def dense_valid_moves(K: SimplicialComplex, indices) -> list[tuple[int, tuple, tuple]]:
     """(index, A, B) of every applicable move of the given indices, in
-    (index, A, B) order, read off links and face sets.
+    (index, A, B) order, read off :func:`plain_link` and face sets.
 
     For index i, A is a (d - i)-face whose link facets of size i, the ones
     that come from top-dimensional facets, are exactly the boundary of an
@@ -215,7 +236,7 @@ def dense_valid_moves(K: SimplicialComplex, indices) -> list[tuple[int, tuple, t
     out = []
     for i in sorted({i for i in indices if 1 <= i <= d}):
         for a in K.faces(d - i):
-            top = {g for g in K.link(a).facets if len(g) == i}
+            top = {g for g in plain_link(K, a).facets if len(g) == i}
             b = tuple(sorted({v for g in top for v in g}))
             if len(b) == i + 1 and b not in K.face_set(i) and top == set(combinations(b, i)):
                 out.append((i, a, b))
@@ -290,7 +311,8 @@ def are_isomorphic(K1: SimplicialComplex, K2: SimplicialComplex) -> bool:
         return False
 
     def sig(K, v):
-        return (len(K.link((v,)).facets), K.link((v,)).f_vector())
+        L = plain_link(K, (v,))
+        return (len(L.facets), L.f_vector())
 
     s1 = {v: sig(K1, v) for v in v1}
     s2 = {v: sig(K2, v) for v in v2}

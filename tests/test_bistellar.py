@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_valid_moves, random_sphere, replay_oracle, top_cofacet_scan
+from conftest import dense_valid_moves, plain_link, random_sphere, replay_oracle, top_cofacet_scan
 from tnt import (
     BistellarMove,
     MoveCertificate,
@@ -382,6 +382,38 @@ def test_bulk_state_build_matches_incremental_build(seed, d, pure):
     assert _triples(bulk.moves()) == dense_valid_moves(K, built)
 
 
+@pytest.mark.parametrize("name", ["walked", "non_pure", "stacked_70", "product"])
+def test_walked_up_counts_match_a_cofacet_scan(name):
+    # the counts walked up from the vertices, for every index set that can
+    # be built (a state for no index counts nothing), against a plain scan
+    # over the top facets; a build, and moves applied to it, leave the
+    # complex's cached star masks as they were
+    rng = random.Random(2503)
+    K = {
+        "walked": lambda: random_sphere(rng, d=4, walk=8),
+        "non_pure": lambda: SimplicialComplex(
+            list(random_sphere(rng, d=3, walk=4).facets) + [(1, 30), (30, 31, 32), (2, 3, 33), (34,)]
+        ),
+        "stacked_70": lambda: stacked_sphere(3, 70, seed=7),
+        "product": lambda: simplicial_product(boundary_simplex(2), boundary_simplex(3)),
+    }[name]()
+    d = K.dim
+    stars = K._stars()
+    before = dict(stars)
+    for built in [()] + [[i] for i in range(1, d + 1)] + [range(d - 1, d + 1), range(1, d + 1), range(0, d + 3)]:
+        state = _MoveState(K, built)
+        scan = top_cofacet_scan(K, [d - i + 1 for i in state.indices])
+        assert state._cof == {a: len(cof) for a, cof in scan.items() if cof}, built
+        assert state._ready == {
+            i: {a for a, cof in scan.items() if len(a) == d - i + 1 and len(cof) == i + 1} for i in state.indices
+        }, built
+        _check_state(state, K)
+        for _ in range(3):
+            for mv in state.moves()[:1]:
+                state.apply(mv)
+    assert K._stars() is stars and stars == before
+
+
 def test_valid_moves_non_pure_rule():
     # stacked 2-sphere on 5 vertices: 1 and 5 have link d(2 3 4), and the
     # edges 23, 24, 34 flip onto the missing edge 15
@@ -653,6 +685,121 @@ def test_replay_matches_independent_oracle(seed, d, kind):
     if at:
         with pytest.raises(ValueError, match="end hash"):
             MoveCertificate(cert.start, tampered[:at], "0" * 32).replay(M)
+
+
+def _replay_cases():
+    """Walked and stacked spheres, and a non-pure complex whose lower facets
+    admit moves of their own: the path 12 - 13 - 14 has the index-1 move
+    (13,) -> (12, 14), and every lower facet an index-0 subdivision."""
+    rng = random.Random(2502)
+    cases = [random_sphere(rng, d=d, walk=5) for d in (2, 3, 3, 4)] + [stacked_sphere(3, 9, seed=4)]
+    S = stacked_sphere(2, 7, seed=1)
+    lower = [(1, 12), (12, 13), (13, 14), (2, 3, 15), (16,)]
+    return cases + [SimplicialComplex(list(S.facets) + lower)]
+
+
+def _any_move(rng, K, last):
+    """A move on K of one of six kinds, valid or not: a move of the dense
+    oracle, an index-0 subdivision of any facet, the inverse of the last
+    accepted move, a face A with the vertices of its link as B, a move with
+    A and B sharing a label, and a mostly invalid random move."""
+    d, facets = K.dim, list(K.facets)
+    fresh = max(K.vertices) + 1
+    kind = rng.randrange(6)
+    if kind == 0:
+        cands = dense_valid_moves(K, range(1, d + 1))
+        if cands:
+            return "oracle", BistellarMove(*rng.choice(cands)[1:])
+    if kind == 2 and last is not None:
+        return "inverse", last.inverse()
+    if kind == 3:
+        f = rng.choice(facets)
+        a = tuple(sorted(rng.sample(f, rng.randint(1, len(f)))))
+        b = plain_link(K, a).vertices
+        return "link", BistellarMove(a, b or (fresh,))
+    if kind == 4:
+        f = rng.choice(facets)
+        a = rng.sample(f, rng.randint(1, len(f)))
+        rest = [v for v in list(K.vertices) + [fresh] if v not in a]
+        return "overlap", BistellarMove(a, [rng.choice(a)] + rng.sample(rest, rng.randint(0, min(2, len(rest)))))
+    if kind == 5:
+        return "random", _bad_move(rng, set(map(frozenset, facets)), d)
+    return "subdivide", BistellarMove(rng.choice(facets), (fresh,))
+
+
+def _check_sequence(M, moves):
+    """A certificate of ``moves`` replays as the oracle runs them: to the
+    same facets, with the lower-facet mask of a state built for no index
+    following the lower moves, or to an InvalidMoveError with the oracle's
+    clause at the oracle's position (the moves before it replay up to the
+    end hash)."""
+    verdict = replay_oracle(M.facets, [(m.A, m.B) for m in moves])
+    if isinstance(verdict, set):
+        end = SimplicialComplex(_facet_tuple(verdict), _canonical=True)
+        assert MoveCertificate(M.canonical_hash(), moves, end.canonical_hash()).replay(M).facets == end.facets
+        state = _MoveState(M, ())
+        for mv in moves:
+            state.apply_checked(mv)
+        assert _slot_facets(state, state._low) == {f for f in end.facets if len(f) <= M.dim}
+        return
+    at, clause = verdict
+    with pytest.raises(InvalidMoveError) as ei:
+        MoveCertificate(M.canonical_hash(), moves[: at + 1], "0" * 32).replay(M)
+    assert ei.value.clause == clause
+    with pytest.raises(ValueError, match="end hash"):
+        MoveCertificate(M.canonical_hash(), moves[:at], "0" * 32).replay(M)
+
+
+def test_replay_and_apply_move_match_the_oracle_on_every_clause():
+    # each move by apply_move and each sequence by a certificate replay,
+    # both on a state built for no index, against the oracle over plain
+    # sets: the same facets, or the same position and clause
+    seen = Counter()
+    cases = _replay_cases()
+    for case, M in enumerate(cases):
+        rng = random.Random(case)
+        for _ in range(60):
+            K, moves, last = M, [], None
+            for _ in range(rng.randint(1, 6)):
+                kind, mv = _any_move(rng, K, last)
+                moves.append(mv)
+                verdict = replay_oracle(K.facets, [(mv.A, mv.B)])
+                try:
+                    got = set(map(frozenset, apply_move(K, mv).facets))
+                except InvalidMoveError as e:
+                    got = (0, e.clause)
+                assert got == verdict, (K.facets, mv)
+                if isinstance(verdict, tuple):
+                    seen[verdict[1]] += 1
+                    seen["shared label"] += bool(set(mv.A) & set(mv.B))
+                    break
+                seen[kind, "valid" if len(mv.B) > 1 or mv.B[0] in K.vertices else "index 0"] += 1
+                K, last = SimplicialComplex(_facet_tuple(verdict), _canonical=True), mv
+            _check_sequence(M, moves)
+    for clause in ("A not a face", "B already a face", "label not fresh", "link mismatch"):
+        assert seen[clause] >= 5, (clause, seen)
+    for kind in ("oracle", "inverse", "link", "subdivide"):
+        assert seen[kind, "valid"] + seen[kind, "index 0"] >= 5, (kind, seen)
+    # a move whose A and B share a label is never valid
+    assert seen["shared label"] >= 5 and not seen["overlap", "valid"] + seen["overlap", "index 0"], seen
+    # the lower moves of the non-pure case, each undone, then a top one
+    N = cases[-1]
+    flip, split = BistellarMove((13,), (12, 14)), BistellarMove((12, 13), (17,))
+    assert apply_move(N, flip).facets == tuple(sorted(set(N.facets) - {(12, 13), (13, 14)} | {(12, 14)}))
+    lower = [split, split.inverse(), flip, flip.inverse(), BistellarMove(*dense_valid_moves(N, [2])[0][1:])]
+    assert isinstance(replay_oracle(N.facets, [(m.A, m.B) for m in lower]), set)
+    for upto in range(len(lower) + 1):
+        _check_sequence(N, lower[:upto])
+    # the facets holding A are every U - w, w in B, and more: a lower facet,
+    # or the other cone of a link made of two circles
+    mv = BistellarMove((1,), (2, 3, 4))
+    cones = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 5, 6), (1, 5, 7), (1, 6, 7)]
+    for K in (SimplicialComplex(list(stacked_sphere(2, 5, seed=0).facets) + [(1, 5)]), SimplicialComplex(cones)):
+        assert replay_oracle(K.facets, [(mv.A, mv.B)]) == (0, "link mismatch")
+        with pytest.raises(InvalidMoveError) as ei:
+            apply_move(K, mv)
+        assert ei.value.clause == "link mismatch"
+        _check_sequence(K, [mv])
 
 
 def test_certificate_json_shape():

@@ -1,11 +1,13 @@
 import json
+import random
+import re
 from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quadratic_maximalize
+from conftest import plain_link, quadratic_maximalize, random_sphere
 from tnt import (
     SimplicialComplex,
     boundary_simplex,
@@ -119,7 +121,7 @@ def _maximalized_link(K, s):
 
 
 def test_pure_link_matches_maximalized_parts():
-    # a pure complex skips _maximalize for its links; a non-pure one keeps it
+    # links skip _maximalize on pure and non-pure complexes alike
     M = dataset("M6_16")
     for s in M.faces(0) + M.faces(1):
         L, R = M.link(s), _maximalized_link(M, s)
@@ -132,6 +134,46 @@ def test_pure_link_matches_maximalized_parts():
         assert K.link(s).facets == _maximalized_link(K, s).facets, s
     assert K.link((1,)).facets == ((2, 3), (2, 4), (5,))
     assert K.link((2,)).facets == ((1, 3), (1, 4), (5, 6))
+
+
+def _link_star_cases():
+    rng = random.Random(2501)
+    spheres = [random_sphere(rng, d=d, walk=w) for d in (1, 2, 3, 4) for w in (0, 5)]
+    # lower facets on old and new labels, a hanging triangle and an edge
+    S = spheres[3]
+    new = max(S.vertices) + 1
+    mixed = SimplicialComplex(list(S.facets) + [(1, new), (new, new + 1, new + 2), (2, 3, new + 3), (new + 4,)])
+    assert not mixed.is_pure
+    return spheres + [mixed, dataset("M6_16")]
+
+
+@pytest.mark.parametrize("K", _link_star_cases(), ids=lambda K: f"f{K.f_vector()}")
+def test_link_and_star_match_a_plain_scan(K):
+    # every face, facets among them with their empty links, against a scan
+    # of the facets as plain sets; non-faces raise the same KeyError
+    fresh = SimplicialComplex(K.facets)
+    fresh.link(K.facets[-1])
+    fresh.star(K.facets[0][:1])
+    assert "face_sets" not in fresh._cache
+    for j in range(K.dim + 1):
+        for s in K.faces(j):
+            L, scan = K.link(s), plain_link(K, s)
+            assert L.facets == scan.facets and K.link(s) is L, s
+            assert K.star(s).facets == tuple(f for f in K.facets if set(s) <= set(f)), s
+    for f in K.facets:
+        assert K.link(f).facets == () and K.link(f).dim == -1
+        assert K.star(f).facets == (f,)
+    rng = random.Random(len(K.facets))
+    verts = list(K.vertices) + [max(K.vertices) + 1]
+    non_faces = [(verts[-1],)] + [tuple(sorted(rng.sample(verts, k))) for k in (2, 3, 4) for _ in range(8)]
+    for s in non_faces:
+        if s in K:
+            continue
+        for query in (K.link, K.star):
+            with pytest.raises(KeyError, match=re.escape(f"{s} is not a face")):
+                query(s)
+        with pytest.raises(KeyError):
+            plain_link(K, s)
 
 
 def test_star_and_span():

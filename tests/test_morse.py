@@ -445,7 +445,7 @@ def _assert_duality_and_full_sweep(K, ambient, dense=False):
     fails at i exactly when V - W fails at d - 1 - i: by the oracle and by
     the complement's span in the engine on every subset and degree, and,
     if ``dense``, by ``dense_span_kernel_dim`` on every subset of a family
-    of at most 256, else on a seeded 32 of them.  The sweep reports what a
+    of at most 256, else on a seeded 128 of them.  The sweep reports what a
     plain full sweep of the oracle finds."""
     family = _family(K, ambient)
     fails = span_failures(K, family)
@@ -460,7 +460,7 @@ def _assert_duality_and_full_sweep(K, ambient, dense=False):
         for i in range(d):
             kd = kernel.get((w, i), 0)
             assert kd == kernel.get((comp, d - 1 - i), 0) == eng.span_kernel_dim(span, d - 1 - i), (w, i)
-    dense_family = family if len(family) <= 256 else random.Random(0).sample(family, 32)
+    dense_family = family if len(family) <= 256 else random.Random(0).sample(family, 128)
     for w in dense_family if dense else ():
         comp = tuple(sorted(V - set(w)))
         for i in range(d):
