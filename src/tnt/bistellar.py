@@ -123,36 +123,38 @@ class _MoveState:
     :func:`apply_move` and the certificate replay use a state built for no
     index, which counts nothing.
 
-    A state built for fewer indices, as the stackedness search and a
-    filtered :func:`valid_moves` build, fills the pool lazily and looks up
-    whether B is a face anew on each :meth:`moves` call.  Its :meth:`apply`
-    swaps the facets in the slots and stars, then recounts each face of an
-    indexed size inside U once, from the AND of its vertex stars, and sets
-    its ready membership.  A face outside U lies in no swapped facet.  A
-    face inside U has at most d + 1 < |U| vertices, so it misses some x in
-    U and loses the cofacet U - x (x in B) or gains it (x in A): its pool
-    entry goes even when its count comes back unchanged.  That is
-    C(d + 2, s) recounts per size s, where stepping the subfaces of every
-    swapped facet makes (d + 2) C(d + 1, s) updates.
+    :meth:`apply` swaps the facets in the slots and stars, then recounts
+    each face of an indexed size inside U once, from the AND of its vertex
+    stars, and sets its ready membership.  A face outside U lies in no
+    swapped facet.  A face inside U has at most d + 1 < |U| vertices, so it
+    misses some x in U and loses the cofacet U - x (x in B) or gains it
+    (x in A): its pool entry goes even when its count comes back unchanged.
+    That is C(d + 2, s) recounts per size s, where stepping the subfaces of
+    every swapped facet makes (d + 2) C(d + 1, s) updates.  A state built
+    for fewer indices, as the stackedness search and a filtered
+    :func:`valid_moves` build, does no more: it fills the pool lazily and
+    looks up whether B is a face anew on each :meth:`moves` call.
 
     A state built for every index 1..d keeps the pool full and the valid
     moves of each index current, as BISTELLAR keeps its move lists: a list
     per index with the position of each A, and the ready faces A wanting
-    each B.  Its :meth:`apply` steps the subfaces of each swapped facet in
-    :meth:`_remove` and :meth:`_add`, one count at a time, since
-    :meth:`draw` picks a move by its position in these lists and that
-    position follows the order in which the counts cross the thresholds
-    there; the seeded anneals of :func:`vertex_reduce` reproduce that
-    order.  B is a face of size 2..d + 1, so it starts or stops being one
-    exactly where its count appears or vanishes, or where it is added or
-    removed as a facet; :meth:`_add` and :meth:`_remove` re-mark the moves
-    wanting it there and drop those of the faces leaving the ready set.  A
-    pool entry goes only where A leaves the ready set, and a pooled A
-    leaves it only by losing a cofacet: :meth:`apply` removes facets before
-    it adds any, and a face gaining a cofacet in a move either lost one
-    earlier in it or contains B, which was no face before.  A face entering
-    the ready set is settled once :meth:`apply` has swapped all the facets
-    of the move, since its cofacets, hence its B, are only final then.
+    each B.  Only a face of U holding A or B can start or stop being a face
+    in a move (the move removes the faces holding A that lie in no lower
+    facet and adds those holding B): of size 2..d it is a face of U that the
+    recount passes, and of size d + 1 a removed or added facet.  So the
+    recount also drops the move of each face of U and forgets what it
+    wanted; after it the moves wanting a face of U holding A or B are
+    entered or dropped as that is a face or not, and the ready faces of U
+    are pooled.  :meth:`draw` picks a move by its position in these lists,
+    which is a function of the build and of the moves applied since.  The
+    build appends the moves in sorted ready order, by index and then A.
+    Each :meth:`apply` first drops the moves of the faces of U in (index,
+    ``combinations(U)``) order, each by moving the last move of its list
+    into its place.  It then takes the wanted faces of U holding A or B in
+    that order, then the removed and the added facets, and drops the moves
+    wanting each one that is a face and appends those wanting each one that
+    is not.  Last it appends the newly valid moves of the faces of U, again
+    in (index, ``combinations(U)``) order.
 
     :meth:`probe` counts the index-d moves after a move without applying
     it.  The move removes R = {U - w : w in B} and adds
@@ -197,86 +199,13 @@ class _MoveState:
         self._valid: dict[int, list[BistellarMove]] | None = None
         self._at: dict[Simplex, int] = {}
         self._want: dict[Simplex, dict[Simplex, None]] | None = None
-        self._fresh: list[Simplex] = []
         if self.indices == list(range(1, d + 1)):
             self._valid = {i: [] for i in self.indices}
             self._want = {}
-            self._fresh = [a for i in self.indices for a in sorted(self._ready[i])]
-            self._settle()
-
-    def _add(self, f: Simplex) -> None:
-        """Add the facet ``f``; only a state built for every index calls this."""
-        slots, free = self._slots, self._free
-        if not free:
-            free.append(len(slots))
-            slots.append(None)
-        j = self.facets[f] = free.pop()
-        slots[j] = f
-        bit = 1 << j
-        star = self.star
-        for v in f:
-            star[v] = star.get(v, 0) | bit
-        d = self.d
-        if len(f) <= d:
-            self._low |= bit
-            return
-        cofs, want, fresh = self._cof, self._want, self._fresh
-        if f in want:
-            self._mark(f)
-        for i in self.indices:
-            ready = self._ready[i]
-            for a in combinations(f, d - i + 1):
-                n = cofs[a] = cofs.get(a, 0) + 1
-                if n == 1:
-                    if a in want:
-                        self._mark(a)
-                elif n == i + 1:
-                    ready.add(a)
-                    fresh.append(a)
-                elif n == i + 2:
-                    ready.discard(a)
-
-    def _remove(self, f: Simplex) -> None:
-        """Remove the facet ``f``; only a state built for every index calls this."""
-        j = self.facets.pop(f)
-        self._slots[j] = None
-        self._free.append(j)
-        bit = 1 << j
-        star = self.star
-        for v in f:
-            if star[v] == bit:
-                del star[v]
-            else:
-                star[v] ^= bit
-        d = self.d
-        if len(f) <= d:
-            self._low ^= bit
-            return
-        cofs, want, fresh, pool = self._cof, self._want, self._fresh, self._pool
-        if f in want:
-            self._mark(f)
-        for i in self.indices:
-            ready = self._ready[i]
-            for a in combinations(f, d - i + 1):
-                n = cofs[a] - 1
-                if n == i + 1:
-                    ready.add(a)
-                    fresh.append(a)
-                elif n == i:
-                    ready.discard(a)
-                    hit = pool.pop(a, None)
-                    if hit is not None:
-                        self._unwant(a, hit[0])
-                if n:
-                    cofs[a] = n
-                else:
-                    del cofs[a]
-                    if a in want:
-                        self._mark(a)
+            self._settle([a for i in self.indices for a in sorted(self._ready[i])])
 
     def _mark(self, b: Simplex) -> None:
-        """Enter or drop the moves wanting ``b`` after it started or
-        stopped being a face."""
+        """Drop the moves wanting ``b`` if it is a face, else enter them."""
         if self.has_face(b):
             for a in self._want[b]:
                 self._drop(a)
@@ -309,20 +238,16 @@ class _MoveState:
                 del self._want[b]
             self._drop(a)
 
-    def _settle(self) -> None:
-        """Pool, want and enter the faces that became ready, once their
-        cofacets are final."""
-        pool, want = self._pool, self._want
-        for a in self._fresh:
-            i = self.d + 1 - len(a)
-            if a in pool or a not in self._ready[i]:
-                continue
-            b, mv = self._pooled(a, i)
+    def _settle(self, fresh: list[Simplex]) -> None:
+        """Pool and want the faces ``fresh`` that became ready, once their
+        cofacets are final, and enter their moves whose B is no face."""
+        want = self._want
+        for a in fresh:
+            b, mv = self._pooled(a, self.d + 1 - len(a))
             if mv is not None:
                 want.setdefault(b, {})[a] = None
                 if not self.has_face(b):
                     self._enter(mv)
-        self._fresh.clear()
 
     @staticmethod
     def _sides(move: BistellarMove) -> tuple[Simplex, list[Simplex], list[Simplex]]:
@@ -334,23 +259,15 @@ class _MoveState:
 
     def apply(self, move: BistellarMove) -> None:
         """Apply the valid move ``move``."""
-        self._apply(*self._sides(move))
+        self._apply(move, *self._sides(move))
 
     def apply_checked(self, move: BistellarMove) -> None:
         """Apply ``move`` once :meth:`_check` has found it valid."""
         union, removed, added = self._sides(move)
         self._check(move, removed)
-        self._apply(union, removed, added)
+        self._apply(move, union, removed, added)
 
-    def _apply(self, union: Simplex, removed: list[Simplex], added: list[Simplex]) -> None:
-        if self._valid is not None:
-            for f in removed:
-                self._remove(f)
-            for f in added:
-                self._add(f)
-            if self._fresh:
-                self._settle()
-            return
+    def _apply(self, move: BistellarMove, union: Simplex, removed: list[Simplex], added: list[Simplex]) -> None:
         low = len(union) <= self.d + 1  # a lower-dimensional move
         facets, slots, free, star = self.facets, self._slots, self._free, self.star
         if low:
@@ -378,7 +295,9 @@ class _MoveState:
             self._low |= sum(1 << facets[f] for f in added)
         top = ~self._low
         tops = {v: star.get(v, 0) & top for v in union}
-        d, cofs, pool = self.d, self._cof, self._pool
+        d, cofs, pool, want = self.d, self._cof, self._pool, self._want
+        fresh: list[Simplex] = []
+        wanted: list[Simplex] = []
         for i in self.indices:
             ready = self._ready[i]
             for a in combinations(union, d - i + 1):
@@ -392,9 +311,22 @@ class _MoveState:
                     cofs.pop(a, None)
                 if n == i + 1:
                     ready.add(a)
+                    fresh.append(a)
                 else:
                     ready.discard(a)
-                pool.pop(a, None)
+                hit = pool.pop(a, None)
+                if want is not None:
+                    if hit is not None:
+                        self._unwant(a, hit[0])
+                    if a in want:
+                        wanted.append(a)
+        if want is not None:
+            # only faces holding A or B start or stop being faces
+            sides = set(move.A), set(move.B)
+            for b in (*wanted, *removed, *added):
+                if b in want and any(x.issubset(b) for x in sides):
+                    self._mark(b)
+            self._settle(fresh)
 
     def _check(self, move: BistellarMove, removed: list[Simplex]) -> None:
         """Raise InvalidMoveError naming the first clause ``move`` fails.
@@ -406,9 +338,7 @@ class _MoveState:
         w != x, but in no F - A, so A, B would be disjoint and accepted."""
         a, b = move.A, move.B
         star, facets = self.star, self.facets
-        m = -1
-        for v in a:
-            m &= star.get(v, 0)
+        m = self._mask(a)
         if all(f in facets for f in removed) and m == sum(1 << facets[f] for f in removed):
             if not self.has_face(b):
                 return
@@ -445,13 +375,17 @@ class _MoveState:
         facets = self.facets
         return sum(1 for b in spans if b is not None and b not in added and (b not in facets or b in removed))
 
-    def has_face(self, s: Simplex) -> bool:
-        """Whether the sorted tuple ``s`` is a face."""
+    def _mask(self, s: Simplex) -> int:
+        """The AND of the vertex stars of ``s``: the slots of its facets."""
         star = self.star
         m = -1
         for v in s:
             m &= star.get(v, 0)
-        return m != 0
+        return m
+
+    def has_face(self, s: Simplex) -> bool:
+        """Whether the sorted tuple ``s`` is a face."""
+        return self._mask(s) != 0
 
     def _pooled(self, a: Simplex, i: int) -> tuple[Simplex | None, BistellarMove | None]:
         """Pool the ready face ``a`` of index ``i`` with its :meth:`span` B
@@ -462,11 +396,7 @@ class _MoveState:
 
     def cofacets(self, a: Simplex) -> list[Simplex]:
         """The top-dimensional facets containing the face ``a``."""
-        star = self.star
-        m = ~self._low
-        for v in a:
-            m &= star.get(v, 0)
-        return _masked(self._slots, m)
+        return _masked(self._slots, self._mask(a) & ~self._low)
 
     @staticmethod
     def span(a: Simplex, cof: Iterable[Simplex], i: int) -> Simplex | None:
@@ -868,11 +798,15 @@ def vertex_reduce(
     and undone: the index is the max of two uniform draws from 1..d,
     conditioned on having a valid move, which biases toward high indices
     (they shrink the complex) and keeps low ones reachable for mixing;
-    the move is uniform within its index.  Returns the best complex
-    reached and a replay-verified certificate from the input to it.  The
-    input itself is returned when no move lowers the energy, in particular
-    when no move is ever available.  On a pure input both come back with
-    their f-vectors, from the state's face counts and the moves' deltas.
+    the move is uniform within its index, by its position in the order
+    :class:`_MoveState` documents.  On a non-pure input a drawn move whose
+    A lies in a lower facet counts as rejected: that facet stays, so A's
+    link is not dB and the certificate's replay would refuse the move.
+    Returns the best complex reached and a replay-verified certificate from
+    the input to it.  The input itself is returned when no move lowers the
+    energy, in particular when no move is ever available.  On a pure input
+    both come back with their f-vectors, from the state's face counts and
+    the moves' deltas.
     With ``check_homology`` every accepted move is checked to preserve the
     Betti vector (debugging aid, slow).
     """
@@ -891,6 +825,8 @@ def vertex_reduce(
         t_start = max(4.0, float(sum(deltas[1]))) if d >= 1 else 4.0
 
     state = _MoveState(M, range(1, d + 1))
+    # the lower facets, kept by every move drawn (each swaps top facets)
+    low = state._low
     # every face of a pure M has a top cofacet, so the counts give f(M)
     sizes = Counter(map(len, state._cof)) if d >= 0 and M.is_pure else None
     # energies relative to the input; the best state is the first best_len
@@ -917,7 +853,11 @@ def vertex_reduce(
         if mv is None:
             break
         de = energy[mv.index]
-        if de <= 0 or rng.random() < exp(max(-de / t, -60.0)):
+        # a move whose A lies in a lower facet keeps that facet in star(A),
+        # so the replay's check refuses it: it counts as rejected
+        if low and state._mask(mv.A) & low:
+            pass
+        elif de <= 0 or rng.random() < exp(max(-de / t, -60.0)):
             state.apply(mv)
             cur_e += de
             path.append(mv)

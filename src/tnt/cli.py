@@ -2,11 +2,11 @@
 
 Exit codes: 0 all checks passed, 1 a check failed (report carries the
 witness), 2 a usage error or an input the command cannot take, 3 a search
-budget ran out with an Unknown result.  Commands raise ValueError; ``main``
-alone turns it, KeyError and OSError into exit 2 with one ``error:`` line on
-stderr and nothing on stdout.  Randomized commands require an explicit
---seed; reports embed the tool version and input hashes, and identical
-inputs plus seeds produce byte-identical JSON.
+budget ran out with an Unknown result.  Commands and the argument parser
+raise ValueError; ``main`` alone turns it, KeyError and OSError into exit 2
+with one ``error:`` line on stderr and nothing on stdout.  Randomized
+commands require an explicit --seed; reports embed the tool version and
+input hashes, and identical inputs plus seeds produce byte-identical JSON.
 """
 from __future__ import annotations
 
@@ -448,8 +448,17 @@ def _count(text: str) -> int:
     return n
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that hands usage errors to :func:`main` as a ValueError
+    instead of printing a usage block and exiting; the subcommand parsers
+    are of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="tnt",
         description="Combinatorial manifold toolkit: homology, bistellar moves, tightness, bounds.",
     )
@@ -539,8 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; the only place an exception becomes an exit code."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         return EXIT_PASS

@@ -250,15 +250,19 @@ def _check_valid_sets(state, K):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10**6), d=st.sampled_from([2, 3, 4]), all_indices=st.booleans())
-def test_move_pool_stays_current_over_move_runs(seed, d, all_indices):
+@given(seed=st.integers(0, 10**6), d=st.sampled_from([2, 3, 4]), all_indices=st.booleans(), pure=st.booleans())
+def test_move_pool_stays_current_over_move_runs(seed, d, all_indices, pure):
     # the sorted move lists are checked only every 1-4 moves, so stale
     # entries left by a run of moves (move-inverse pairs and subdivisions
     # among them) would show; the valid sets of a state built for every
     # index are checked after each apply; a state built for some indices
-    # answers has_face for the other sizes by star intersection
+    # answers has_face for the other sizes by star intersection; lower
+    # facets stay through the walk, whose moves are applied unchecked as
+    # valid_moves lists them
     rng = random.Random(seed)
     K = random_sphere(rng, d=d, walk=4)
+    if not pure:
+        K = _decorated(K, rng)
     every = list(range(1, d + 1))
     built = every if all_indices else sorted(rng.sample(every, rng.randint(1, d)))
     state = _MoveState(K, built)
@@ -270,7 +274,7 @@ def test_move_pool_stays_current_over_move_runs(seed, d, all_indices):
         _check_has_face(state, K, rng)
         for _ in range(rng.randint(1, 4)):
             mv = _walk_move(K, rng)
-            after = apply_move(K, mv)
+            after = apply_move(K, mv, check=False)
             state.apply(mv)
             _check_valid_sets(state, after)
             _check_state(state, after)
@@ -336,19 +340,29 @@ def test_draw_follows_the_index_rule():
     assert _MoveState(boundary_simplex(4), range(1, 5)).draw(random.Random(0)) is None
 
 
-def _incremental_state(K):
-    """A state built for every index, emptied facet by facet with
-    ``_remove`` and refilled with ``_add``, the way ``apply`` changes it,
-    then settled as ``apply`` settles it."""
+def _decorated(K, rng):
+    """K with lower facets on old and new labels: cofacets of neither kind."""
+    verts = list(K.vertices)
+    new = max(verts) + 1
+    extra = [(rng.choice(verts), new), (new, new + 1, new + 2)]
+    extra += [tuple(rng.sample(verts, 2)) + (new + 3,) for _ in range(2)]
+    K = SimplicialComplex(list(K.facets) + extra)
+    assert not K.is_pure
+    return K
+
+
+def _walked_back_state(K, rng):
+    """A state built for every index on K, walked away from K by a random
+    run of applied moves and brought back by their inverses in reverse."""
     state = _MoveState(K, range(1, K.dim + 1))
-    for f in K.facets:
-        state._remove(f)
-    assert not state.facets and not state.star and not state._cof and not any(state._ready.values())
-    assert not state._low and not any(state._slots) and sorted(state._free) == list(range(len(state._slots)))
-    assert not state._pool and not state._want and not any(state._valid.values())
-    for f in K.facets:
-        state._add(f)
-    state._settle()
+    walk = []
+    for _ in range(rng.randint(1, 6)):
+        mv = _walk_move(K, rng)
+        state.apply(mv)
+        K = apply_move(K, mv, check=False)
+        walk.append(mv)
+    while walk:
+        state.apply(walk.pop().inverse())
     return state
 
 
@@ -358,15 +372,9 @@ def test_bulk_state_build_matches_incremental_build(seed, d, pure):
     rng = random.Random(seed)
     K = random_sphere(rng, d=d, walk=4)
     if not pure:
-        # lower facets on old and new labels: cofacets of neither kind
-        verts = list(K.vertices)
-        new = max(verts) + 1
-        extra = [(rng.choice(verts), new), (new, new + 1, new + 2)]
-        extra += [tuple(rng.sample(verts, 2)) + (new + 3,) for _ in range(2)]
-        K = SimplicialComplex(list(K.facets) + extra)
-        assert not K.is_pure
+        K = _decorated(K, rng)
     built = sorted(rng.sample(range(d + 2), rng.randint(1, d + 2)))
-    bulk, full, inc = _MoveState(K, built), _MoveState(K, range(1, d + 1)), _incremental_state(K)
+    bulk, full, inc = _MoveState(K, built), _MoveState(K, range(1, d + 1)), _walked_back_state(K, rng)
     # slots are reused in another order, so the masks are compared decoded
     assert set(full.facets) == set(inc.facets)
     assert _decoded_stars(full) == _decoded_stars(inc)
@@ -1115,3 +1123,15 @@ def test_vertex_reduce_non_pure_fvector():
     assert "f_vector" not in M._cache and "f_vector" not in best._cache
     assert M.f_vector() == _face_count_oracle(M) == (9, 17, 10)
     assert best.f_vector() == _face_count_oracle(best)
+
+
+def test_vertex_reduce_rejects_moves_whose_a_lies_in_a_lower_facet():
+    # valid_moves lists (1, 234), since the lower facet 19 is no cofacet of
+    # vertex 1, but 19 would survive the move, so its replay fails; the
+    # anneal counts such a draw as rejected
+    M = from_facets([(1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 9), (2, 3, 5), (2, 4, 5), (3, 4, 5)])
+    assert BistellarMove((1,), (2, 3, 4)) in valid_moves(M)
+    for seed in range(30):
+        best, cert = vertex_reduce(M, schedule=AnnealSchedule(steps=50), seed=seed)
+        assert cert.replay(M) == best
+        assert (1, 9) in best.facets

@@ -380,12 +380,14 @@ def test_stacked_bad_k(octa_file, capsys):
         (["verify", "{f}", "--suite", "m6_16", "--budget", "-2"], "--budget"),
         (["tight", "{f}", "--samples", "-1", "--seed", "1"], "--samples"),
         (["morse", "{f}", "--orderings", "x", "--seed", "1"], "--orderings"),
+        (["reduce", "{f}", "--steps", "abc", "--seed", "0"], "--steps"),
     ],
 )
 def test_negative_count_is_usage_error(octa_file, capsys, argv, flag):
     assert run_cli([a.format(f=octa_file) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"argument {flag}" in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_zero_count_stays_valid(octa_file, capsys):

@@ -4,13 +4,13 @@ The search values were recorded with the immutable-complex implementation
 that rebuilt a ``SimplicialComplex`` for every probe and rescanned all
 faces for every move list.  The incremental move state must reproduce
 them exactly: same certificates, same bytes from ``tnt verify --json``.
-The anneal end states and the ``tnt reduce`` reports were re-recorded
-when ``vertex_reduce`` began drawing from the valid-move lists, which
-consumes the seeded generator differently.  The CLI and ``to_json``
-digests were recorded with the hand-written report classes and the
-per-command report code, before they became dataclasses and one report
-path; they pin the public API, the exit codes and the report bytes of
-every command.
+The draw order, the anneal end states and the ``tnt reduce`` reports were
+re-recorded when the move state built for every index began recounting
+the faces of A u B on each move, which orders its valid-move lists
+differently.  The CLI and ``to_json`` digests were recorded with the
+hand-written report classes and the per-command report code, before they
+became dataclasses and one report path; they pin the public API, the exit
+codes and the report bytes of every command.
 """
 from __future__ import annotations
 
@@ -71,23 +71,24 @@ M6_16_LINK_CERTS = {
 
 PRODUCT_HASH = "99147e66a06729f7342e2fae8ba1b6f3"  # the input: 20 steps never beat it
 
-# sha256 of the JSON move lists, [:16], recorded with the move state that
-# kept a cofacet set per face: the first 300 draw + apply moves of a
-# full-index walk on the product (seed 7), which pins the order of the
-# valid-move lists; and every moves() list of a k = 2 search on the link of
-# vertex 1 of M6_16 (seed 3), with the number of lists
-PRODUCT_DRAWS = "b1a6ecb303d7f633"
+# sha256 of the JSON move lists, [:16]: the first 300 draw + apply moves of
+# a full-index walk on the product (seed 7), which pins the order of the
+# valid-move lists, recorded when the full-index state began recounting the
+# faces of A u B; and every moves() list of a k = 2 search on the link of
+# vertex 1 of M6_16 (seed 3), with the number of lists, recorded with the
+# move state that kept a cofacet set per face
+PRODUCT_DRAWS = "43dfaddb86467b2e"
 LINK_MOVE_LISTS = ("69283f240e3ac861", 49)
 
 # (end hash, certificate length) of full-schedule anneals that do move,
-# recorded when vertex_reduce began drawing from the valid-move lists
+# recorded when the full-index state began recounting the faces of A u B
 ANNEALS = {
-    ("torus", 0): ("ffc63f3e9858601e16ac411259e938c7", 35),
-    ("torus", 1): ("27601429dd13e37542d943d730b56497", 32),
-    ("torus", 2): ("233c1edba428da37d08f1894a10192dc", 14),
-    ("s1xs2", 0): ("4cd302909b3b572db96cc820bef7a9b5", 64),
-    ("s1xs2", 1): ("61d1f580f5767ae74765202d031b24a9", 50),
-    ("s1xs2", 2): ("ee1e78e9fc50acf6befb35cbcfe575bd", 58),
+    ("torus", 0): ("3802699094b71d2a31e9f009df61d739", 37),
+    ("torus", 1): ("f350069d5c92975386d04bed827c047b", 46),
+    ("torus", 2): ("aef32fed31155f55ae99ca9a77ca643f", 34),
+    ("s1xs2", 0): ("e939bc2adfbd11f798432dadf3487de0", 86),
+    ("s1xs2", 1): ("7e83603a4493e1ecc0cb4ac3e33af49a", 126),
+    ("s1xs2", 2): ("46c889132ee640e83b928c0df53f7a91", 24),
 }
 
 # (sphere hash[:16], certificate digest, moves) for random walked spheres, k = 2
@@ -189,13 +190,13 @@ CLI_SHA256 = {
     ),
     "reduce": (
         ["reduce", "torus.facets", "--steps", "400", "--seed", "0"], 0,
-        "327debe624adb5cf199679ee41087de0424d3f7841786b64201c717517b7d5d5",
-        "7bbe9df41feec5212c299cd66c8c3a688f469b1faed69ab79e4d5dafa8b5e3c5",
+        "aaf5f9ab2f317882d48968cc2ddc4f1ab39fb5734a3d09017cfeda2fc73a5e6e",
+        "d7878a3a29302a7b50bdfad98d2fc1120375ab24d9b8cbb4104d41236076f9bf",
     ),
     "reduce_unreached": (
         ["reduce", "torus.facets", "--steps", "50", "--target-f0", "6", "--seed", "1"], 3,
-        "2cf0978f9730652d85cfaf5e42b348f6e46f8fed9e39a627941b29cf25934947",
-        "d1971cdd6d3d461916776f80738be003e847c3edf08dca2b9a6331158f331fe1",
+        "5f946bd3aa684e403ae35d5e732bee1a6733b620f26608f5a5887fddca468b5e",
+        "cc3a566fe27ae4e60956e587d1ac65fbe8c0272e0362bba7ccf9aa067a43f032",
     ),
     "bounds_tight_neighborly": (
         ["bounds", "tight-neighborly", "--dim", "3", "--beta1", "1", "--f0", "9"], 0,
