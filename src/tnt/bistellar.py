@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, exp
@@ -101,48 +100,51 @@ def apply_move(M: SimplicialComplex, move: BistellarMove, check: bool = True) ->
 class _MoveState:
     """The one mutable complex of a move search, updated move by move.
 
-    A move changes only the star of A u B, so applying it swaps d + 2
-    facets and touches only the faces inside U = A u B, as in the BISTELLAR
-    program of Bjoerner and Lutz (Exp. Math. 9, 2000) and simpcomp's
-    SCReduceComplex (Effenberger and Spreer).  ``facets`` maps each facet
-    to its slot in ``_slots`` (free slots hold None and are listed in
-    ``_free``).  A vertex star is an int with bit j set when the facet in
-    slot j contains the vertex, copied from the complex's cached stars, and
-    ``_low`` masks the slots of lower-dimensional facets, so the AND of a
-    face's vertex stars holds its facets and, without ``_low``, its
-    top-dimensional cofacets.  For each index i the state was built for,
-    ``_cof`` counts the top cofacets of each face of size d - i + 1 that
-    has one, and the ready set holds the faces with exactly i + 1 of them.
+    A move changes only the star of A u B, so applying it swaps d + 2 facets
+    and touches only the faces inside U = A u B, as in the BISTELLAR program
+    of Bjoerner and Lutz (Exp. Math. 9, 2000) and simpcomp's SCReduceComplex
+    (Effenberger and Spreer).  ``facets`` maps each facet to its slot in
+    ``_slots`` (free slots hold None and are listed in ``_free``).  A vertex
+    star is an int with bit j set when the facet in slot j contains the
+    vertex, copied from the complex's cached stars, and ``_low`` masks the
+    slots of lower-dimensional facets, so the AND of a face's vertex stars
+    holds its facets and, without ``_low``, its top-dimensional cofacets,
+    whose number is that mask's bit count and is kept nowhere else.  A face
+    of size d - i + 1 with exactly i + 1 top cofacets is ready for index i.
     Only a ready face can make a move, so cofacets are decoded only for
-    those: where a face is pooled and in :meth:`probe`.  The pool caches,
-    per ready face A, the :meth:`span` B and the move (A, B), which depend
-    only on the cofacets of A.  Only valid moves may be applied
-    (:meth:`apply_checked` checks first).  A move swaps facets of one size:
-    a top one swallows no lower facet (inside dA * B it would contain B, no
-    face), and a lower one, valid only on a non-pure complex, swaps lower ones.
-    :func:`apply_move` and the certificate replay use a state built for no
-    index, which counts nothing.
+    those: where a face is pooled and in :meth:`probe`.  For each index i
+    the state was built for, ``_pool[i]`` maps each ready face A to the
+    :meth:`span` B and the move (A, B), which depend only on the cofacets of
+    A, or to None until A is pooled.  The build walks the faces with a top
+    cofacet up from the vertices and keeps how many it met of each size in
+    ``built_counts``, which moves do not update.  Only valid moves may be
+    applied (:meth:`apply_checked` checks first).  A move swaps facets of
+    one size: a top one swallows no lower facet (inside dA * B it would
+    contain B, no face), and a lower one, valid only on a non-pure complex,
+    swaps lower ones.  :func:`apply_move` and the certificate replay use a
+    state built for no index, which counts nothing.
 
     :meth:`apply` swaps the facets in the slots and stars, then recounts
     each face of an indexed size inside U once, from the AND of its vertex
-    stars, and sets its ready membership.  A face outside U lies in no
-    swapped facet.  A face inside U has at most d + 1 < |U| vertices, so it
-    misses some x in U and loses the cofacet U - x (x in B) or gains it
-    (x in A): its pool entry goes even when its count comes back unchanged.
-    That is C(d + 2, s) recounts per size s, where stepping the subfaces of
-    every swapped facet makes (d + 2) C(d + 1, s) updates.  A state built
-    for fewer indices, as the stackedness search and a filtered
-    :func:`valid_moves` build, does no more: it fills the pool lazily and
-    looks up whether B is a face anew on each :meth:`moves` call.
+    stars: it takes the face out of the pool and puts it back, not pooled
+    yet, when it is ready.  A face outside U lies in no swapped facet.  A
+    face inside U has at most d + 1 < |U| vertices, so it misses some x in U
+    and loses the cofacet U - x (x in B) or gains it (x in A): its pool
+    entry goes even when its count comes back unchanged.  That is
+    C(d + 2, s) recounts per size s, where stepping the subfaces of every
+    swapped facet makes (d + 2) C(d + 1, s) updates.  A state built for fewer
+    indices, as the stackedness search and a filtered :func:`valid_moves`
+    build, does no more: it fills the pool lazily and looks up whether B is
+    a face anew on each :meth:`moves` call.
 
-    A state built for every index 1..d keeps the pool full and the valid
-    moves of each index current, as BISTELLAR keeps its move lists: a list
-    per index with the position of each A, and the ready faces A wanting
-    each B.  Only a face of U holding A or B can start or stop being a face
-    in a move (the move removes the faces holding A that lie in no lower
-    facet and adds those holding B): of size 2..d it is a face of U that the
-    recount passes, and of size d + 1 a removed or added facet.  So the
-    recount also drops the move of each face of U and forgets what it
+    A state built for every index 1..d pools every ready face at once and
+    keeps the valid moves of each index current, as BISTELLAR keeps its move
+    lists: a list per index with the position of each A, and the ready faces
+    A wanting each B.  Only a face of U holding A or B can start or stop
+    being a face in a move (the move removes the faces holding A that lie in
+    no lower facet and adds those holding B): of size 2..d it is a face of U
+    that the recount passes, and of size d + 1 a removed or added facet.  So
+    the recount also drops the move of each face of U and forgets what it
     wanted; after it the moves wanting a face of U holding A or B are
     entered or dropped as that is a face or not, and the ready faces of U
     are pooled.  :meth:`draw` picks a move by its position in these lists,
@@ -175,10 +177,12 @@ class _MoveState:
         self._free: list[int] = []
         self.star: dict[int, int] = dict(M._stars())
         self._low = sum(1 << j for j, f in enumerate(self._slots) if len(f) <= d)
-        # faces with a top cofacet, walked up from the vertices: a face grows by a
-        # larger neighbour w of its last vertex, its top cofacets ANDed with w's
-        self._cof: dict[Simplex, int] = {}
-        self._ready: dict[int, set[Simplex]] = {i: set() for i in self.indices}
+        # per index, each ready face with its pool entry: None until pooled
+        self._pool: dict[int, dict[Simplex, tuple[Simplex | None, BistellarMove | None] | None]] = {}
+        # per size walked, the faces with a top cofacet at the build (moves do
+        # not update it); walked up from the vertices: a face grows by a larger
+        # neighbour w of its last vertex, its top cofacets ANDed with w's
+        self.built_counts: dict[int, int] = {}
         if self.indices:
             tops = {v: m & ~self._low for v, m in self.star.items()}
             verts = sorted(v for v, m in tops.items() if m)
@@ -187,13 +191,9 @@ class _MoveState:
             for size in range(1, d + 2 - self.indices[0]):
                 if size > 1:
                     level = {a + (w,): n for a, m in level.items() for w in up[a[-1]] if (n := m & tops[w])}
-                if (i := d + 1 - size) in self._ready:
-                    ready = self._ready[i]
-                    for a, m in level.items():
-                        n = self._cof[a] = m.bit_count()
-                        if n == i + 1:
-                            ready.add(a)
-        self._pool: dict[Simplex, tuple[Simplex | None, BistellarMove | None]] = {}
+                self.built_counts[size] = len(level)
+                if (i := d + 1 - size) in self.indices:
+                    self._pool[i] = dict.fromkeys(a for a, m in level.items() if m.bit_count() == i + 1)
         # the valid sets: per index the moves and the position of each A,
         # and per B the ready faces wanting it; None unless every index
         self._valid: dict[int, list[BistellarMove]] | None = None
@@ -202,7 +202,7 @@ class _MoveState:
         if self.indices == list(range(1, d + 1)):
             self._valid = {i: [] for i in self.indices}
             self._want = {}
-            self._settle([a for i in self.indices for a in sorted(self._ready[i])])
+            self._settle([a for i in self.indices for a in sorted(self._pool[i])])
 
     def _mark(self, b: Simplex) -> None:
         """Drop the moves wanting ``b`` if it is a face, else enter them."""
@@ -210,7 +210,7 @@ class _MoveState:
             for a in self._want[b]:
                 self._drop(a)
         else:
-            pool = self._pool
+            pool = self._pool[len(b) - 1]
             for a in self._want[b]:
                 self._enter(pool[a][1])
 
@@ -295,26 +295,19 @@ class _MoveState:
             self._low |= sum(1 << facets[f] for f in added)
         top = ~self._low
         tops = {v: star.get(v, 0) & top for v in union}
-        d, cofs, pool, want = self.d, self._cof, self._pool, self._want
+        d, want = self.d, self._want
         fresh: list[Simplex] = []
         wanted: list[Simplex] = []
         for i in self.indices:
-            ready = self._ready[i]
+            pool = self._pool[i]
             for a in combinations(union, d - i + 1):
+                hit = pool.pop(a, None)
                 m = -1
                 for v in a:
                     m &= tops[v]
-                n = m.bit_count()
-                if n:
-                    cofs[a] = n
-                else:
-                    cofs.pop(a, None)
-                if n == i + 1:
-                    ready.add(a)
+                if m.bit_count() == i + 1:
+                    pool[a] = None
                     fresh.append(a)
-                else:
-                    ready.discard(a)
-                hit = pool.pop(a, None)
                 if want is not None:
                     if hit is not None:
                         self._unwant(a, hit[0])
@@ -358,16 +351,15 @@ class _MoveState:
         unchanged; the state must be built for index d."""
         d = self.d
         union, removed, added = self._sides(move)
-        cofs, pool = self._cof, self._pool
         spans = []
-        for u in self._ready[d]:
+        for u, hit in self._pool[d].items():
             if u[0] in union:
                 continue
-            hit = pool.get(u)
             spans.append(self.span(u, self.cofacets(u), d) if hit is None else hit[0])
         gain = len(added) - len(removed)
+        star, top = self.star, ~self._low
         for v in union:
-            if cofs.get((v,), 0) + gain + (1 if v in move.B else -1) != d + 1:
+            if (star.get(v, 0) & top).bit_count() + gain + (1 if v in move.B else -1) != d + 1:
                 continue
             new = {f for f in self.cofacets((v,)) if f not in removed}
             new.update(f for f in added if v in f)
@@ -391,7 +383,7 @@ class _MoveState:
         """Pool the ready face ``a`` of index ``i`` with its :meth:`span` B
         and the move (a, B), or (None, None), and return the entry."""
         b = self.span(a, self.cofacets(a), i)
-        hit = self._pool[a] = (b, None if b is None else _move(a, b))
+        hit = self._pool[i][a] = (b, None if b is None else _move(a, b))
         return hit
 
     def cofacets(self, a: Simplex) -> list[Simplex]:
@@ -412,13 +404,13 @@ class _MoveState:
         state was built for; default all) in (index, A, B) order; sorted
         from the valid-move lists where the state keeps them."""
         out = []
-        pool = self._pool
         for i in self.indices if indices is None else indices:
             if self._valid is not None:
                 out += sorted(self._valid[i], key=attrgetter("A"))
                 continue
-            for a in sorted(self._ready[i]):
-                b, mv = pool.get(a) or self._pooled(a, i)
+            pool = self._pool[i]
+            for a in sorted(pool):
+                b, mv = pool[a] or self._pooled(a, i)
                 if mv is not None and not self.has_face(b):
                     out.append(mv)
         return out
@@ -827,8 +819,8 @@ def vertex_reduce(
     state = _MoveState(M, range(1, d + 1))
     # the lower facets, kept by every move drawn (each swaps top facets)
     low = state._low
-    # every face of a pure M has a top cofacet, so the counts give f(M)
-    sizes = Counter(map(len, state._cof)) if d >= 0 and M.is_pure else None
+    # every face of a pure M has a top cofacet, so the build's counts give f(M)
+    sizes = state.built_counts if d >= 0 and M.is_pure else None
     # energies relative to the input; the best state is the first best_len
     # moves of path
     path: list[BistellarMove] = []

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from . import bounds as _bounds
 from . import gf2, homology, symmetry
 from .bistellar import MoveCertificate, k_stacked_exact, stackedness_certificate
-from .complexes import SimplicialComplex, Simplex
+from .complexes import SimplicialComplex
 
 __all__ = [
     "MuVector",
@@ -173,17 +173,21 @@ def _admissible_masks(M: SimplicialComplex, ambient: AmbientPolytope, lo: int = 
     masks = list(map(sum, product(*((0, a, b) for a, b in ds)))) if lo <= m else []
     if hi > m:
         masks += (w for w in map(sum, product(*((a, b, a | b) for a, b in ds))) if w.bit_count() > m)
-    # of two equal sizes, the set holding the lowest vertex not in both
-    # comes first in lex order, so the bit-reversed masks fall
-    rev = {w: int(f"{w:0{n}b}"[::-1], 2) for w in masks if lo <= w.bit_count() <= hi}
+    return _size_lex((w for w in masks if lo <= w.bit_count() <= hi), n)
+
+
+def _size_lex(masks: Iterable[int], n: int) -> list[int]:
+    """The distinct vertex masks on n vertices in (size, lex) order: of two
+    equal sizes, the set holding the lowest vertex not in both comes first
+    in lex order, so the bit-reversed masks fall."""
+    rev = {w: int(f"{w:0{n}b}"[::-1], 2) for w in masks}
     return sorted(rev, key=lambda w: (w.bit_count(), -rev[w]))
 
 
-def _sampled_subsets(
-    M: SimplicialComplex, ambient: AmbientPolytope, sample: int, rng: random.Random
-) -> list[tuple[int, ...]]:
+def _sampled_subsets(M: SimplicialComplex, ambient: AmbientPolytope, sample: int, rng: random.Random) -> list[int]:
     """``min(sample, family size)`` distinct admissible subsets, uniform
-    over the family, in (size, lex) order.
+    over the family, in (size, lex) order, each as a vertex mask as in
+    :func:`_admissible_masks`.
 
     Subsets are drawn one at a time until enough distinct ones are found,
     so the family is never built: the cost grows with the sample, not with
@@ -191,15 +195,16 @@ def _sampled_subsets(
     """
     if sample < 0:
         raise ValueError("sample must be nonnegative")
-    verts = M.vertices
-    ds = ambient.diagonals
+    n = len(M.vertices)
     size = _family_size(M, ambient)
     if ambient.kind == "simplex":
-        def draw() -> tuple[int, ...]:
-            r = rng.getrandbits(len(verts))
-            return tuple(v for i, v in enumerate(verts) if r >> i & 1)
+        def draw() -> int:
+            return rng.getrandbits(n)
     else:
-        def draw() -> tuple[int, ...]:
+        bit = {v: 1 << p for p, v in enumerate(M.vertices)}
+        ds = [(bit[a], bit[b]) for a, b in ambient.diagonals]
+
+        def draw() -> int:
             # one of the two families, then a uniform choice on each diagonal:
             # a, b, or neither ("at most once") / both ("at least once")
             while True:
@@ -209,14 +214,11 @@ def _sampled_subsets(
                 # so only half of their draws are kept
                 if max(picks) < 2 and rng.random() < 0.5:
                     continue
-                w = []
-                for (a, b), p in zip(ds, picks):
-                    w.extend(((a,), (b,), (a, b) if both else ())[p])
-                return tuple(sorted(w))
-    drawn: set[tuple[int, ...]] = set()
+                return sum((a, b, a | b if both else 0)[p] for (a, b), p in zip(ds, picks))
+    drawn: set[int] = set()
     while len(drawn) < min(sample, size):
         drawn.add(draw())
-    return sorted(drawn, key=lambda w: (len(w), w))
+    return _size_lex(drawn, n)
 
 
 @dataclass(slots=True, eq=False)
@@ -308,7 +310,7 @@ def tightness_verify(
     def phases():
         """(masks, dual) per run of subsets; dual: read off the complement."""
         if not exhaustive:
-            yield map(eng.word_of, _sampled_subsets(M, ambient, sample, random.Random(seed))), False
+            yield _sampled_subsets(M, ambient, sample, random.Random(seed)), False
             return
         yield _admissible_masks(M, ambient, 0, n // 2), False
         manifold = homology._is_homology_manifold(M)  # once the sweep gets here

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations, islice, repeat
+from itertools import islice, repeat
 from operator import xor
 
 from .complexes import SimplicialComplex
 from .errors import SearchLimitError
+from .gf2 import bits_of
 from .homology import engine
 
 __all__ = ["automorphisms", "automorphism_group_order", "is_automorphism", "find_central_involution"]
@@ -39,13 +40,13 @@ def _signatures(K: SimplicialComplex):
 
 def _pair_counts(K: SimplicialComplex) -> dict[int, dict[int, int]]:
     """Per vertex v, the cofacet count of each pair (v, u) that shares a
-    facet.  Cached in ``K._cache``."""
+    facet: the bit count of the AND of their star masks.  Cached in
+    ``K._cache``."""
     if "pair_counts" not in K._cache:
-        pc: dict[int, dict[int, int]] = {v: {} for v in K.vertices}
-        for f in K.facets:
-            for a, b in combinations(f, 2):
-                pc[a][b] = pc[b][a] = pc[a].get(b, 0) + 1
-        K._cache["pair_counts"] = pc
+        stars = K._stars()
+        K._cache["pair_counts"] = {
+            v: {u: c for u, m in stars.items() if u != v and (c := (s & m).bit_count())} for v, s in stars.items()
+        }
     return K._cache["pair_counts"]
 
 
@@ -121,10 +122,7 @@ def _all_maps(K: SimplicialComplex, budget=math.inf):
     sig_count: dict = {}
     for v in K.vertices:
         sig_count[sig[v]] = sig_count.get(sig[v], 0) + 1
-    star: dict[int, list[int]] = {v: [] for v in K.vertices}
-    for i, f in enumerate(K.facets):
-        for v in f:
-            star[v].append(i)
+    star = {v: bits_of(m) for v, m in K._stars().items()}  # per vertex, the indices of its facets
     left = [len(f) for f in K.facets]  # per facet, its vertices not yet ordered
     rest = [functools.reduce(xor, f) for f in K.facets]  # their XOR: the last one when one is left
     closes = dict.fromkeys(K.vertices, 0)  # per vertex, the facets it would close

@@ -183,11 +183,11 @@ def _decoded_stars(state):
 def _check_state(state, K):
     """The slots hold exactly K's facets, each free slot is listed once,
     the stars and the lower-facet mask decode to K's, every face of an
-    indexed size has the count and the decoded cofacets of a plain scan
-    over K's top facets (a face with none has no count), the ready set of
-    index i holds exactly the faces with i + 1 of them, and every pool
-    entry is a ready face with the B and the move its scanned cofacets
-    give, so a B left stale by a move shows at once."""
+    indexed size has the decoded cofacets of a plain scan over K's top
+    facets, the pool of index i holds exactly the faces with i + 1 of them,
+    and every pooled entry has the B and the move its scanned cofacets
+    give, so a ready face left out or a B left stale by a move shows at
+    once."""
     d = K.dim
     assert set(state.facets) == set(K.facets)
     assert all(state._slots[j] == f for f, j in state.facets.items())
@@ -195,19 +195,20 @@ def _check_state(state, K):
     assert _decoded_stars(state) == {v: {f for f in K.facets if v in f} for v in K.vertices}
     assert _slot_facets(state, state._low) == {f for f in K.facets if len(f) <= d}
     scan = top_cofacet_scan(K, [d - i + 1 for i in state.indices])
-    assert state._cof == {a: len(cof) for a, cof in scan.items() if cof}
     for a, cof in scan.items():
         got = state.cofacets(a)
         assert len(got) == len(cof) and set(got) == cof, a
-    assert state._ready == {
+    assert {i: set(state._pool[i]) for i in state.indices} == {
         i: {a for a, cof in scan.items() if len(a) == d - i + 1 and len(cof) == i + 1} for i in state.indices
     }
-    for a, (b, mv) in state._pool.items():
-        i = d + 1 - len(a)
-        assert a in state._ready[i], a
-        span = tuple(sorted(set().union(*scan[a]).difference(a)))
-        want = span if len(span) == i + 1 else None
-        assert (b, mv) == (want, None if want is None else BistellarMove(a, want)), a
+    for i in state.indices:
+        for a, hit in state._pool[i].items():
+            if hit is None:
+                continue
+            b, mv = hit
+            span = tuple(sorted(set().union(*scan[a]).difference(a)))
+            want = span if len(span) == i + 1 else None
+            assert (b, mv) == (want, None if want is None else BistellarMove(a, want)), a
 
 
 def _check_has_face(state, K, rng):
@@ -379,12 +380,13 @@ def test_bulk_state_build_matches_incremental_build(seed, d, pure):
     assert set(full.facets) == set(inc.facets)
     assert _decoded_stars(full) == _decoded_stars(inc)
     assert _slot_facets(full, full._low) == _slot_facets(inc, inc._low)
-    for attr in ("_cof", "_ready", "_pool", "_want"):
+    for attr in ("_pool", "_want"):
         assert getattr(full, attr) == getattr(inc, attr), attr
     assert {i: set(m) for i, m in full._valid.items()} == {i: set(m) for i, m in inc._valid.items()}
-    # a build for fewer indices counts the faces of its sizes alike
-    sizes = {d - i + 1 for i in bulk.indices}
-    assert bulk._cof == {a: n for a, n in full._cof.items() if len(a) in sizes}
+    # a build for fewer indices finds the ready faces and counts the faces
+    # of its sizes alike
+    assert {i: set(bulk._pool[i]) for i in bulk.indices} == {i: set(full._pool[i]) for i in bulk.indices}
+    assert bulk.built_counts.items() <= full.built_counts.items()
     _check_state(bulk, K)
     _check_state(inc, K)
     assert _triples(bulk.moves()) == dense_valid_moves(K, built)
@@ -392,10 +394,10 @@ def test_bulk_state_build_matches_incremental_build(seed, d, pure):
 
 @pytest.mark.parametrize("name", ["walked", "non_pure", "stacked_70", "product"])
 def test_walked_up_counts_match_a_cofacet_scan(name):
-    # the counts walked up from the vertices, for every index set that can
-    # be built (a state for no index counts nothing), against a plain scan
-    # over the top facets; a build, and moves applied to it, leave the
-    # complex's cached star masks as they were
+    # the per-size counts walked up from the vertices, for every index set
+    # that can be built (a state for no index counts nothing), against a
+    # plain scan over the top facets; a build, and moves applied to it,
+    # leave the complex's cached star masks as they were
     rng = random.Random(2503)
     K = {
         "walked": lambda: random_sphere(rng, d=4, walk=8),
@@ -410,11 +412,9 @@ def test_walked_up_counts_match_a_cofacet_scan(name):
     before = dict(stars)
     for built in [()] + [[i] for i in range(1, d + 1)] + [range(d - 1, d + 1), range(1, d + 1), range(0, d + 3)]:
         state = _MoveState(K, built)
-        scan = top_cofacet_scan(K, [d - i + 1 for i in state.indices])
-        assert state._cof == {a: len(cof) for a, cof in scan.items() if cof}, built
-        assert state._ready == {
-            i: {a for a, cof in scan.items() if len(a) == d - i + 1 and len(cof) == i + 1} for i in state.indices
-        }, built
+        sizes = range(1, d + 2 - state.indices[0]) if state.indices else ()
+        scan = top_cofacet_scan(K, sizes)
+        assert state.built_counts == {s: sum(1 for a, cof in scan.items() if len(a) == s and cof) for s in sizes}, built
         _check_state(state, K)
         for _ in range(3):
             for mv in state.moves()[:1]:
@@ -465,9 +465,7 @@ def _snapshot(state):
         list(state._free),
         dict(state.star),
         state._low,
-        dict(state._cof),
-        {i: set(r) for i, r in state._ready.items()},
-        dict(state._pool),
+        {i: dict(p) for i, p in state._pool.items()},
     )
 
 
@@ -565,7 +563,7 @@ def test_ready_faces_without_a_span():
     lazy = _MoveState(K, [2])
     assert _triples(lazy.moves()) == dense_valid_moves(K, [2])
     for state in (lazy, _MoveState(K, every)):
-        assert state._pool[(1,)] == (None, None)
+        assert state._pool[2][(1,)] == (None, None)
     for built in ([2], every):
         assert _check_probes(K, built, random.Random(14)) > 0
     state, rng = _MoveState(K, every), random.Random(13)

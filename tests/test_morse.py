@@ -237,7 +237,7 @@ def test_sampled_subsets_uniform(kind):
         M, amb = cross_polytope_boundary(2), AmbientPolytope.cross([(1, 2), (3, 4)])
     family = admissible_subsets(M, amb)
     draws = 700 * len(family)
-    counts = Counter(w for s in range(draws) for w in _sampled_subsets(M, amb, 1, random.Random(s)))
+    counts = Counter(decode_mask(M, w) for s in range(draws) for w in _sampled_subsets(M, amb, 1, random.Random(s)))
     assert set(counts) == set(family)
     # 700 expected per subset, standard deviation below 27
     assert all(560 < c < 840 for c in counts.values()), counts
@@ -246,11 +246,12 @@ def test_sampled_subsets_uniform(kind):
 def test_sampled_subsets_small_family():
     O = cross_polytope_boundary(3)
     amb = AmbientPolytope.cross([(1, 2), (3, 4), (5, 6)])
-    family = admissible_subsets(O, amb)
+    family = list(_admissible_masks(O, amb))
     assert _sampled_subsets(O, amb, 1000, random.Random(1)) == family
     dense = _sampled_subsets(O, amb, 40, random.Random(1))
     assert len(set(dense)) == 40 and set(dense) <= set(family)
-    assert dense == sorted(dense, key=lambda w: (len(w), w))
+    decoded = [decode_mask(O, w) for w in dense]
+    assert decoded == sorted(decoded, key=lambda w: (len(w), w))
     assert _sampled_subsets(O, amb, 0, random.Random(1)) == []
     with pytest.raises(ValueError):
         _sampled_subsets(O, amb, -1, random.Random(1))
@@ -295,8 +296,9 @@ LARGE_INPUT_SCRIPT = textwrap.dedent(
 
         subs = _sampled_subsets(M, amb, 500, random.Random(11))
         assert len(subs) == len(set(subs)) == 500
-        assert subs == sorted(subs, key=lambda w: (len(w), w))
-        assert all(admissible(w, kind) for w in subs)
+        decoded = [tuple(v for p, v in enumerate(M.vertices) if w >> p & 1) for w in subs]
+        assert decoded == sorted(decoded, key=lambda w: (len(w), w))
+        assert all(admissible(w, kind) for w in decoded)
         assert subs == _sampled_subsets(M, amb, 500, random.Random(11))
         assert subs != _sampled_subsets(M, amb, 500, random.Random(12))
 
@@ -715,7 +717,7 @@ def test_half_sweep_only_on_the_manifold_precondition(monkeypatch):
     M = SimplicialComplex(dataset("M6_16").facets)
     amb = AmbientPolytope.cross(M.missing_faces(1))
     rep, seen = _spy_sweep(monkeypatch, M, amb, ceiling=10, sample=40, seed=5)
-    assert seen == _sampled_subsets(M, amb, 40, random.Random(5)) and not rep.exhaustive
+    assert seen == [decode_mask(M, w) for w in _sampled_subsets(M, amb, 40, random.Random(5))] and not rep.exhaustive
     assert any(2 * len(w) > len(M.vertices) for w in seen)
 
 
