@@ -15,6 +15,7 @@ from math import comb, exp
 from operator import attrgetter
 from typing import Iterable, Sequence
 
+from . import homology
 from .complexes import SimplicialComplex, Simplex, _masked, simplex
 from .errors import InvalidMoveError
 
@@ -85,16 +86,14 @@ def apply_move(M: SimplicialComplex, move: BistellarMove, check: bool = True) ->
     With ``check`` (the default) the move is validated first and an
     InvalidMoveError names the failing clause.  ``check=False`` is for
     callers that enumerate valid moves themselves.  The facets are swapped
-    on a :class:`_MoveState` built for no index and sorted: a checked move
-    keeps them maximal (every added facet contains B, no face; an old facet
-    inside one would be inside a removed one).  Only ``check=False`` on a
-    non-pure complex maximalizes again.
+    on a :class:`_MoveState` built for no index and sorted.  A valid move
+    keeps them maximal, also on a non-pure complex: every added facet
+    contains B, no face, so an old facet g inside one misses some w in B
+    and lay inside the removed facet (A u B) - w.
     """
     state = _MoveState(M, ())
     (state.apply_checked if check else state.apply)(move)
-    if check or M.is_pure:
-        return state.complex()
-    return SimplicialComplex(state.facets)
+    return state.complex()
 
 
 class _MoveState:
@@ -520,13 +519,11 @@ def stackedness_certificate(
     sphere reach the simplex boundary in any order (for d >= 2 a removable
     vertex lies in exactly one cell of the stacked ball, a leaf; for d = 1
     a stacked sphere is a cycle), so the search stops at the first position
-    without an index-d move.  On a pure S whose vertex and facet counts
-    rule out reaching the simplex boundary by index-d moves alone (see
-    :func:`_removals_can_reach_simplex`) it comes back before any search.
-    The budget counts the moves the search takes, and each lookahead probe
-    costs one unit although it applies nothing; undoing the moves at a
-    restart costs nothing.  A step whose probes would leave no unit for its
-    move ends the search.  Reaching the simplex boundary is checked before
+    without an index-d move.  With k >= 2 a run that reaches a position
+    without an allowed move restarts from S.  The budget counts the moves
+    the search takes, and each lookahead probe costs one unit although it
+    applies nothing; undoing the moves at a restart costs nothing.  A step
+    whose probes would leave no unit for its move ends the search.  Reaching the simplex boundary is checked before
     the budget, so S = dSimplex certifies with no moves at budget 0, as
     does a run whose last affordable move reaches it.  Greedy policy:
     always take an index-d move when one exists (it deletes a vertex);
@@ -539,8 +536,6 @@ def stackedness_certificate(
         raise ValueError("complex must have dimension at least 1")
     if not 1 <= k <= (d + 1) // 2:
         raise ValueError(f"k must be in [1, {(d + 1) // 2}] for dimension {d}, got {k}")
-    if k == 1 and S.is_pure and not _removals_can_reach_simplex(S):
-        return None
     rng = random.Random(seed)
     lower = range(d - k + 1, d)
     spent = 0
@@ -550,61 +545,44 @@ def stackedness_certificate(
     # i >= d - k + 1 >= (d + 1) / 2 changes the facet count by d - 2i < 0,
     # so no run comes back to a complex it has been at
     moves: list[BistellarMove] = []
-    while True:
-        # a restart undoes the moves instead of rebuilding the state
-        while moves:
-            state.apply(moves.pop().inverse())
-        while True:
-            if state.is_boundary_simplex():
-                cert = MoveCertificate(S.canonical_hash(), moves, state.complex().canonical_hash())
-                cert.replay(S)
-                return cert
-            if spent >= budget:
-                return None
-            tops = state.moves([d])
-            if tops:
-                picked = rng.choice(tops)
-            else:
-                cands = state.moves(lower)
-                if not cands:
-                    if k == 1 or not moves:
-                        # with k = 1 any removal order ends here, and at
-                        # the start a restart would come back here
-                        return None
-                    break
-                best = []
-                best_score = -1
-                if len(cands) > 16:
-                    cands = rng.sample(cands, 16)
-                if spent + len(cands) >= budget:  # no unit left for the move
+    while not state.is_boundary_simplex():
+        if spent >= budget:
+            return None
+        tops = state.moves([d])
+        if tops:
+            picked = rng.choice(tops)
+        else:
+            cands = state.moves(lower)
+            if not cands:
+                if k == 1 or not moves:
+                    # with k = 1 any removal order ends here, and at the
+                    # start a restart would come back here
                     return None
-                for mv in cands:
-                    spent += 1
-                    score = state.probe(mv)
-                    if score > best_score:
-                        best_score = score
-                        best = [mv]
-                    elif score == best_score:
-                        best.append(mv)
-                picked = rng.choice(best)
-            state.apply(picked)
-            moves.append(picked)
-            spent += 1
-
-
-def _removals_can_reach_simplex(S: SimplicialComplex) -> bool:
-    """Whether index-d moves alone could take the pure d-complex S to the
-    boundary of the (d + 1)-simplex, by vertex and facet counts.
-
-    Each such move changes f by :func:`move_fvector_delta` (d, d), whose
-    f_0 entry is -1, so it takes m = f_0(S) - d - 2 >= 0 of them, and then
-    f(dSimplex) - f(S) = m * delta.  Only the f_d entry of that identity is
-    checked besides f_0: the others need the face lattice of S, which costs
-    about as much as the search on the stacked spheres that pass.
-    """
-    d = S.dim
-    m = len(S.vertices) - d - 2
-    return m >= 0 and d + 2 - len(S.facets) == m * move_fvector_delta(d, d)[d]
+                # a restart undoes the moves instead of rebuilding the state
+                while moves:
+                    state.apply(moves.pop().inverse())
+                continue
+            best = []
+            best_score = -1
+            if len(cands) > 16:
+                cands = rng.sample(cands, 16)
+            if spent + len(cands) >= budget:  # no unit left for the move
+                return None
+            for mv in cands:
+                spent += 1
+                score = state.probe(mv)
+                if score > best_score:
+                    best_score = score
+                    best = [mv]
+                elif score == best_score:
+                    best.append(mv)
+            picked = rng.choice(best)
+        state.apply(picked)
+        moves.append(picked)
+        spent += 1
+    cert = MoveCertificate(S.canonical_hash(), moves, state.complex().canonical_hash())
+    cert.replay(S)
+    return cert
 
 
 @dataclass(slots=True, eq=False)
@@ -677,8 +655,6 @@ def k_stacked_exact(S: SimplicialComplex, k: int, ceiling: int = 10) -> ExactSta
         return None
 
     def verify_ball() -> SimplicialComplex | None:
-        from . import homology
-
         # distinct cells of one size: maximal as they stand
         B = SimplicialComplex(sorted(chosen), _canonical=True)
         ok = B.pseudomanifold_check().facet_graph_connected and not any(homology.reduced_betti(B))
@@ -802,8 +778,6 @@ def vertex_reduce(
     With ``check_homology`` every accepted move is checked to preserve the
     Betti vector (debugging aid, slow).
     """
-    from . import homology
-
     if schedule is None:
         schedule = AnnealSchedule()
     rng = random.Random(seed)

@@ -91,7 +91,7 @@ def binomial_form_check(f0: int, d: int, beta1: int) -> BinomialCheck:
     """Evaluate the binomial form of the vertex bound exactly."""
     if f0 < d + 1:
         raise ValueError("f0 must be at least d+1")
-    lhs = comb(f0 - d - 1, 2) if f0 - d - 1 >= 0 else 0
+    lhs = comb(f0 - d - 1, 2)
     rhs = comb(d + 2, 2) * beta1
     return BinomialCheck(lhs >= rhs, lhs == rhs, lhs, rhs)
 

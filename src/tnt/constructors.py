@@ -12,7 +12,8 @@ from importlib import resources
 from itertools import combinations
 from typing import Iterable
 
-from .bistellar import BistellarMove, apply_move
+from . import homology
+from .bistellar import BistellarMove, apply_move, stackedness_certificate
 from .complexes import SimplicialComplex, Simplex, from_text, simplex
 
 __all__ = [
@@ -98,30 +99,6 @@ def _pairing_map(facet1: Simplex, facet2: Simplex, pairing) -> dict[int, int]:
     return out
 
 
-def _graph_distance(M: SimplicialComplex, a: int, b: int) -> int:
-    if a == b:
-        return 0
-    adj: dict[int, set[int]] = {v: set() for v in M.vertices}
-    for e in M.faces(1):
-        adj[e[0]].add(e[1])
-        adj[e[1]].add(e[0])
-    frontier = {a}
-    seen = {a}
-    dist = 0
-    while frontier:
-        dist += 1
-        nxt = set()
-        for v in frontier:
-            for u in adj[v]:
-                if u == b:
-                    return dist
-                if u not in seen:
-                    seen.add(u)
-                    nxt.add(u)
-        frontier = nxt
-    return -1  # different components
-
-
 def handle_addition(
     M: SimplicialComplex,
     facet1: Iterable[int],
@@ -142,9 +119,12 @@ def handle_addition(
     if set(f1) & set(f2):
         raise ValueError("facets must be disjoint")
     mapping = _pairing_map(f1, f2, pairing)
+    stars = M._stars()
     for w, v in sorted(mapping.items()):
-        dd = _graph_distance(M, v, w)
-        if 0 <= dd < 3:
+        # distance 1: v and w share a facet; 2: some vertex shares one with each
+        sv, sw = stars[v], stars[w]
+        dd = 1 if sv & sw else 2 if any(s & sv and s & sw for s in stars.values()) else 0
+        if dd:
             raise ValueError(f"paired vertices ({v}, {w}) are at graph distance {dd} < 3")
     out = []
     for f in M.facets:
@@ -292,9 +272,6 @@ def kuehnel_series(d: int) -> SimplicialComplex:
 
 
 def _validate_kuehnel(M: SimplicialComplex, d: int, n: int) -> None:
-    from . import homology
-    from .bistellar import stackedness_certificate
-
     if len(M.vertices) != n or M.dim != d:
         raise AssertionError("series construction: wrong vertex count or dimension")
     if not M.is_k_neighborly(2):

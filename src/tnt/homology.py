@@ -28,6 +28,7 @@ from typing import Sequence
 
 from . import gf2
 from .complexes import SimplicialComplex, simplex
+from .symmetry import _orbit_marks
 
 __all__ = [
     "HomologyReport",
@@ -287,8 +288,6 @@ def _homology_manifold(K: SimplicialComplex) -> bool:
     # closed homology k-manifold and b_i = b_{k-i} once it is connected.  So
     # it is a sphere (two points when k = 0) exactly when reduced b_i =
     # (i == k) for 0 <= i <= k // 2.
-    from .symmetry import _orbit_marks  # imported here: symmetry imports engine from this module
-
     passed, mark = _orbit_marks(K)  # vertex masks of the images of faces with sphere links
     for k in range(d):
         m = d - k

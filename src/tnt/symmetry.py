@@ -2,12 +2,13 @@
 
 One backtracking search over vertex images serves both public searches
 and the automorphisms by whose orbits tightness sweeps and the manifold
-check skip work.  Its pruning: a vertex's signature, the f-vector of its
-link read as the bit counts of its star masks in ``engine(K)``, must
-match; for every previously mapped vertex the cofacet count of the pair
-must be preserved; and a facet whose vertices are all mapped must map to
-a facet, so complete maps are automorphisms.  Signatures and pair counts
-are computed once per complex.
+check skip work.  Its pruning: a vertex's signature, its facet count and
+the sorted cofacet counts of its pairs, must match; for every previously
+mapped vertex the cofacet count of the pair must be preserved; and a
+facet whose vertices are all mapped must map to a facet, so complete maps
+are automorphisms.  Signatures and pair counts are read off the vertex
+star masks of :meth:`SimplicialComplex._stars` once per complex, so no
+search builds a face lattice.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from operator import xor
 from .complexes import SimplicialComplex
 from .errors import SearchLimitError
 from .gf2 import bits_of
-from .homology import engine
 
 __all__ = ["automorphisms", "automorphism_group_order", "is_automorphism", "find_central_involution"]
 
@@ -29,12 +29,11 @@ _SOME_NODES = 20_000  # search nodes for them: about 5,900 on the Steiner triple
 
 
 def _signatures(K: SimplicialComplex):
-    """Each vertex's link f-vector: the number of j-faces holding it, j >= 1.
-    Cached in ``K._cache``."""
+    """Each vertex's facet count and the sorted cofacet counts of its pairs
+    from :func:`_pair_counts`.  Cached in ``K._cache``."""
     if "vertex_signatures" not in K._cache:
-        vfaces, vpos = engine(K)._vertex_faces()
-        sig = {v: tuple(masks[i].bit_count() for masks in vfaces[1:]) for v, i in vpos.items()}
-        K._cache["vertex_signatures"] = sig
+        pairs = _pair_counts(K)
+        K._cache["vertex_signatures"] = {v: (s.bit_count(), *sorted(pairs[v].values())) for v, s in K._stars().items()}
     return K._cache["vertex_signatures"]
 
 
@@ -229,14 +228,14 @@ def find_central_involution(K: SimplicialComplex) -> dict[int, int] | None:
         return None
     if len(verts) > _VERTEX_CAP:
         raise SearchLimitError(f"involution search supports at most {_VERTEX_CAP} vertices, got {len(verts)}")
-    edges = K.face_set(1)
+    pairs = _pair_counts(K)  # per vertex, the vertices joined to it by an edge
 
     def paired(v: int, w: int, image: dict[int, int]) -> bool:
         if w in image:
             return image[w] == v
-        return w != v and v not in image.values() and (v, w) not in edges
+        return w != v and v not in image.values() and w not in pairs[v]
 
-    inv = next(_vertex_maps(K, _signatures(K), _pair_counts(K), verts, paired), None)
+    inv = next(_vertex_maps(K, _signatures(K), pairs, verts, paired), None)
     if inv is None:
         return None
     return {u: inv[u] for v, w in inv.items() if v < w for u in (v, w)}

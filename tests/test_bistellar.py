@@ -899,22 +899,44 @@ def test_k1_certificates_satisfy_the_fvector_identity():
 
 
 def test_k1_exit_leaves_out_only_uncertifiable_inputs(monkeypatch):
-    from tnt import bistellar
-
+    # the criterion's spheres whose f-vectors rule out reaching dSimplex by
+    # removals alone certify nothing, and each search stops at its first
+    # position without a removal, after at most f_0 - d - 2 of them
     excluded = [(seed, S) for seed, S in _criterion_6_spheres() if not _removal_identity(S)]
     assert len(excluded) == 15
-    # they leave before any move state is built
-    real = bistellar._MoveState
-    monkeypatch.setattr(bistellar, "_MoveState", None)
-    assert all(stackedness_certificate(S, 1, budget=20_000, seed=seed) is None for seed, S in excluded)
-    # with the exit off, one input per f-vector still certifies nothing at
-    # three times the criterion's budget
-    monkeypatch.setattr(bistellar, "_MoveState", real)
-    monkeypatch.setattr(bistellar, "_removals_can_reach_simplex", lambda S: True)
-    by_f = {S.f_vector(): (seed, S) for seed, S in excluded}
-    assert len(by_f) == 6
-    for seed, S in by_f.values():
-        assert stackedness_certificate(S, 1, budget=60_000, seed=seed) is None
+    applied = []
+    apply = _MoveState.apply
+    monkeypatch.setattr(_MoveState, "apply", lambda self, mv: applied.append(mv) or apply(self, mv))
+    for seed, S in excluded:
+        applied.clear()
+        assert stackedness_certificate(S, 1, budget=20_000, seed=seed) is None
+        assert len(applied) <= len(S.vertices) - S.dim - 2, seed
+
+
+# a 3-sphere on 9 vertices, walked from a stacked one
+RESTART_SPHERE = (
+    (1, 2, 5, 8), (1, 2, 5, 9), (1, 2, 6, 8), (1, 2, 6, 9), (1, 4, 5, 7), (1, 4, 5, 8),
+    (1, 4, 6, 7), (1, 4, 6, 8), (1, 5, 6, 7), (1, 5, 6, 9), (2, 3, 4, 6), (2, 3, 4, 8),
+    (2, 3, 5, 7), (2, 3, 5, 8), (2, 3, 6, 9), (2, 3, 7, 9), (2, 4, 6, 8), (2, 5, 7, 9),
+    (3, 4, 5, 7), (3, 4, 5, 8), (3, 4, 6, 9), (3, 4, 7, 9), (4, 6, 7, 9), (5, 6, 7, 9),
+)
+
+
+def test_search_restarts_by_undoing_its_moves(monkeypatch):
+    # with k = 2 and seed 0 the first run makes 6 moves to a dead end; the
+    # restart undoes them on the same state, in reverse, and the second run
+    # certifies.  Both runs' moves and probes spend the budget of 95
+    # exactly; the undo spends nothing
+    S = SimplicialComplex(RESTART_SPHERE)
+    applied = []
+    apply = _MoveState.apply
+    monkeypatch.setattr(_MoveState, "apply", lambda self, mv: applied.append(mv) or apply(self, mv))
+    cert = stackedness_certificate(S, 2, budget=95, seed=0)
+    assert cert is not None and is_boundary_simplex(cert.replay(S))
+    first = applied[:6]
+    assert applied[6:12] == [mv.inverse() for mv in reversed(first)]
+    assert applied[12:] == list(cert.moves) and len(cert.moves) == 11
+    assert stackedness_certificate(S, 2, budget=94, seed=0) is None
 
 
 def test_boundary_simplex_certificate_trivial():

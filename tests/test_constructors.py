@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -102,6 +103,43 @@ def test_handle_addition_guards():
     with pytest.raises(ValueError) as ei:
         handle_addition(S, (1, 2, 3, 4), (5, 6, 7, 9), [(1, 5), (2, 6), (3, 7), (4, 9)])
     assert "distance" in str(ei.value)
+
+
+def _bfs_distance(M, a, b):
+    """Graph distance of a and b in the 1-skeleton of M, -1 when apart."""
+    dist, frontier = {a: 0}, [a]
+    while frontier:
+        v = frontier.pop(0)
+        for e in M.faces(1):
+            for x, y in (e, e[::-1]):
+                if x == v and y not in dist:
+                    dist[y] = dist[v] + 1
+                    frontier.append(y)
+    return dist.get(b, -1)
+
+
+def test_handle_distance_guard_matches_a_graph_search():
+    # the guard reports the first pair, by facet2 vertex, at distance 1 or
+    # 2, as a breadth-first search finds it; pairs in different components
+    # pass.  Sorted and rotated pairings of disjoint facet pairs
+    T = boundary_simplex(3)
+    two = SimplicialComplex(list(T.facets) + [tuple(v + 10 for v in f) for f in T.facets])
+    complexes = [boundary_complex(dataset("walkup_P")), stacked_sphere(2, 12, seed=4), stacked_sphere(3, 14, seed=0), two]
+    seen = Counter()
+    for M in complexes:
+        pairs = [(f, g) for f in M.facets for g in M.facets if f < g and not set(f) & set(g)]
+        for f, g in pairs[:: max(1, len(pairs) // 20)]:
+            for rot in (0, 1):
+                pairing = [(f[i], g[(i + rot) % len(g)]) for i in range(len(f))]
+                near = [(v, w, dd) for v, w in sorted(pairing, key=lambda p: p[1]) if 0 < (dd := _bfs_distance(M, v, w)) < 3]
+                if near:
+                    v, w, dd = near[0]
+                    with pytest.raises(ValueError, match=rf"^paired vertices \({v}, {w}\) are at graph distance {dd} < 3$"):
+                        handle_addition(M, f, g, pairing)
+                else:
+                    handle_addition(M, f, g, pairing)
+                seen[near[0][2] if near else 3] += 1
+    assert seen[1] and seen[2] and seen[3], seen
 
 
 def test_walkup_manifold_from_handle():

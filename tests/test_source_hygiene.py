@@ -1,4 +1,6 @@
-"""Static checks on the package source that need no linter."""
+"""Static checks on the package source that need no linter: no unused
+import, no import of a package module inside a function, and no cycle
+among the package modules."""
 import ast
 from pathlib import Path
 
@@ -67,3 +69,91 @@ def test_unused_import_check_sees_each_kind():
         "    return comb(3, 1)\n"
     )
     assert _unused_imports(source) == [(2, "os"), (3, "j"), (8, "homology")]
+
+
+MODULES = {p.stem for p in PACKAGE.glob("*.py")}
+
+
+def _package_imports(source: str) -> list[tuple[int, str, bool]]:
+    """``(line, module, in_function)`` for each import of a module of the
+    package: relative imports and those of ``tnt``.  ``from . import x``
+    imports the module x when there is one, else a name of ``__init__``."""
+    found = []
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "tnt":
+                    found.append((node.lineno, parts[1] if len(parts) > 1 else "__init__", in_function))
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "tnt"):
+            parts = (node.module or "").split(".")[0 if node.level else 1 :]
+            if parts and parts[0]:
+                found.append((node.lineno, parts[0], in_function))
+            else:
+                for alias in node.names:
+                    found.append((node.lineno, alias.name if alias.name in MODULES else "__init__", in_function))
+        in_function = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def _cycle(graph: dict[str, set[str]]) -> list[str]:
+    """A cycle of the module graph as a closed path, or [] when it has none."""
+    done: set[str] = set()
+    path: list[str] = []
+
+    def walk(m: str) -> list[str]:
+        if m in path:
+            return path[path.index(m) :] + [m]
+        if m in done:
+            return []
+        path.append(m)
+        for n in sorted(graph.get(m, ())):
+            if found := walk(n):
+                return found
+        path.pop()
+        done.add(m)
+        return []
+
+    for m in sorted(graph):
+        if found := walk(m):
+            return found
+    return []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_at_module_level(path):
+    # a module that must import another inside a function hides a cycle
+    assert [(line, m) for line, m, inside in _package_imports(path.read_text()) if inside] == []
+
+
+def test_package_module_graph_has_no_cycle():
+    graph = {p.stem: {m for _, m, _ in _package_imports(p.read_text())} for p in PACKAGE.glob("*.py")}
+    assert _cycle(graph) == []
+
+
+def test_import_checks_see_each_kind():
+    source = (
+        "import json\n"
+        "import tnt.gf2\n"
+        "from . import __version__, homology\n"
+        "from .complexes import simplex\n"
+        "from tnt.errors import TntError\n"
+        "def f():\n"
+        "    from .symmetry import _orbit_marks\n"
+        "    return _orbit_marks\n"
+    )
+    assert _package_imports(source) == [
+        (2, "gf2", False),
+        (3, "__init__", False),
+        (3, "homology", False),
+        (4, "complexes", False),
+        (5, "errors", False),
+        (7, "symmetry", True),
+    ]
+    assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}) == ["a", "b", "c", "a"]
+    assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []

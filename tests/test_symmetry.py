@@ -296,3 +296,25 @@ def test_searches_share_their_inputs():
     assert len(automorphisms(M)) == 2
     assert _signatures(M) is sig and _pair_counts(M) is pairs
     assert pairs[1] == {u: n for u, n in pairs[1].items() if n} and 2 not in pairs[1]  # 1, 2 a diagonal
+
+
+def test_searches_read_only_vertex_stars():
+    # signatures, pair counts and edges come from the vertex star masks:
+    # neither search builds a face lattice or a chain engine
+    M = SimplicialComplex(dataset("M6_16").facets)
+    assert len(automorphisms(M)) == 2 and find_central_involution(M) is not None
+    assert "chain_engine" not in M._cache and "face_sets" not in M._cache
+    # the 8 signature classes of M6_16 are its 8 orbits of size 2
+    assert len(set(_signatures(M).values())) == 8
+
+
+@pytest.mark.parametrize(
+    "K",
+    [dataset("walkup_M3"), kuehnel_series(4), stacked_sphere(3, 9, seed=1), SimplicialComplex([[1, 2, 3], [3, 4], [5]])],
+    ids=["walkup_M3", "kuehnel_4", "stacked_3_9", "mixed"],
+)
+def test_signatures_count_facets_and_pair_cofacets(K):
+    for v in K.vertices:
+        holding = [f for f in K.facets if v in f]
+        counts = sorted(n for u in K.vertices if u != v and (n := sum(u in f for f in holding)))
+        assert _signatures(K)[v] == (len(holding), *counts)
