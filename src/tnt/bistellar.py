@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 from . import homology
-from .complexes import SimplicialComplex, Simplex, _masked, simplex
+from .complexes import SimplicialComplex, Simplex, _masked, _star_and, simplex
 from .errors import InvalidMoveError
 
 __all__ = [
@@ -109,7 +109,9 @@ class _MoveState:
     slots of lower-dimensional facets, so the AND of a face's vertex stars
     holds its facets and, without ``_low``, its top-dimensional cofacets,
     whose number is that mask's bit count and is kept nowhere else.  A face
-    of size d - i + 1 with exactly i + 1 top cofacets is ready for index i.
+    of size d - i + 1 that lies in no lower facet and in exactly i + 1 top
+    ones is ready for index i: a lower facet G holding A would put G - A in
+    lk(A) but not in dB, so no move removes A.
     Only a ready face can make a move, so cofacets are decoded only for
     those: where a face is pooled and in :meth:`probe`.  For each index i
     the state was built for, ``_pool[i]`` maps each ready face A to the
@@ -162,10 +164,11 @@ class _MoveState:
     N = {U - v : v in A}.  The B of a vertex has d + 1 labels, so it is a
     face after the move exactly when it is in N, or a facet now and not in
     R.  A vertex outside U keeps its cofacets, so only its cached B needs
-    that test.  A vertex u in U has deg - |B| + |A| - 1 top cofacets
-    afterwards when u is in A, and deg - |B| + |A| + 1 when u is in B;
-    only when that is d + 1 are its new cofacets (cof - R) u
-    {n in N : u in n} decoded and their B built.
+    that test.  A vertex u in U keeps its lower facets and has
+    deg - |B| + |A| - 1 top cofacets afterwards when u is in A, and
+    deg - |B| + |A| + 1 when u is in B; only when it lies in no lower facet
+    and that is d + 1 are its new cofacets (cof - R) u {n in N : u in n}
+    decoded and their B built.
     """
 
     def __init__(self, M: SimplicialComplex, indices: Iterable[int]):
@@ -183,7 +186,8 @@ class _MoveState:
         # neighbour w of its last vertex, its top cofacets ANDed with w's
         self.built_counts: dict[int, int] = {}
         if self.indices:
-            tops = {v: m & ~self._low for v, m in self.star.items()}
+            low = self._low
+            tops = {v: m & ~low for v, m in self.star.items()}
             verts = sorted(v for v, m in tops.items() if m)
             up = {v: [w for w in verts[k + 1 :] if tops[v] & tops[w]] for k, v in enumerate(verts)}
             level = {(v,): tops[v] for v in verts}
@@ -192,7 +196,9 @@ class _MoveState:
                     level = {a + (w,): n for a, m in level.items() for w in up[a[-1]] if (n := m & tops[w])}
                 self.built_counts[size] = len(level)
                 if (i := d + 1 - size) in self.indices:
-                    self._pool[i] = dict.fromkeys(a for a, m in level.items() if m.bit_count() == i + 1)
+                    # only on a non-pure complex can a face lie in a lower facet
+                    ready = (a for a, m in level.items() if m.bit_count() == i + 1 and not (low and self._mask(a) & low))
+                    self._pool[i] = dict.fromkeys(ready)
         # the valid sets: per index the moves and the position of each A,
         # and per B the ready faces wanting it; None unless every index
         self._valid: dict[int, list[BistellarMove]] | None = None
@@ -267,9 +273,9 @@ class _MoveState:
         self._apply(move, union, removed, added)
 
     def _apply(self, move: BistellarMove, union: Simplex, removed: list[Simplex], added: list[Simplex]) -> None:
-        low = len(union) <= self.d + 1  # a lower-dimensional move
+        lower = len(union) <= self.d + 1  # a lower-dimensional move
         facets, slots, free, star = self.facets, self._slots, self._free, self.star
-        if low:
+        if lower:
             self._low ^= sum(1 << facets[f] for f in removed)
         for f in removed:
             j = facets.pop(f)
@@ -290,11 +296,11 @@ class _MoveState:
             bit = 1 << j
             for v in f:
                 star[v] = star.get(v, 0) | bit
-        if low:
+        if lower:
             self._low |= sum(1 << facets[f] for f in added)
-        top = ~self._low
-        tops = {v: star.get(v, 0) & top for v in union}
-        d, want = self.d, self._want
+        d, want, low = self.d, self._want, self._low
+        # inlined: a call of _star_and per face costs anneal_product 3-5 %
+        stars = {v: star.get(v, 0) for v in union}
         fresh: list[Simplex] = []
         wanted: list[Simplex] = []
         for i in self.indices:
@@ -303,8 +309,8 @@ class _MoveState:
                 hit = pool.pop(a, None)
                 m = -1
                 for v in a:
-                    m &= tops[v]
-                if m.bit_count() == i + 1:
+                    m &= stars[v]
+                if not m & low and m.bit_count() == i + 1:
                     pool[a] = None
                     fresh.append(a)
                 if want is not None:
@@ -356,9 +362,10 @@ class _MoveState:
                 continue
             spans.append(self.span(u, self.cofacets(u), d) if hit is None else hit[0])
         gain = len(added) - len(removed)
-        star, top = self.star, ~self._low
+        star, low = self.star, self._low
         for v in union:
-            if (star.get(v, 0) & top).bit_count() + gain + (1 if v in move.B else -1) != d + 1:
+            m = star.get(v, 0)
+            if m & low or m.bit_count() + gain + (1 if v in move.B else -1) != d + 1:
                 continue
             new = {f for f in self.cofacets((v,)) if f not in removed}
             new.update(f for f in added if v in f)
@@ -368,15 +375,11 @@ class _MoveState:
 
     def _mask(self, s: Simplex) -> int:
         """The AND of the vertex stars of ``s``: the slots of its facets."""
-        star = self.star
-        m = -1
-        for v in s:
-            m &= star.get(v, 0)
-        return m
+        return _star_and(self.star, s)
 
     def has_face(self, s: Simplex) -> bool:
         """Whether the sorted tuple ``s`` is a face."""
-        return self._mask(s) != 0
+        return _star_and(self.star, s) != 0
 
     def _pooled(self, a: Simplex, i: int) -> tuple[Simplex | None, BistellarMove | None]:
         """Pool the ready face ``a`` of index ``i`` with its :meth:`span` B
@@ -444,9 +447,11 @@ class _MoveState:
 def valid_moves(M: SimplicialComplex, index_filter: Iterable[int] | None = None) -> list[BistellarMove]:
     """All applicable moves of index 1..d in canonical (index, A, B) order.
 
-    Only top-dimensional facets count as cofacets of A; B must be no face
-    at all.  Index-0 moves need a fresh label and are applied directly
-    through :func:`apply_move`; they are not enumerated here.
+    A must lie in no lower-dimensional facet and its top-dimensional
+    cofacets must be A * dB, so lk(A) = dB in full; B must be no face at
+    all.  So :func:`apply_move` accepts every move listed.  Index-0 moves
+    need a fresh label and are applied directly through :func:`apply_move`;
+    they are not enumerated here.
     """
     return _MoveState(M, range(1, M.dim + 1) if index_filter is None else index_filter).moves()
 
@@ -611,12 +616,10 @@ def k_stacked_exact(S: SimplicialComplex, k: int, ceiling: int = 10) -> ExactSta
     if len(verts) > ceiling:
         return ExactStackedness("aborted")
     cell_size = d + 2
-    low_cap = d - k + 1  # max card of faces that must already lie in S
-    sizes = range(2, min(low_cap, cell_size) + 1)
-    candidates = [
-        c for c in combinations(verts, cell_size)
-        if all(sub in S.face_set(size - 1) for size in sizes for sub in combinations(c, size))
-    ]
+    # the subsets of at most d - k + 1 labels of a cell must be faces of S;
+    # faces are closed under subsets, so those of the largest size suffice
+    low_cap = min(d - k + 1, cell_size)
+    candidates = [c for c in combinations(verts, cell_size) if all(map(S._mask, combinations(c, low_cap)))]
     if not candidates:
         return ExactStackedness("no")
     sfacets = set(S.facets)
@@ -767,11 +770,8 @@ def vertex_reduce(
     conditioned on having a valid move, which biases toward high indices
     (they shrink the complex) and keeps low ones reachable for mixing;
     the move is uniform within its index, by its position in the order
-    :class:`_MoveState` documents.  On a non-pure input a drawn move whose
-    A lies in a lower facet counts as rejected: that facet stays, so A's
-    link is not dB and the certificate's replay would refuse the move.
-    Returns the best complex reached and a replay-verified certificate from
-    the input to it.  The input itself is returned when no move lowers the
+    :class:`_MoveState` documents.  Returns the best complex reached and a
+    replay-verified certificate from the input to it.  The input itself is returned when no move lowers the
     energy, in particular when no move is ever available.  On a pure input
     both come back with their f-vectors, from the state's face counts and
     the moves' deltas.
@@ -791,8 +791,6 @@ def vertex_reduce(
         t_start = max(4.0, float(sum(deltas[1]))) if d >= 1 else 4.0
 
     state = _MoveState(M, range(1, d + 1))
-    # the lower facets, kept by every move drawn (each swaps top facets)
-    low = state._low
     # every face of a pure M has a top cofacet, so the build's counts give f(M)
     sizes = state.built_counts if d >= 0 and M.is_pure else None
     # energies relative to the input; the best state is the first best_len
@@ -819,11 +817,7 @@ def vertex_reduce(
         if mv is None:
             break
         de = energy[mv.index]
-        # a move whose A lies in a lower facet keeps that facet in star(A),
-        # so the replay's check refuses it: it counts as rejected
-        if low and state._mask(mv.A) & low:
-            pass
-        elif de <= 0 or rng.random() < exp(max(-de / t, -60.0)):
+        if de <= 0 or rng.random() < exp(max(-de / t, -60.0)):
             state.apply(mv)
             cur_e += de
             path.append(mv)

@@ -104,12 +104,6 @@ def heawood_bound(chi: int) -> int:
     return _ceil_half_root(7, disc)
 
 
-def _c(n: int, r: int) -> int:
-    if r < 0 or n < 0:
-        return 0
-    return comb(n, r)
-
-
 def glbc_bound(d: int, k: int, j: int, partial_f) -> int:
     """Lower bound for f_j of a triangulated d-sphere given f_{-1}..f_{k-1}.
 
@@ -120,6 +114,8 @@ def glbc_bound(d: int, k: int, j: int, partial_f) -> int:
     branches (checked on boundary simplices and stacked spheres), which is
     the equality case the bound is defined by.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if d < 2 * k + 1:
         raise ValueError("need d >= 2k+1")
     if j < k:
@@ -135,11 +131,11 @@ def glbc_bound(d: int, k: int, j: int, partial_f) -> int:
     for i in range(-1, k):
         fi = fv[i + 1]
         sign = (-1) ** (k - i + 1)
-        bracket = _c(j - i - 1, j - k) * _c(d - i + 1, j - i)
+        bracket = comb(j - i - 1, j - k) * comb(d - i + 1, j - i)
         if j > d - k:
-            bracket -= _c(k, d - j + 1) * _c(d - i, d - k + 1)
+            bracket -= comb(k, d - j + 1) * comb(d - i, d - k + 1)
             for L in range(d - j, k):
-                bracket += (-1) ** (k - L) * _c(L, d - j) * _c(d - i, d - L + 1)
+                bracket += (-1) ** (k - L) * comb(L, d - j) * comb(d - i, d - L + 1)
         total += sign * bracket * fi
     return total
 

@@ -1,16 +1,17 @@
 """Simplicial complexes on positive integer vertex labels.
 
 A simplex is a sorted tuple of distinct positive ints.  A :class:`SimplicialComplex`
-stores the inclusion-maximal faces (facets) in lexicographic order, answers face
-queries from per-dimension sets and links and stars from vertex-star bitmasks, all
-built on demand.  Complexes are immutable; every operation returns a new object.
+stores the inclusion-maximal faces (facets) in lexicographic order.  Membership,
+links and stars read the facets holding a face as the AND of its vertex-star
+bitmasks; the faces of one dimension are a sorted list, built on first use.
+Complexes are immutable; every operation returns a new object.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -71,6 +72,23 @@ def _masked(items: Sequence, mask: int) -> list:
     return out
 
 
+def _star_and(stars: dict[int, int], s: Iterable[int]) -> int:
+    """The AND of the vertex stars of ``s``: the facets holding it, 0 when none."""
+    m = -1
+    for v in s:
+        m &= stars.get(v, 0)
+    return m
+
+
+def _ridge_facets(K: "SimplicialComplex") -> dict[Simplex, list[int]]:
+    """Per ridge of the pure complex K, the positions of the facets holding it."""
+    table: dict[Simplex, list[int]] = {}
+    for i, f in enumerate(K.facets):
+        for r in combinations(f, K.dim):
+            table.setdefault(r, []).append(i)
+    return table
+
+
 def _maximalize(simplices: list[Simplex]) -> tuple[Simplex, ...]:
     # Drop duplicates and any simplex inside another, necessarily a larger
     # one: only the kept larger simplices are tested, none for a pure input.
@@ -126,32 +144,24 @@ class SimplicialComplex:
             self._cache["vertices"] = tuple(sorted(set(chain.from_iterable(self.facets))))
         return self._cache["vertices"]
 
-    def _face_sets(self) -> list[set[Simplex]]:
-        # sets[j] = set of j-dimensional faces, the one face lattice kept
-        if "face_sets" not in self._cache:
-            sets: list[set[Simplex]] = [set() for _ in range(self.dim + 1)]
-            for f in self.facets:
-                for k in range(1, len(f) + 1):
-                    sets[k - 1].update(combinations(f, k))
-            self._cache["face_sets"] = sets
-        return self._cache["face_sets"]
-
     def faces(self, j: int) -> list[Simplex]:
-        """All j-dimensional faces in lexicographic order, sorted on first use."""
+        """All j-dimensional faces in lexicographic order, built on first use."""
         if j < 0 or j > self.dim:
             return []
         if ("faces", j) not in self._cache:
-            self._cache["faces", j] = sorted(self._face_sets()[j])
+            self._cache["faces", j] = sorted(set(chain.from_iterable(map(combinations, self.facets, repeat(j + 1)))))
         return self._cache["faces", j]
 
     def face_set(self, j: int) -> set[Simplex]:
+        """The j-faces as a set, built on first call; :meth:`has_face` needs none."""
         if j < 0 or j > self.dim:
             return set()
-        return self._face_sets()[j]
+        if ("face_set", j) not in self._cache:
+            self._cache["face_set", j] = set(self.faces(j))
+        return self._cache["face_set", j]
 
     def has_face(self, face: Iterable[int]) -> bool:
-        s = simplex(face)
-        return s in self.face_set(len(s) - 1)
+        return self._mask(simplex(face)) != 0
 
     def __contains__(self, face) -> bool:
         try:
@@ -182,7 +192,7 @@ class SimplicialComplex:
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, ..., f_d); the empty complex has the empty f-vector."""
         if "f_vector" not in self._cache:
-            self._cache["f_vector"] = tuple(map(len, self._face_sets()))
+            self._cache["f_vector"] = tuple(len(self.faces(j)) for j in range(self.dim + 1))
         return self._cache["f_vector"]
 
     def euler_characteristic(self) -> int:
@@ -201,12 +211,13 @@ class SimplicialComplex:
             self._cache["stars"] = stars
         return self._cache["stars"]
 
+    def _mask(self, s: Iterable[int]) -> int:
+        """The facets holding ``s`` as bits of ``facets``: the AND of its vertex stars."""
+        return _star_and(self._stars(), s)
+
     def _holding(self, s: Simplex) -> list[Simplex]:
-        """The facets holding ``s``, the AND of its vertex stars, in order; KeyError when none."""
-        stars = self._stars()
-        m = -1
-        for v in s:
-            m &= stars.get(v, 0)
+        """The facets holding ``s``, in order; KeyError when none."""
+        m = _star_and(self._stars(), s)
         if not m:
             raise KeyError(f"{s} is not a face")
         return _masked(self.facets, m)
@@ -254,17 +265,16 @@ class SimplicialComplex:
         n = len(self.vertices)
         if not 1 <= k <= n:
             raise ValueError(f"k must be in [1, {n}], got {k}")
-        fv = self.f_vector()
-        return k - 1 < len(fv) and fv[k - 1] == comb(n, k)
+        return len(self.faces(k - 1)) == comb(n, k)
 
     def missing_faces(self, j: int) -> list[Simplex]:
         """j-simplices that are not faces but whose full boundary is present."""
         if j < 0:
             raise ValueError("j must be nonnegative")
-        present, lower = self.face_set(j), self.face_set(j - 1)
+        mask = self._mask
         # every vertex is a face, so j = 0 finds none
         cands = combinations(self.vertices, j + 1)
-        return [c for c in cands if c not in present and all(s in lower for s in combinations(c, j))]
+        return [c for c in cands if not mask(c) and all(map(mask, combinations(c, j)))]
 
     # -- global structure -------------------------------------------------
 
@@ -278,16 +288,12 @@ class SimplicialComplex:
             raise ValueError("empty complex")
         if not self.is_pure:
             raise ValueError("pseudomanifold check requires a pure complex")
-        d = self.dim
-        ridge_facets: dict[Simplex, list[int]] = {}
-        for i, f in enumerate(self.facets):
-            for r in combinations(f, d):
-                ridge_facets.setdefault(r, []).append(i)
+        ridge_facets = _ridge_facets(self)
         closed = all(len(v) == 2 for v in ridge_facets.values())
         # facet adjacency via shared ridges
         strongly_connected = _components(range(len(self.facets)), ridge_facets.values()) == 1
         return PseudomanifoldReport(
-            dim=d,
+            dim=self.dim,
             closed=closed,
             facet_graph_connected=strongly_connected,
             skeleton_components=self.connectivity(),

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from . import homology
 from .bistellar import BistellarMove, apply_move, stackedness_certificate
-from .complexes import SimplicialComplex, Simplex, from_text, simplex
+from .complexes import SimplicialComplex, Simplex, _ridge_facets, from_text, simplex
 
 __all__ = [
     "boundary_simplex",
@@ -233,15 +233,9 @@ def boundary_complex(K: SimplicialComplex) -> SimplicialComplex:
     """Subcomplex of ridges lying in exactly one facet (empty when closed)."""
     if not K.is_pure:
         raise ValueError("boundary extraction requires a pure complex")
-    d = K.dim
-    if d < 0:
+    if K.dim < 0:
         return SimplicialComplex(())
-    count: dict[Simplex, int] = {}
-    for f in K.facets:
-        for r in combinations(f, d):
-            count[r] = count.get(r, 0) + 1
-    rim = [r for r, c in count.items() if c == 1]
-    return SimplicialComplex(rim)
+    return SimplicialComplex([r for r, fs in _ridge_facets(K).items() if len(fs) == 1])
 
 
 _kuehnel_cache: dict[int, SimplicialComplex] = {}

@@ -139,9 +139,8 @@ class AmbientPolytope:
             flat = [v for d in self.diagonals for v in d]
             if sorted(flat) != list(verts):
                 raise ValueError("diagonals must partition the vertex set into disjoint pairs")
-            edges = M.face_set(1)
             for a, b in self.diagonals:
-                if (a, b) in edges:
+                if M._mask((a, b)):
                     raise ValueError(f"diagonal ({a}, {b}) is an edge of the complex")
         else:
             raise ValueError(f"unknown ambient kind {self.kind!r}")
@@ -409,15 +408,8 @@ def hamiltonian_check(M: SimplicialComplex, k: int, ambient: AmbientPolytope) ->
     if ambient.kind == "simplex":
         return M.is_k_neighborly(k + 1)
     diag = {tuple(d) for d in ambient.diagonals}
-    verts = M.vertices
-    for size in range(2, k + 2):
-        faces = M.face_set(size - 1)
-        for cand in combinations(verts, size):
-            if any(p in diag for p in combinations(cand, 2)):
-                continue
-            if cand not in faces:
-                return False
-    return True
+    cands = chain.from_iterable(combinations(M.vertices, size) for size in range(2, k + 2))
+    return all(M._mask(c) or any(p in diag for p in combinations(c, 2)) for c in cands)
 
 
 def central_symmetry(M: SimplicialComplex) -> dict[int, int] | None:

@@ -226,19 +226,18 @@ def as_vertex_maps(K: SimplicialComplex, maps) -> list[dict[int, int]]:
 
 def dense_valid_moves(K: SimplicialComplex, indices) -> list[tuple[int, tuple, tuple]]:
     """(index, A, B) of every applicable move of the given indices, in
-    (index, A, B) order, read off :func:`plain_link` and face sets.
+    (index, A, B) order, read off :func:`plain_link` and a facet scan.
 
-    For index i, A is a (d - i)-face whose link facets of size i, the ones
-    that come from top-dimensional facets, are exactly the boundary of an
-    (i + 1)-set B that is no face of K.
+    For index i, A is a (d - i)-face whose link is exactly the boundary of
+    an (i + 1)-set B that no facet of K contains.
     """
     d = K.dim
     out = []
     for i in sorted({i for i in indices if 1 <= i <= d}):
         for a in K.faces(d - i):
-            top = {g for g in plain_link(K, a).facets if len(g) == i}
-            b = tuple(sorted({v for g in top for v in g}))
-            if len(b) == i + 1 and b not in K.face_set(i) and top == set(combinations(b, i)):
+            link = set(plain_link(K, a).facets)
+            b = tuple(sorted({v for g in link for v in g}))
+            if len(b) == i + 1 and link == set(combinations(b, i)) and not any(set(b) <= set(f) for f in K.facets):
                 out.append((i, a, b))
     return out
 

@@ -184,10 +184,10 @@ def _check_state(state, K):
     """The slots hold exactly K's facets, each free slot is listed once,
     the stars and the lower-facet mask decode to K's, every face of an
     indexed size has the decoded cofacets of a plain scan over K's top
-    facets, the pool of index i holds exactly the faces with i + 1 of them,
-    and every pooled entry has the B and the move its scanned cofacets
-    give, so a ready face left out or a B left stale by a move shows at
-    once."""
+    facets, the pool of index i holds exactly the faces with i + 1 of them
+    that lie in no lower facet of the scan, and every pooled entry has the B
+    and the move its scanned cofacets give, so a ready face left out or a B
+    left stale by a move shows at once."""
     d = K.dim
     assert set(state.facets) == set(K.facets)
     assert all(state._slots[j] == f for f, j in state.facets.items())
@@ -198,8 +198,13 @@ def _check_state(state, K):
     for a, cof in scan.items():
         got = state.cofacets(a)
         assert len(got) == len(cof) and set(got) == cof, a
+    lows = [set(f) for f in K.facets if len(f) <= d]
     assert {i: set(state._pool[i]) for i in state.indices} == {
-        i: {a for a, cof in scan.items() if len(a) == d - i + 1 and len(cof) == i + 1} for i in state.indices
+        i: {
+            a for a, cof in scan.items()
+            if len(a) == d - i + 1 and len(cof) == i + 1 and not any(g.issuperset(a) for g in lows)
+        }
+        for i in state.indices
     }
     for i in state.indices:
         for a, hit in state._pool[i].items():
@@ -258,8 +263,7 @@ def test_move_pool_stays_current_over_move_runs(seed, d, all_indices, pure):
     # among them) would show; the valid sets of a state built for every
     # index are checked after each apply; a state built for some indices
     # answers has_face for the other sizes by star intersection; lower
-    # facets stay through the walk, whose moves are applied unchecked as
-    # valid_moves lists them
+    # facets stay through the walk, and apply_move accepts each of its moves
     rng = random.Random(seed)
     K = random_sphere(rng, d=d, walk=4)
     if not pure:
@@ -275,7 +279,7 @@ def test_move_pool_stays_current_over_move_runs(seed, d, all_indices, pure):
         _check_has_face(state, K, rng)
         for _ in range(rng.randint(1, 4)):
             mv = _walk_move(K, rng)
-            after = apply_move(K, mv, check=False)
+            after = apply_move(K, mv)
             state.apply(mv)
             _check_valid_sets(state, after)
             _check_state(state, after)
@@ -360,7 +364,7 @@ def _walked_back_state(K, rng):
     for _ in range(rng.randint(1, 6)):
         mv = _walk_move(K, rng)
         state.apply(mv)
-        K = apply_move(K, mv, check=False)
+        K = apply_move(K, mv)
         walk.append(mv)
     while walk:
         state.apply(walk.pop().inverse())
@@ -430,30 +434,38 @@ def test_valid_moves_non_pure_rule():
         (1, (2, 3), (1, 5)), (1, (2, 4), (1, 5)), (1, (3, 4), (1, 5)),
         (2, (1,), (2, 3, 4)), (2, (5,), (2, 3, 4)),
     ]
-    # the lower facet 15 makes B = 15 a face, which kills the flips; as a
-    # cofacet of 1 and 5 it is ignored, so both vertex removals remain
+    every = range(1, 3)
+    # the lower facet 15 makes B = 15 a face, which kills the flips, and
+    # lies in the stars of 1 and 5, whose links are then more than d(2 3 4)
     K = SimplicialComplex(list(S.facets) + [(1, 5)])
     assert not K.is_pure
-    every = range(1, 3)
-    expected = [(2, (1,), (2, 3, 4)), (2, (5,), (2, 3, 4))]
+    assert _triples(valid_moves(K)) == dense_valid_moves(K, every) == []
+    with pytest.raises(InvalidMoveError, match="link mismatch"):
+        apply_move(K, BistellarMove((1,), (2, 3, 4)))
+    # the lower facet 16 pins vertex 1 alone: the flips and the removal of
+    # 5 stay, and apply_move accepts every move listed
+    K = SimplicialComplex(list(S.facets) + [(1, 6)])
+    expected = [(1, (2, 3), (1, 5)), (1, (2, 4), (1, 5)), (1, (3, 4), (1, 5)), (2, (5,), (2, 3, 4))]
     assert _triples(valid_moves(K)) == dense_valid_moves(K, every) == expected
     state = _MoveState(K, every)
     assert _triples(state.moves()) == expected
-    mv = BistellarMove((1,), (2, 3, 4))
+    mv = BistellarMove((5,), (2, 3, 4))
     state.apply(mv)
-    assert state.complex() == apply_move(K, mv, check=False)
-    assert state.complex().facets == ((1, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5))
-    # the lower facet 15 stays while the walk goes on; every check of an
+    assert state.complex() == apply_move(K, mv)
+    assert state.complex().facets == ((1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 6), (2, 3, 4))
+    # the lower facet 16 stays while the walk goes on; every check of an
     # edge or vertex goes through the star intersection
     K = state.complex()
     rng = random.Random(25)
     for _ in range(12):
         mv = _walk_move(K, rng)
         state.apply(mv)
-        K = apply_move(K, mv, check=False)
-        assert state.complex() == K and (1, 5) in K.facets
+        K = apply_move(K, mv)
+        assert state.complex() == K and (1, 6) in K.facets
         _check_state(state, K)
         assert _triples(state.moves()) == dense_valid_moves(K, every)
+        for _, a, b in dense_valid_moves(K, every):
+            apply_move(K, BistellarMove(a, b))
         _check_has_face(state, K, rng)
 
 
@@ -490,7 +502,7 @@ def _check_probes(K, built, rng, rounds=3, walk=3):
         for st_ in (state, _MoveState(K, built)):
             before = _snapshot(st_)
             for mv in cands + [split]:
-                after = apply_move(K, mv, check=False)
+                after = apply_move(K, mv)
                 assert st_.probe(mv) == len(dense_valid_moves(after, [d])), mv
             assert _snapshot(st_) == before
         probed += len(cands)
@@ -502,7 +514,7 @@ def _check_probes(K, built, rng, rounds=3, walk=3):
                 tops = [f for f in K.facets if len(f) == d + 1]
                 mv = BistellarMove(tops[rng.randrange(len(tops))], (max(K.vertices) + 1,))
             state.apply(mv)
-            K = apply_move(K, mv, check=False)
+            K = apply_move(K, mv)
     return probed
 
 
@@ -542,13 +554,18 @@ def test_probe_onto_boundary_simplex(d):
 
 
 def test_probe_on_non_pure_complexes():
-    # lower facets count as faces for B but never as cofacets
+    # lower facets count as faces for B, never as cofacets, and pin the
+    # faces they hold
     S = stacked_sphere(2, 5, seed=0)
     assert _check_probes(SimplicialComplex(list(S.facets) + [(1, 5)]), range(1, 3), random.Random(5)) > 0
     T = stacked_sphere(3, 8, seed=2)
     K = SimplicialComplex(list(T.facets) + [(1, 20), (20, 21, 22)])
     assert not K.is_pure
     assert _check_probes(K, range(1, 4), random.Random(8)) > 0
+    # the lower facet 1 20 pins vertex 1, which a flip of an edge at 1
+    # leaves with the 3 top cofacets of an index-2 A
+    O = SimplicialComplex(list(cross_polytope_boundary(3).facets) + [(1, 20)])
+    assert _check_probes(O, range(1, 3), random.Random(3)) > 0
 
 
 def test_ready_faces_without_a_span():
@@ -1146,11 +1163,15 @@ def test_vertex_reduce_non_pure_fvector():
 
 
 def test_vertex_reduce_rejects_moves_whose_a_lies_in_a_lower_facet():
-    # valid_moves lists (1, 234), since the lower facet 19 is no cofacet of
-    # vertex 1, but 19 would survive the move, so its replay fails; the
-    # anneal counts such a draw as rejected
+    # the lower facet 19 puts 9 in lk(1) besides d(2 3 4), so (1, 234) is no
+    # valid move: apply_move refuses it, valid_moves leaves it out, and the
+    # anneal, which draws only listed moves, keeps 19
     M = from_facets([(1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 9), (2, 3, 5), (2, 4, 5), (3, 4, 5)])
-    assert BistellarMove((1,), (2, 3, 4)) in valid_moves(M)
+    mv = BistellarMove((1,), (2, 3, 4))
+    assert mv not in valid_moves(M)
+    with pytest.raises(InvalidMoveError, match="link mismatch"):
+        apply_move(M, mv)
+    assert _triples(valid_moves(M)) == dense_valid_moves(M, range(1, 3))
     for seed in range(30):
         best, cert = vertex_reduce(M, schedule=AnnealSchedule(steps=50), seed=seed)
         assert cert.replay(M) == best

@@ -117,6 +117,8 @@ def test_glbc_validation():
         glbc_bound(5, 2, 3, [1, 10])  # needs k+1 entries
     with pytest.raises(ValueError):
         glbc_bound(5, 2, 3, [2, 10, 40])  # f_{-1} = 1 always
+    with pytest.raises(ValueError, match="nonnegative"):
+        glbc_bound(2, -1, 0, [])  # k < 0
 
 
 def test_glbc_k1_closed_forms():

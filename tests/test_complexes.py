@@ -2,6 +2,7 @@ import json
 import random
 import re
 from enum import IntEnum
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,14 @@ from hypothesis import strategies as st
 
 from conftest import plain_link, quadratic_maximalize, random_sphere
 from tnt import (
+    AmbientPolytope,
     SimplicialComplex,
     boundary_simplex,
+    cross_polytope_boundary,
     dataset,
+    dataset_names,
     from_facets,
+    hamiltonian_check,
     from_text,
     load_complex,
     save_complex,
@@ -176,6 +181,56 @@ def test_link_and_star_match_a_plain_scan(K):
             plain_link(K, s)
 
 
+def _membership_cases():
+    # every dataset, the shared sphere fixtures, the link cases (a non-pure
+    # one among them), and a complex with facets of three sizes
+    mixed = SimplicialComplex([[1, 2, 3], [3, 4], [5]])
+    fixtures = [boundary_simplex(3), cross_polytope_boundary(3)]
+    return [dataset(name) for name in dataset_names()] + fixtures + _link_star_cases() + [mixed]
+
+
+@pytest.mark.parametrize("K", _membership_cases(), ids=lambda K: f"f{K.f_vector()}")
+def test_membership_and_faces_match_a_facet_scan(K):
+    # has_face and `in` against "lies in some facet", on faces, on vertex
+    # sets with labels outside K and in any order; `in` is False for what
+    # is no simplex, where has_face raises; faces and the f-vector against
+    # the subsets of the facets
+    fresh = SimplicialComplex(K.facets)
+    scan = [sorted({s for f in K.facets for s in combinations(f, j + 1)}) for j in range(K.dim + 1)]
+    assert [fresh.faces(j) for j in range(-1, K.dim + 2)] == [[], *scan, []]
+    assert SimplicialComplex(K.facets).f_vector() == tuple(map(len, scan))
+    rng = random.Random(len(K.facets))
+    verts = list(K.vertices) + [max(K.vertices) + 1, max(K.vertices) + 7]
+    queries = [f for j in range(K.dim + 1) for f in rng.sample(scan[j], min(5, len(scan[j])))]
+    queries += [tuple(rng.sample(verts, k)) for k in range(1, min(K.dim + 3, len(verts)) + 1) for _ in range(12)]
+    for s in queries:
+        want = any(set(s) <= set(f) for f in K.facets)
+        assert fresh.has_face(s) == (s in fresh) == (list(s) in fresh) == want, s
+    for bad in [(), (1, 1), (0,), (-2, 3), (1.5,), ("a",), (True, 2)]:
+        assert bad not in fresh
+        with pytest.raises(ValueError):
+            fresh.has_face(bad)
+
+
+def _face_keys(K):
+    return [k for k in K._cache if k == "face_sets" or isinstance(k, tuple) and k[0] in ("face_set", "faces")]
+
+
+def test_membership_queries_build_no_face_lists():
+    # the paper's combinatorial conditions are membership questions: missing
+    # edges, diagonals that are no edges, the cross-polytope 2-skeleton
+    M = SimplicialComplex(dataset("M6_16").facets)
+    missing = M.missing_faces(1)
+    assert missing == [(2 * i - 1, 2 * i) for i in range(1, 9)]
+    cross = AmbientPolytope.cross(missing)
+    cross.validate_for(M)
+    assert hamiltonian_check(M, 2, cross)
+    assert _face_keys(M) == []
+    # neighborliness counts the one dimension it asks about
+    assert not M.is_k_neighborly(2)
+    assert _face_keys(M) == [("faces", 1)]
+
+
 def test_star_and_span():
     K = SimplicialComplex([[1, 2, 3], [2, 3, 4], [4, 5]])
     st = K.star((2,))
@@ -293,8 +348,8 @@ def test_caches_do_not_leak_between_instances():
     K1 = SimplicialComplex([[1, 2, 3]])
     K2 = SimplicialComplex([[1, 2, 3]])
     K1.f_vector()
-    assert "face_sets" in K1._cache
-    assert "face_sets" not in K2._cache and K2._cache is not K1._cache
+    assert ("faces", 0) in K1._cache
+    assert ("faces", 0) not in K2._cache and K2._cache is not K1._cache
 
 
 @pytest.mark.parametrize("first", ["f_vector", "faces"])

@@ -151,6 +151,32 @@ def test_walkup_manifold_from_handle():
     assert W == dataset('walkup_M3')
 
 
+def test_handle_pairing_in_either_order():
+    # the pairs may name the facet2 vertex first, and the facets may come
+    # larger first: the labels of the smaller facet survive either way
+    S = boundary_complex(dataset('walkup_P'))
+    f1, f2 = (1, 2, 3, 4), (10, 11, 12, 13)
+    forward = [(i, i + 9) for i in range(1, 5)]
+    backward = [(i + 9, i) for i in range(1, 5)]
+    W = dataset('walkup_M3')
+    for a, b in ((f1, f2), (f2, f1)):
+        for pairing in (forward, backward, forward[:2] + backward[2:]):
+            assert handle_addition(S, a, b, pairing) == W, (a, pairing)
+
+
+def test_connected_sum_without_pairing_matches_sorted_vertices():
+    # without a pairing the first facets' vertices are matched in sorted
+    # order, after the second summand is shifted past the first's labels
+    T = boundary_simplex(3)
+    S = connected_sum(T, T)
+    assert S == connected_sum(T, T, (1, 2, 3), (1, 2, 3), [(1, 1), (2, 2), (3, 3)])
+    # two tetrahedra glued along 123: the bipyramid over it with apexes 4, 8
+    assert S.facets == ((1, 2, 4), (1, 2, 8), (1, 3, 4), (1, 3, 8), (2, 3, 4), (2, 3, 8))
+    A = boundary_simplex(4)
+    assert connected_sum(A, A) == connected_sum(A, A, A.facets[0], A.facets[0], [(v, v) for v in A.facets[0]])
+    assert connected_sum(A, A).f_vector() == (6, 14, 16, 8)
+
+
 def test_boundary_complex():
     ball = SimplicialComplex([[1, 2, 3], [2, 3, 4]])
     assert boundary_complex(ball).facets == ((1, 2), (1, 3), (2, 4), (3, 4))

@@ -28,6 +28,7 @@ from tnt import (
     mu_vector,
     simplicial_product,
     stacked_sphere,
+    stellar_subdivide,
     tight_neighborly_check,
     tightness_verify,
     walkup_class_membership,
@@ -935,6 +936,17 @@ def test_walkup_class_membership_rejects_octahedron_ambient_k():
         walkup_class_membership(O, 2, budget=1000, seed=0)  # links are 1-spheres, k must be <= 1
 
 
+def test_walkup_class_membership_exact_route_stops_at_first_failed_link():
+    # links of a 3-sphere are 2-spheres, so k = 2 takes the exact route; the
+    # link of 1 is the tetrahedron boundary on 2345, while 2 gains the new
+    # vertex 6 and so goes over the ceiling of 4 vertices: the check stops there
+    M = stellar_subdivide(boundary_simplex(4), (2, 3, 4, 5), 6)
+    rep = walkup_class_membership(M, 2, ceiling=4)
+    assert (rep.certified, rep.route) == (False, "exact")
+    assert rep.per_vertex == {1: "yes", 2: "aborted"}
+    assert walkup_class_membership(M, 2, ceiling=5).per_vertex == {v: "yes" for v in M.vertices}
+
+
 def test_hamiltonian_check_cross():
     M = dataset('M6_16')
     amb = AmbientPolytope.cross(M.missing_faces(1))
@@ -969,6 +981,16 @@ def test_tight_neighborly_check_surface():
     rep = tight_neighborly_check(kuehnel_series(2))
     assert rep.dim == 2
     assert rep.bound == 7 and rep.equality
+
+
+def test_tight_neighborly_check_notes_counts_below_bound():
+    # the complete graph on 6 vertices with one triangle: chi = 6 - 15 + 1,
+    # so the Heawood form asks for 12 vertices, and beta1 = 15 - 5 - 1
+    K = SimplicialComplex(list(combinations(range(1, 7), 2)) + [(1, 2, 3)])
+    rep = tight_neighborly_check(K)
+    assert (rep.dim, rep.f0, rep.beta1, rep.bound) == (2, 6, 9, 12)
+    assert not rep.equality and rep.two_neighborly
+    assert rep.note == "below bound: no manifold with this beta1 admits so few vertices"
 
 
 def test_tight_neighborly_check_boundary_simplex():

@@ -1,6 +1,6 @@
 """Static checks on the package source that need no linter: no unused
-import, no import of a package module inside a function, and no cycle
-among the package modules."""
+import, no import of a package module inside a function, no cycle among
+the package modules, and no call of ``face_set``."""
 import ast
 from pathlib import Path
 
@@ -157,3 +157,31 @@ def test_import_checks_see_each_kind():
     ]
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}) == ["a", "b", "c", "a"]
     assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
+
+
+def _face_set_calls(source: str) -> list[int]:
+    """The lines that call a ``face_set`` attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "face_set"
+    )
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_never_calls_face_set(path):
+    # membership reads the vertex-star masks (has_face, _mask) and
+    # enumeration the sorted face lists; face_set is a view for callers
+    assert _face_set_calls(path.read_text()) == []
+
+
+def test_face_set_check_sees_each_call():
+    source = (
+        "def face_set(j):\n"
+        "    return set()\n"
+        "def f(K, j):\n"
+        "    edges = K.face_set(1)\n"
+        "    return (1, 2) in K.face_set(j - 1) or face_set(j) or K.has_face((1, 2))\n"
+        "g = K.face_set\n"
+    )
+    assert _face_set_calls(source) == [4, 5]
