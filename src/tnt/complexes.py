@@ -165,9 +165,10 @@ class SimplicialComplex:
 
     def __contains__(self, face) -> bool:
         try:
-            return self.has_face(face)
-        except ValueError:
+            s = simplex(face)
+        except (TypeError, ValueError):  # not iterable, unorderable labels, or not a simplex
             return False
+        return self._mask(s) != 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):

@@ -230,10 +230,14 @@ def cyclic_polytope_boundary(d: int, n: int) -> SimplicialComplex:
 
 
 def boundary_complex(K: SimplicialComplex) -> SimplicialComplex:
-    """Subcomplex of ridges lying in exactly one facet (empty when closed)."""
+    """Subcomplex of ridges lying in exactly one facet (empty when closed).
+
+    A complex of dimension 0 has the empty face as its only ridge, and a
+    complex holds no empty simplex, so its boundary is the empty complex
+    however many points it has."""
     if not K.is_pure:
         raise ValueError("boundary extraction requires a pure complex")
-    if K.dim < 0:
+    if K.dim < 1:
         return SimplicialComplex(())
     return SimplicialComplex([r for r, fs in _ridge_facets(K).items() if len(fs) == 1])
 

@@ -263,10 +263,11 @@ def _is_homology_manifold(K: SimplicialComplex) -> bool:
     are read from the boundary rows of ``engine(K)``; no link complex is
     built.  An automorphism g of K maps lk(s) onto lk(gs), so one face is
     checked per orbit: ``symmetry._orbit_marks`` marks the images of each
-    face that passes, as in a tightness sweep, and marked faces are
-    skipped.  Each map is a true automorphism, so this holds whether or
-    not they close up into a group; and a failing face ends the check, so
-    only passes need marking.  Cached in ``K._cache``.
+    face that passes under up to 63 maps of the automorphism group, as in
+    a tightness sweep, and marked faces are skipped.  Each map is a true
+    automorphism, so this holds whether or not they make up the whole
+    group; and a failing face ends the check, so only passes need marking.
+    Cached in ``K._cache``.
     """
     if "homology_manifold" not in K._cache:
         K._cache["homology_manifold"] = _homology_manifold(K)

@@ -266,13 +266,14 @@ def tightness_verify(
     is decoded.  An automorphism g of M maps (M, span W) onto (M, span gW),
     so W and gW fail at the same degrees.  An exhaustive run marks the
     images of each passing W of at least 3 vertices under the maps of
-    ``symmetry._orbit_marks`` (at most 63, none above 32 vertices or past
-    its search budget) and skips the marked subsets: each is a true
-    automorphism, so the marks are sound whether or not they close up into
-    a group or preserve the ambient's family.  Only passes are marked, as a
-    failing W ends the sweep; so the witness and ``subsets_checked`` are
-    the unreduced sweep's.  The search goes one map further per pass, so a
-    sweep that fails early searches little; sampled runs search for none.
+    ``symmetry._orbit_marks`` (the automorphism group, at most 63 maps of
+    it, none above 32 vertices, fewer if its search budget runs out) and
+    skips the marked subsets: each is a true automorphism, so the marks are
+    sound whether or not they make up the whole group or preserve the
+    ambient's family.  Only passes are marked, as a failing W ends the
+    sweep; so the witness and ``subsets_checked`` are the unreduced sweep's.
+    The maps are searched once, at the first pass, so a sweep that fails
+    at a non-edge searches none; sampled runs search for none.
 
     Above ``ceiling`` vertices a seeded ``sample`` of at least one
     admissible subset is required and the report is labeled non-exhaustive;

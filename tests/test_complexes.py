@@ -85,6 +85,15 @@ def test_faces_and_membership():
     assert K.faces(5) == []
 
 
+def test_membership_of_non_simplices_is_false():
+    # a query that is not iterable, or whose labels do not compare, is no
+    # face, as are those that are not simplices
+    K = SimplicialComplex([[1, 2, 3]])
+    for query in (5, None, ("a", 1), (1, 1), (0,), (), (1.0, 2)):
+        assert query not in K, query
+    assert (1, 2) in K and [3, 1] in K and (1, 2, 3) in K
+
+
 def test_link_of_vertex_in_boundary_simplex():
     # the link of any vertex is the boundary of the opposite simplex
     B = boundary_simplex(4)

@@ -142,6 +142,13 @@ def test_handle_distance_guard_matches_a_graph_search():
     assert seen[1] and seen[2] and seen[3], seen
 
 
+def test_boundary_of_points_is_empty():
+    # the only ridge of a point set is the empty face, which no complex holds
+    for facets in ([[1]], [[1], [2]]):
+        assert boundary_complex(SimplicialComplex(facets)) == SimplicialComplex()
+    assert boundary_complex(SimplicialComplex([[1, 2]])) == SimplicialComplex([[1], [2]])
+
+
 def test_walkup_manifold_from_handle():
     P = dataset('walkup_P')
     S = boundary_complex(P)

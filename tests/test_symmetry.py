@@ -164,6 +164,53 @@ def test_searches_match_brute_force_oracle():
     assert checked >= 20
 
 
+def _keys(K, maps):
+    return sorted(tuple(g[v] for v in K.vertices) for g in maps)
+
+
+def _relabelled_spheres(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        S = random_sphere(rng, d=rng.choice([2, 3, 4]), walk=rng.randrange(6))
+        image = rng.sample(range(1, 3 * len(S.vertices) + 1), len(S.vertices))
+        relabel = dict(zip(S.vertices, image))
+        yield SimplicialComplex([[relabel[v] for v in f] for f in S.facets])
+
+
+def test_some_automorphisms_are_the_whole_small_group():
+    # up to order 64 the orbit maps are the whole group but the identity:
+    # against the brute-force oracle, and against automorphisms on
+    # relabelled random spheres
+    checked = 0
+    for K, group in [(K, _brute_force(K)[0]) for K in _small_fixtures()] + [
+        (K, automorphisms(K)) for K in _relabelled_spheres(30, 2917)
+    ]:
+        maps = as_vertex_maps(K, _some_automorphisms(SimplicialComplex(K.facets)))
+        assert all(is_automorphism(K, g) for g in maps)
+        if len(group) <= 64:
+            assert _keys(K, maps) == _keys(K, group[1:])
+            checked += 1
+        else:
+            assert len(maps) == 63 and len(set(_keys(K, maps))) == 63
+    assert checked >= 50
+
+
+def test_order_cap_is_checked_before_enumerating(monkeypatch):
+    # the search's orbit lengths multiply to the group order, so a group
+    # past the cap raises before any map is composed
+    monkeypatch.setattr(symmetry, "_group", None)
+    X = cross_polytope_boundary(6)  # order 2^6 * 6! = 46080
+    start = time.perf_counter()
+    with pytest.raises(SearchLimitError, match="exceeds cap 10000"):
+        automorphisms(X)
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.undo()
+    assert automorphism_group_order(boundary_simplex(6)) == 5040
+    assert automorphism_group_order(cross_polytope_boundary(5), order_cap=3840) == 3840
+    with pytest.raises(SearchLimitError, match="exceeds cap 3839"):
+        automorphisms(cross_polytope_boundary(5), order_cap=3839)
+
+
 def _cyclic_triples(n, blocks):
     return SimplicialComplex([sorted((i + a) % n + 1 for a in b) for b in blocks for i in range(n)])
 
@@ -218,6 +265,10 @@ def test_orbit_search_budget_drops_maps_not_verdicts(monkeypatch):
     assert 0 < len(maps) < len(full) == 38
     assert all(is_automorphism(K, g) for g in as_vertex_maps(K, maps))
     assert report_cut == report
+    # the maps found generate a subgroup: with the identity, closed
+    # under composition
+    keys = {tuple(b.bit_length() - 1 for b in g) for g in maps} | {tuple(range(13))}
+    assert {tuple(g[p] for p in h) for g in keys for h in keys} == keys
 
 
 def test_central_involution_key_order_pinned():
@@ -266,16 +317,18 @@ def test_some_automorphisms_are_true_and_bounded():
         assert len(keys) == len(maps) == min(63, (order or 10**6) - 1)
         if order is not None:  # the whole group but the identity
             assert keys == {tuple(g[v] for v in K.vertices) for g in automorphisms(K)[1:]}
-        assert _some_automorphisms(K) is _some_automorphisms(K, 1)  # cached
+        assert _some_automorphisms(K) is _some_automorphisms(K)  # cached
 
 
-def test_some_automorphisms_resume_the_search():
+def test_some_automorphisms_search_once(monkeypatch):
+    # the first call searches and takes 63 maps of the group breadth-first;
+    # later calls return the same list, and a fresh copy of K the same maps
     K = SimplicialComplex(cross_polytope_boundary(5).facets)
-    first = list(_some_automorphisms(K, 1))
-    maps = _some_automorphisms(K, 10)
-    assert len(first) == 1 and len(maps) == 10 and maps[0] == first[0]
-    assert _some_automorphisms(K) is maps and len(maps) == 63  # the same list, grown
-    assert _some_automorphisms(K, 1000) is maps and len(maps) == 63
+    maps = _some_automorphisms(K)
+    assert len(maps) == 63
+    monkeypatch.setattr(symmetry, "_generators", None)
+    assert _some_automorphisms(K) is maps
+    monkeypatch.undo()
     assert _some_automorphisms(SimplicialComplex(K.facets)) == maps
 
 
