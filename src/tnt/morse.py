@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from . import bounds as _bounds
 from . import gf2, homology, symmetry
-from .bistellar import MoveCertificate, k_stacked_exact, stackedness_certificate
+from .bistellar import BistellarMove, MoveCertificate, k_stacked_exact, stackedness_certificate
 from .complexes import SimplicialComplex
 
 __all__ = [
@@ -359,6 +359,22 @@ class MembershipReport:
         return {"certified": self.certified, "k": self.k, "route": self.route, "links": pv}
 
 
+def _relabelled(cert: MoveCertificate, g: dict[int, int], S: SimplicialComplex) -> MoveCertificate:
+    """The certificate ``cert`` of lk(v) carried by an automorphism g of M
+    with g(v) = w onto S = lk(w), which g maps lk(v) onto: every move's A
+    and B mapped through g.  The end is the boundary simplex on the vertices
+    of S that the index-d moves, the vertex removals, leave; every other
+    allowed index keeps the vertex set.  Replayed against S."""
+    d = S.dim
+    moves = [BistellarMove(tuple(map(g.__getitem__, mv.A)), tuple(map(g.__getitem__, mv.B))) for mv in cert.moves]
+    removed = {mv.A[0] for mv in moves if mv.index == d}
+    left = [v for v in S.vertices if v not in removed]
+    end = SimplicialComplex(list(combinations(left, len(left) - 1)), _canonical=True)
+    out = MoveCertificate(S.canonical_hash(), moves, end.canonical_hash())
+    out.replay(S)
+    return out
+
+
 def walkup_class_membership(
     M: SimplicialComplex,
     k: int,
@@ -372,26 +388,39 @@ def walkup_class_membership(
     search applies for k up to ceil((d-1)/2); beyond that each link is
     handed to the exhaustive decider (subject to its vertex ceiling).  The
     result is certified only if every link succeeds; anything less is
-    unknown, never a refutation.  Per-link seeds derive from (seed, vertex).
+    unknown, never a refutation.
+
+    Links are decided once per vertex orbit (:func:`symmetry._vertex_orbits`):
+    an automorphism g of M maps lk(v) onto lk(gv).  The least vertex v of
+    each orbit is searched with the seed ``seed * 65537 + v``; every other
+    vertex w of the orbit gets v's certificate relabelled by a map sending
+    v to w, replayed against lk(w), so its move count in ``to_json`` is
+    v's, or "unknown" when v's search fails.  The exact route copies v's
+    status likewise.  ``per_vertex`` is in vertex order, and the exact
+    route stops at its first link that is not "yes".
     """
     d = M.dim
     if d < 1:
         raise ValueError("complex must have dimension at least 1")
     link_dim = d - 1
-    verts = M.vertices
-    links = {v: M.link((v,)) for v in verts}
     bistellar_route = 1 <= k <= (link_dim + 1) // 2
+    orbits = symmetry._vertex_orbits(M)
     per_vertex: dict = {}
     if bistellar_route:
-        for v in verts:
-            cert = stackedness_certificate(links[v], k, budget=budget, seed=seed * 65537 + v)
-            per_vertex[v] = cert if cert is not None else "unknown"
+        for w in M.vertices:
+            v, g = orbits[w]
+            if v == w:
+                cert = stackedness_certificate(M.link((v,)), k, budget=budget, seed=seed * 65537 + v)
+                per_vertex[w] = cert if cert is not None else "unknown"
+            else:
+                cert = per_vertex[v]
+                per_vertex[w] = _relabelled(cert, g, M.link((w,))) if isinstance(cert, MoveCertificate) else cert
         certified = all(isinstance(c, MoveCertificate) for c in per_vertex.values())
         return MembershipReport(certified, k, "bistellar", per_vertex)
-    for v in verts:
-        res = k_stacked_exact(links[v], k, ceiling=ceiling)
-        per_vertex[v] = res.status
-        if res.status != "yes":
+    for w in M.vertices:
+        v = orbits[w][0]
+        per_vertex[w] = k_stacked_exact(M.link((w,)), k, ceiling=ceiling).status if v == w else per_vertex[v]
+        if per_vertex[w] != "yes":
             return MembershipReport(False, k, "exact", per_vertex)
     return MembershipReport(True, k, "exact", per_vertex)
 

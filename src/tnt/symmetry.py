@@ -17,6 +17,12 @@ the orbit lengths multiply to its order, and its elements are their
 compositions, which need no facet check.  The central-involution search
 runs the backtracking search directly, since its pairing condition is
 not preserved by composition.
+
+The vertex orbits by which the link-stackedness check searches one link
+per orbit come from the same generators: each vertex is closed under them
+from the least vertex of its orbit, with one map to it, and no group is
+enumerated.  The search order is computed once per complex and shared by
+every search that runs on it.
 """
 from __future__ import annotations
 
@@ -167,9 +173,12 @@ def _generators(K: SimplicialComplex, order_cap=math.inf, nodes=repeat(True)) ->
     The group order is the product of the orbit lengths: SearchLimitError
     is raised as soon as it exceeds ``order_cap``.  ``nodes`` is the node
     budget of all the searches together; a search cut short leaves fewer
-    generators, true automorphisms all the same."""
+    generators, true automorphisms all the same.  The search order is
+    cached in ``K._cache``."""
     sig, pairs = _signatures(K), _pair_counts(K)
-    order = _search_order(K)
+    if "search_order" not in K._cache:
+        K._cache["search_order"] = _search_order(K)
+    order = K._cache["search_order"]
     rank = {v: k for k, v in enumerate(order)}
     gens: list[dict[int, int]] = []
     size = 1  # the order of the stabiliser G_{k+1}
@@ -225,22 +234,53 @@ def _group(K: SimplicialComplex, gens, limit=math.inf) -> list[tuple[int, ...]]:
     return group
 
 
-def _some_automorphisms(K: SimplicialComplex) -> list[list[int]]:
-    """Non-identity automorphisms, each as the bit of every vertex
-    position's image (positions in ``K.vertices``): the group of
-    :func:`_generators` but the identity, at most 63 maps of it taken
-    breadth-first, from searches of at most ``_SOME_NODES`` nodes in all,
-    and none above 32 vertices, where no search runs and nothing is
+def _some_generators(K: SimplicialComplex) -> list[dict[int, int]]:
+    """:func:`_generators` from searches of at most ``_SOME_NODES`` nodes in
+    all, and none above 32 vertices, where no search runs and nothing is
     raised.  Cached in ``K._cache``.  A search cut short finds fewer
     generators, whose compositions still map faces, links and spans of K
     onto isomorphic ones, so no soundness is lost."""
+    if "some_generators" not in K._cache:
+        n = len(K.vertices)
+        K._cache["some_generators"] = _generators(K, nodes=repeat(True, _SOME_NODES)) if 0 < n <= _VERTEX_CAP else []
+    return K._cache["some_generators"]
+
+
+def _some_automorphisms(K: SimplicialComplex) -> list[list[int]]:
+    """Non-identity automorphisms, each as the bit of every vertex
+    position's image (positions in ``K.vertices``): the group of
+    :func:`_some_generators` but the identity, at most 63 maps of it taken
+    breadth-first.  Cached in ``K._cache``."""
     if "some_automorphisms" not in K._cache:
-        maps: list[list[int]] = []
-        if 0 < len(K.vertices) <= _VERTEX_CAP:
-            gens = _generators(K, nodes=repeat(True, _SOME_NODES))
-            maps = [[1 << p for p in g] for g in _group(K, gens, _SOME_MAPS + 1)[1:]]
-        K._cache["some_automorphisms"] = maps
+        group = _group(K, _some_generators(K), _SOME_MAPS + 1)
+        K._cache["some_automorphisms"] = [[1 << p for p in g] for g in group[1:]]
     return K._cache["some_automorphisms"]
+
+
+def _vertex_orbits(K: SimplicialComplex) -> dict[int, tuple[int, dict[int, int]]]:
+    """Per vertex w, in vertex order, ``(v, g)``: v is the least vertex of
+    the orbit of w under :func:`_some_generators`, and g an automorphism,
+    as a vertex map, with g(v) = w (the identity for v itself).  Each orbit
+    is closed breadth-first from its least vertex, composing each map found
+    with each generator, so no group is enumerated.  A search cut short, or
+    none above 32 vertices, leaves finer orbits, singletons at the least,
+    whose maps are still automorphisms.  Cached in ``K._cache``."""
+    if "vertex_orbits" not in K._cache:
+        gens = _some_generators(K)
+        orbits: dict[int, tuple[int, dict[int, int]]] = {}
+        for v in K.vertices:
+            if v in orbits:
+                continue
+            orbits[v] = (v, {u: u for u in K.vertices})
+            reached = [v]
+            for x in reached:  # grows as it is read: breadth-first
+                g = orbits[x][1]
+                for h in gens:
+                    if h[x] not in orbits:
+                        orbits[h[x]] = (v, {u: h[g[u]] for u in K.vertices})
+                        reached.append(h[x])
+        K._cache["vertex_orbits"] = {w: orbits[w] for w in K.vertices}
+    return K._cache["vertex_orbits"]
 
 
 def _orbit_marks(K: SimplicialComplex):

@@ -28,6 +28,7 @@ from tnt import (
     mu_vector,
     simplicial_product,
     stacked_sphere,
+    stackedness_certificate,
     stellar_subdivide,
     tight_neighborly_check,
     tightness_verify,
@@ -43,6 +44,7 @@ from conftest import (
     dense_span_kernel_dim,
     homology_manifold_oracle,
     random_sphere,
+    replay_oracle,
     span_failures,
 )
 
@@ -946,6 +948,89 @@ def test_walkup_class_membership_exact_route_stops_at_first_failed_link():
     assert (rep.certified, rep.route) == (False, "exact")
     assert rep.per_vertex == {1: "yes", 2: "aborted"}
     assert walkup_class_membership(M, 2, ceiling=5).per_vertex == {v: "yes" for v in M.vertices}
+
+
+def test_walkup_class_membership_exact_route_decides_each_orbit_once(monkeypatch):
+    # 1 and 6 swap, as do 2, 3, 4 and 5: two links are decided
+    M = stellar_subdivide(boundary_simplex(4), (2, 3, 4, 5), 6)
+    decided = []
+    exact = morse.k_stacked_exact
+    monkeypatch.setattr(morse, "k_stacked_exact", lambda S, *a, **kw: decided.append(S) or exact(S, *a, **kw))
+    rep = walkup_class_membership(M, 2, ceiling=5)
+    assert rep.certified and list(rep.per_vertex) == list(M.vertices)
+    assert decided == [M.link((1,)), M.link((2,))]
+
+
+ORBIT_CASES = {
+    "M6_16": (lambda: dataset("M6_16"), 2),
+    "walkup_M3": (lambda: dataset("walkup_M3"), 1),
+    **{f"kuehnel_{d}": (lambda d=d: kuehnel_series(d), 1) for d in (5, 6, 7, 8)},
+}
+
+
+@pytest.mark.parametrize("name", ORBIT_CASES)
+def test_relabelled_link_certificates_replay_on_their_own_links(name):
+    # each orbit's least vertex keeps its own search; every other vertex's
+    # certificate, relabelled from it, must take its own link to a simplex
+    # boundary under the plain-set replay of conftest, with both hashes
+    make, k = ORBIT_CASES[name]
+    M = make()
+    orbits = symmetry._vertex_orbits(M)
+    mates = [w for w, (v, _) in orbits.items() if v != w]
+    assert mates
+    for seed in (1, 2, 3):
+        rep = walkup_class_membership(M, k, seed=seed)
+        assert rep.certified and list(rep.per_vertex) == list(M.vertices)
+        for w, cert in rep.per_vertex.items():
+            S = M.link((w,))
+            end = replay_oracle(S.facets, [(mv.A, mv.B) for mv in cert.moves])
+            assert isinstance(end, set), (w, end)
+            left = set().union(*end)
+            assert len(left) == len(end) == S.dim + 2 and all(len(f) == S.dim + 1 for f in end)
+            assert cert.start == S.canonical_hash()
+            assert cert.end == SimplicialComplex(sorted(tuple(sorted(f)) for f in end)).canonical_hash()
+            v = orbits[w][0]
+            if v == w:
+                assert cert.dumps() == stackedness_certificate(S, k, seed=seed * 65537 + v).dumps()
+            else:
+                assert len(cert.moves) == len(rep.per_vertex[v].moves)
+
+
+def test_failed_orbit_searches_leave_their_mates_unknown(monkeypatch):
+    # with no budget every search fails at once: one search per orbit, and
+    # every vertex reports "unknown", in vertex order
+    M = dataset("M6_16")
+    searched = []
+    search = morse.stackedness_certificate
+    monkeypatch.setattr(morse, "stackedness_certificate", lambda S, *a, **kw: searched.append(S) or search(S, *a, **kw))
+    rep = walkup_class_membership(M, 2, budget=0)
+    assert not rep.certified
+    assert rep.to_json()["links"] == {str(v): {"status": "unknown"} for v in M.vertices}
+    assert len(searched) == 8
+
+
+def _bipyramid(n):
+    """The suspension of the n-cycle 1..n, with apexes n + 1 and n + 2."""
+    return SimplicialComplex([(i, i % n + 1, a) for i in range(1, n + 1) for a in (n + 1, n + 2)])
+
+
+@pytest.mark.parametrize("case", ["no_nodes", "above_32_vertices"])
+def test_membership_without_orbits_searches_every_link(case, monkeypatch):
+    # with singleton orbits every vertex is searched with its own seed, and
+    # the verdict is the one the orbits give
+    if case == "no_nodes":
+        M, k = dataset("M6_16"), 2
+        with_orbits = walkup_class_membership(SimplicialComplex(M.facets), k, seed=4)
+        monkeypatch.setattr(symmetry, "_SOME_NODES", 0)
+    else:
+        M, k = _bipyramid(34), 1
+        with_orbits = None
+    M = SimplicialComplex(M.facets)
+    rep = walkup_class_membership(M, k, seed=4)
+    assert all(v == w for w, (v, _) in symmetry._vertex_orbits(M).items())
+    assert rep.certified and (with_orbits is None or with_orbits.certified)
+    for v, cert in rep.per_vertex.items():
+        assert cert.dumps() == stackedness_certificate(M.link((v,)), k, seed=4 * 65537 + v).dumps()
 
 
 def test_hamiltonian_check_cross():

@@ -23,11 +23,12 @@ from tnt import (
     is_automorphism,
     kuehnel_series,
     stacked_sphere,
+    stellar_subdivide,
     tightness_verify,
 )
 from tnt import symmetry
 from tnt.errors import SearchLimitError
-from tnt.symmetry import _pair_counts, _signatures, _some_automorphisms
+from tnt.symmetry import _pair_counts, _signatures, _some_automorphisms, _vertex_orbits
 
 
 def test_path_graph_automorphisms():
@@ -371,3 +372,65 @@ def test_signatures_count_facets_and_pair_cofacets(K):
         holding = [f for f in K.facets if v in f]
         counts = sorted(n for u in K.vertices if u != v and (n := sum(u in f for f in holding)))
         assert _signatures(K)[v] == (len(holding), *counts)
+
+
+def _orbits_of(K, maps):
+    return {frozenset(g[v] for g in maps) for v in K.vertices}
+
+
+@pytest.mark.parametrize(
+    "K, sizes",
+    [
+        (dataset("M6_16"), [2] * 8),
+        (dataset("walkup_M3"), [9]),
+        (kuehnel_series(5), [13]),
+        # 1 and 6 both have the boundary of 2345 as their link: they swap
+        (stellar_subdivide(boundary_simplex(4), (2, 3, 4, 5), 6), [2, 4]),
+    ],
+    ids=["M6_16", "walkup_M3", "kuehnel_5", "subdivided_4_simplex"],
+)
+def test_vertex_orbits_are_the_orbits_of_the_group(K, sizes):
+    K = SimplicialComplex(K.facets)
+    orbits = _vertex_orbits(K)
+    assert list(orbits) == list(K.vertices)
+    found = {}
+    for w, (v, g) in orbits.items():
+        assert is_automorphism(K, g) and g[v] == w
+        found.setdefault(v, set()).add(w)
+    assert all(v == min(orbit) for v, orbit in found.items())
+    assert {frozenset(o) for o in found.values()} == _orbits_of(K, automorphisms(K))
+    assert [len(orbit) for orbit in found.values()] == sizes  # by representative
+    assert _vertex_orbits(K) is orbits  # cached
+
+
+def test_vertex_orbits_are_singletons_without_a_search(monkeypatch):
+    # above 32 vertices no search runs, and with no node budget every
+    # search stops at once: each vertex is its own orbit, under the identity
+    def singletons(K):
+        return {v: (v, {u: u for u in K.vertices}) for v in K.vertices}
+
+    K = _cycle(33)
+    assert _vertex_orbits(K) == singletons(K)
+    monkeypatch.setattr(symmetry, "_SOME_NODES", 0)
+    K = SimplicialComplex(dataset("M6_16").facets)
+    assert _vertex_orbits(K) == singletons(K)
+
+
+def test_search_order_is_computed_once_per_complex(monkeypatch):
+    # automorphisms, the orbit maps and the vertex orbits share one search
+    # order per complex, and their output is that of separate computations
+    calls = []
+    order = symmetry._search_order
+
+    def spy(K):
+        calls.append(K)
+        return order(K)
+
+    for K in (dataset("M6_16"), kuehnel_series(5), cyclic_polytope_boundary(6, 12)):
+        alone = [f(SimplicialComplex(K.facets)) for f in (automorphisms, _some_automorphisms, _vertex_orbits)]
+        monkeypatch.setattr(symmetry, "_search_order", spy)
+        K = SimplicialComplex(K.facets)
+        assert [automorphisms(K), _some_automorphisms(K), _vertex_orbits(K)] == alone
+        assert calls == [K]
+        monkeypatch.undo()
+        calls.clear()
