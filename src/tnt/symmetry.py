@@ -1,34 +1,32 @@
 """Automorphism search for labeled simplicial complexes.
 
-One backtracking search over vertex images serves both public searches
-and the automorphisms by whose orbits tightness sweeps and the manifold
-check skip work.  Its pruning: a vertex's signature, its facet count and
-the sorted cofacet counts of its pairs, must match; for every previously
-mapped vertex the cofacet count of the pair must be preserved; and a
-facet whose vertices are all mapped must map to a facet, so complete maps
-are automorphisms.  Signatures and pair counts are read off the vertex
+One backtracking search over vertex images serves the group search and
+the central-involution search.  Its pruning: a vertex's signature, its
+facet count and the sorted cofacet counts of its pairs, must match; for
+every previously mapped vertex the cofacet count of the pair must be
+preserved; and a facet whose vertices are all mapped must map to a facet,
+so complete maps are automorphisms.  Signatures and pair counts are read off the vertex
 star masks of :meth:`SimplicialComplex._stars` once per complex, so no
 search builds a face lattice.
 
-The group is not enumerated leaf by leaf.  The search finds one map per
-coset of a stabiliser chain along its vertex order (Sims 1970; McKay,
-"Practical graph isomorphism", 1981), and these maps generate the group:
-the orbit lengths multiply to its order, and its elements are their
-compositions, which need no facet check.  The central-involution search
-runs the backtracking search directly, since its pairing condition is
-not preserved by composition.
-
-The vertex orbits by which the link-stackedness check searches one link
-per orbit come from the same generators: each vertex is closed under them
-from the least vertex of its orbit, with one map to it, and no group is
-enumerated.  The search order is computed once per complex and shared by
-every search that runs on it.
+The group is not enumerated leaf by leaf.  The group search finds one
+map per coset of a stabiliser chain along its vertex order (Sims 1970;
+McKay, "Practical graph isomorphism", 1981), and these maps generate the
+group: the orbit lengths multiply to its order, and its elements are
+their compositions, which need no facet check.  It runs at most once per
+complex, under one node budget, and everything that needs the group reads
+its cached result: ``automorphisms`` and the group order (which raise when
+the budget cut the search short or the order passes their cap), the maps
+by whose images tightness sweeps and the manifold check skip work, and
+the vertex orbits by which the link-stackedness check searches one link
+per orbit.  The central-involution search runs the backtracking search
+directly, since its pairing condition is not preserved by composition.
 """
 from __future__ import annotations
 
 import functools
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from operator import xor
 
 from .complexes import SimplicialComplex
@@ -39,7 +37,7 @@ __all__ = ["automorphisms", "automorphism_group_order", "is_automorphism", "find
 
 _VERTEX_CAP = 32
 _SOME_MAPS = 63  # orbit sweeps mark a pass's images under at most this many maps
-_SOME_NODES = 20_000  # search nodes for them in all: 500 find the order-39 group of the Steiner triple system on 13 points
+_SOME_NODES = 20_000  # nodes of the group search: 500 find the order-39 group of the Steiner triple system on 13 points
 
 
 def _signatures(K: SimplicialComplex):
@@ -126,11 +124,11 @@ def _vertex_maps(K: SimplicialComplex, sig, pairs, order, allowed, nodes=repeat(
 
 
 def _search_order(K: SimplicialComplex) -> list[int]:
-    """The vertices of a nonempty complex in the order the searches map
-    them, taken greedily: the one closing the most facets on those before
-    it, then the one sharing facets with the most of them, then the rarest
-    signature.  Closing facets early prunes early: once two points of a
-    Steiner triple system are mapped, so is the third."""
+    """The vertices of a complex in the order the searches map them, taken
+    greedily: the one closing the most facets on those before it, then the
+    one sharing facets with the most of them, then the rarest signature.
+    Closing facets early prunes early: once two points of a Steiner triple
+    system are mapped, so is the third."""
     sig, pairs = _signatures(K), _pair_counts(K)
     sig_count: dict = {}
     for v in K.vertices:
@@ -159,9 +157,12 @@ def _search_order(K: SimplicialComplex) -> list[int]:
     return order
 
 
-def _generators(K: SimplicialComplex, order_cap=math.inf, nodes=repeat(True)) -> list[dict[int, int]]:
-    """Automorphisms generating the automorphism group of a nonempty
-    complex: at most one per coset of a stabiliser chain (Sims 1970).
+def _generators(K: SimplicialComplex) -> tuple[list[dict[int, int]], int | None]:
+    """Automorphisms generating the automorphism group of K, at most one
+    per coset of a stabiliser chain (Sims 1970), and the group order, or
+    None when the search was cut short.  The only group search: it runs at
+    most once per complex, cached in ``K._cache``, and not at all above 32
+    vertices, where it finds no maps and no order.
 
     Along :func:`_search_order` b_1 ... b_n, let G_k fix b_1 ... b_{k-1}.
     Level by level from the deepest up, each image x of b_k that the maps
@@ -169,20 +170,21 @@ def _generators(K: SimplicialComplex, order_cap=math.inf, nodes=repeat(True)) ->
     with :func:`_vertex_maps` for a map of G_k sending b_k to x; a map
     found joins the generators, and the orbit of b_k under them grows.
     Every other candidate is searched, so the maps found at levels k and
-    deeper move b_k as far as G_k does, and by induction generate G_k.
-    The group order is the product of the orbit lengths: SearchLimitError
-    is raised as soon as it exceeds ``order_cap``.  ``nodes`` is the node
-    budget of all the searches together; a search cut short leaves fewer
-    generators, true automorphisms all the same.  The search order is
-    cached in ``K._cache``."""
+    deeper move b_k as far as G_k does, and by induction generate G_k:
+    the group order is the product of the orbit lengths.  All the searches
+    together take at most ``_SOME_NODES`` nodes; a search cut short leaves
+    fewer generators, true automorphisms all the same, whose compositions
+    still map faces, links and spans of K onto isomorphic ones."""
+    n = len(K.vertices)
+    if "generators" in K._cache or n > _VERTEX_CAP:
+        return K._cache.get("generators", ([], None))
     sig, pairs = _signatures(K), _pair_counts(K)
-    if "search_order" not in K._cache:
-        K._cache["search_order"] = _search_order(K)
-    order = K._cache["search_order"]
+    order = _search_order(K)
     rank = {v: k for k, v in enumerate(order)}
+    nodes = chain(repeat(True, _SOME_NODES), [False])  # the False is taken only when the budget is spent
     gens: list[dict[int, int]] = []
     size = 1  # the order of the stabiliser G_{k+1}
-    for k in reversed(range(len(order))):
+    for k in reversed(range(n)):
         b, fixed = order[k], order[:k]
         # no search where b_k can only stay put: no other vertex shares its
         # signature and its pair counts with b_1 ... b_{k-1}
@@ -207,10 +209,9 @@ def _generators(K: SimplicialComplex, order_cap=math.inf, nodes=repeat(True)) ->
                         if h[x] not in orbit:
                             orbit.add(h[x])
                             reached.append(h[x])
-                if size * len(orbit) > order_cap:
-                    raise SearchLimitError(f"automorphism group order exceeds cap {order_cap}")
             size *= len(orbit)
-    return gens
+    K._cache["generators"] = (gens, size if next(nodes, None) is not None else None)
+    return K._cache["generators"]
 
 
 def _group(K: SimplicialComplex, gens, limit=math.inf) -> list[tuple[int, ...]]:
@@ -234,39 +235,27 @@ def _group(K: SimplicialComplex, gens, limit=math.inf) -> list[tuple[int, ...]]:
     return group
 
 
-def _some_generators(K: SimplicialComplex) -> list[dict[int, int]]:
-    """:func:`_generators` from searches of at most ``_SOME_NODES`` nodes in
-    all, and none above 32 vertices, where no search runs and nothing is
-    raised.  Cached in ``K._cache``.  A search cut short finds fewer
-    generators, whose compositions still map faces, links and spans of K
-    onto isomorphic ones, so no soundness is lost."""
-    if "some_generators" not in K._cache:
-        n = len(K.vertices)
-        K._cache["some_generators"] = _generators(K, nodes=repeat(True, _SOME_NODES)) if 0 < n <= _VERTEX_CAP else []
-    return K._cache["some_generators"]
-
-
 def _some_automorphisms(K: SimplicialComplex) -> list[list[int]]:
     """Non-identity automorphisms, each as the bit of every vertex
     position's image (positions in ``K.vertices``): the group of
-    :func:`_some_generators` but the identity, at most 63 maps of it taken
+    :func:`_generators` but the identity, at most 63 maps of it taken
     breadth-first.  Cached in ``K._cache``."""
     if "some_automorphisms" not in K._cache:
-        group = _group(K, _some_generators(K), _SOME_MAPS + 1)
+        group = _group(K, _generators(K)[0], _SOME_MAPS + 1)
         K._cache["some_automorphisms"] = [[1 << p for p in g] for g in group[1:]]
     return K._cache["some_automorphisms"]
 
 
 def _vertex_orbits(K: SimplicialComplex) -> dict[int, tuple[int, dict[int, int]]]:
     """Per vertex w, in vertex order, ``(v, g)``: v is the least vertex of
-    the orbit of w under :func:`_some_generators`, and g an automorphism,
+    the orbit of w under :func:`_generators`, and g an automorphism,
     as a vertex map, with g(v) = w (the identity for v itself).  Each orbit
     is closed breadth-first from its least vertex, composing each map found
     with each generator, so no group is enumerated.  A search cut short, or
     none above 32 vertices, leaves finer orbits, singletons at the least,
     whose maps are still automorphisms.  Cached in ``K._cache``."""
     if "vertex_orbits" not in K._cache:
-        gens = _some_generators(K)
+        gens = _generators(K)[0]
         orbits: dict[int, tuple[int, dict[int, int]]] = {}
         for v in K.vertices:
             if v in orbits:
@@ -287,41 +276,54 @@ def _orbit_marks(K: SimplicialComplex):
     """``(passed, mark)`` for a sweep that computes one vertex set per orbit:
     ``mark(positions)`` adds to the set ``passed`` the vertex masks (bit p
     for ``K.vertices[p]``) of the images of those positions under every map
-    of :func:`_some_automorphisms`, searched at the first mark.  Kept as
-    per-position columns of image bits, the maps cost no frame each.  K
-    must have a vertex."""
+    of :func:`_some_automorphisms`, searched at the first mark.  An
+    automorphism keeps a set's size, and sweeps go by size (the manifold
+    check by face dimension), so a mark of a new size first clears
+    ``passed``: it holds the marks of one size only.  Kept as per-position
+    columns of image bits, the maps cost no frame each.  K must have a
+    vertex."""
     passed: set[int] = set()
     columns: list[list[int]] = []
+    size = 0  # of the sets marked in passed
 
     def mark(positions) -> None:
+        nonlocal size
         if not columns:
             maps = _some_automorphisms(K)
             columns.extend([g[p] for g in maps] for p in range(len(K.vertices)))
+        if len(positions) != size:
+            passed.clear()
+            size = len(positions)
         passed.update(map(sum, zip(*map(columns.__getitem__, positions))))
 
     return passed, mark
 
 
-def automorphisms(K: SimplicialComplex, order_cap: int = 10000) -> list[dict[int, int]]:
-    """All vertex automorphisms of the complex, identity included.
-
-    Limits: at most 32 vertices; raises SearchLimitError when the group
-    order would exceed ``order_cap``, as soon as the search of
-    :func:`_generators` shows it, before any map is enumerated.  Output is
-    sorted by image tuple.
-    """
-    verts = K.vertices
-    n = len(verts)
-    if n == 0:
-        return [{}]
+def automorphism_group_order(K: SimplicialComplex, order_cap: int = 10000) -> int:
+    """The order of the automorphism group, read off :func:`_generators`
+    with no map enumerated.  Limits: at most 32 vertices; SearchLimitError
+    when the search needs more than ``_SOME_NODES`` nodes or the order
+    exceeds ``order_cap``."""
+    n = len(K.vertices)
     if n > _VERTEX_CAP:
         raise SearchLimitError(f"automorphism search supports at most {_VERTEX_CAP} vertices, got {n}")
-    group = sorted(_group(K, _generators(K, order_cap)))  # by image tuple
+    order = _generators(K)[1]
+    if order is None:
+        raise SearchLimitError(f"automorphism search exceeds its budget of {_SOME_NODES} nodes")
+    if order > order_cap:
+        raise SearchLimitError(f"automorphism group order exceeds cap {order_cap}")
+    return order
+
+
+def automorphisms(K: SimplicialComplex, order_cap: int = 10000) -> list[dict[int, int]]:
+    """All vertex automorphisms of the complex, identity included, sorted
+    by image tuple: the compositions of the maps of :func:`_generators`.
+    Limits: those of :func:`automorphism_group_order`, checked after the
+    search and before any map is enumerated."""
+    automorphism_group_order(K, order_cap)
+    verts = K.vertices
+    group = sorted(_group(K, _generators(K)[0]))  # by image tuple
     return [dict(zip(verts, map(verts.__getitem__, g))) for g in group]
-
-
-def automorphism_group_order(K: SimplicialComplex, order_cap: int = 10000) -> int:
-    return len(automorphisms(K, order_cap))
 
 
 def find_central_involution(K: SimplicialComplex) -> dict[int, int] | None:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import are_isomorphic, oracle_betti
+from tnt import constructors, morse, symmetry
 from tnt import (
     SimplicialComplex,
     betti_numbers,
@@ -279,6 +280,31 @@ def test_kuehnel_series_self_validation():
     assert K4.f_vector()[0] == 11
     assert K4.is_k_neighborly(2)
     assert betti_numbers(K4).betti == (1, 1, 0, 1, 1)
+
+
+@pytest.mark.parametrize("orbits", [True, False], ids=["one_orbit", "singleton_orbits"])
+def test_kuehnel_validation_names_the_first_uncertified_link(orbits, monkeypatch):
+    # the links are certified one search per vertex orbit, the least vertex
+    # v of each with the seed v: with the series' one orbit, a failing
+    # search of vertex 1 fails every link; with singleton orbits only
+    # vertex 5's own search fails, after vertices 1-4 pass
+    search = morse.stackedness_certificate
+    failing = 1 if orbits else 5
+    seeds = []
+
+    def spy(S, k, budget, seed):
+        seeds.append(seed)
+        return None if seed == failing else search(S, k, budget=budget, seed=seed)
+
+    if not orbits:
+        monkeypatch.setattr(symmetry, "_SOME_NODES", 0)
+    monkeypatch.setattr(morse, "stackedness_certificate", spy)
+    K = SimplicialComplex(kuehnel_series(3).facets)
+    with pytest.raises(AssertionError, match=f"series construction: link of {failing} not certified stacked"):
+        constructors._validate_kuehnel(K, 3, 9)
+    assert seeds == ([1] if orbits else list(K.vertices))
+    monkeypatch.setattr(morse, "stackedness_certificate", search)
+    constructors._validate_kuehnel(SimplicialComplex(K.facets), 3, 9)
 
 
 def test_kuehnel_series_cached():

@@ -866,6 +866,32 @@ def test_orbit_manifold_check_matches_oracle(monkeypatch):
         assert homology._homology_manifold(K) == unreduced == homology_manifold_oracle(K), K
 
 
+def test_orbit_marks_hold_one_size(monkeypatch):
+    # an automorphism keeps a set's size and the sweep goes by size, so a
+    # mark of a new size drops the old marks: the sweep still computes one
+    # span per orbit of passing subsets, 273 on the series manifold
+    marks, sizes, spans = symmetry._orbit_marks, [], []
+
+    def spy(K):
+        passed, mark = marks(K)
+
+        def checked(positions):
+            mark(positions)
+            sizes.append({w.bit_count() for w in passed})
+
+        return passed, checked
+
+    selection = homology.ChainEngine.span_selection
+    monkeypatch.setattr(symmetry, "_orbit_marks", spy)
+    monkeypatch.setattr(homology.ChainEngine, "span_selection", lambda eng, *a: spans.append(a[0]) or selection(eng, *a))
+    K = _relabel(kuehnel_series(5), random.Random(5))
+    rep = tightness_verify(K, AmbientPolytope.simplex(13))
+    assert rep.tight and rep.subsets_checked == 8192
+    assert len(spans) == 273
+    assert sizes and all(len(s) == 1 for s in sizes)
+    assert [min(s) for s in sizes] == sorted(min(s) for s in sizes) and min(sizes[0]) == 3 < min(sizes[-1])
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([2, 3, 4]))
 def test_homology_manifold_matches_oracle_on_random_spheres(seed, d):

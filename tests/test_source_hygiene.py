@@ -1,6 +1,7 @@
 """Static checks on the package source that need no linter: no unused
 import, no import of a package module inside a function, no cycle among
-the package modules, and no call of ``face_set``."""
+the package modules, no call of ``face_set``, and no private top-level
+name that nothing reads."""
 import ast
 from pathlib import Path
 
@@ -185,3 +186,84 @@ def test_face_set_check_sees_each_call():
         "g = K.face_set\n"
     )
     assert _face_set_calls(source) == [4, 5]
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private name (one leading underscore, not a dunder) that a
+    module defines at its top level, with the line of its definition."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    return defined
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """The names a module reads: loaded names, attribute names, and the
+    names it imports from other modules."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """``(module, line, name)`` for each private top-level name that no
+    module of ``sources`` reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(_references, trees.values()))
+    return sorted(
+        (module, line, name)
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    )
+
+
+def test_package_has_no_dead_private_names():
+    # a private helper that nothing calls is a leftover path
+    assert _dead_private_names({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def test_dead_private_name_check_sees_each_kind():
+    sources = {
+        "a": (
+            "import b\n"
+            "_CAP = 32\n"
+            "_cache: dict = {}\n"
+            "_x, (_y, z) = 1, (2, 3)\n"
+            "class _Helper:\n"
+            "    def _method(self):\n"
+            "        return _CAP + _y\n"
+            "def _some_generators(K):\n"
+            "    return b._used(K)\n"
+            "def __getattr__(name):\n"
+            "    return name\n"
+        ),
+        "b": (
+            "from a import _Helper\n"
+            "def _used(K):\n"
+            "    return _Helper()\n"
+            "def _unread():\n"
+            "    '_cache'\n"
+        ),
+    }
+    assert _dead_private_names(sources) == [
+        ("a", 3, "_cache"),
+        ("a", 4, "_x"),
+        ("a", 8, "_some_generators"),
+        ("b", 4, "_unread"),
+    ]

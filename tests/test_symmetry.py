@@ -26,7 +26,8 @@ from tnt import (
     stellar_subdivide,
     tightness_verify,
 )
-from tnt import symmetry
+from tnt import save_complex, symmetry
+from tnt.cli import main
 from tnt.errors import SearchLimitError
 from tnt.symmetry import _pair_counts, _signatures, _some_automorphisms, _vertex_orbits
 
@@ -270,6 +271,59 @@ def test_orbit_search_budget_drops_maps_not_verdicts(monkeypatch):
     # under composition
     keys = {tuple(b.bit_length() - 1 for b in g) for g in maps} | {tuple(range(13))}
     assert {tuple(g[p] for p in h) for g in keys for h in keys} == keys
+    # but they are not the group: the public searches refuse to answer
+    for search in (automorphisms, automorphism_group_order):
+        with pytest.raises(SearchLimitError, match="exceeds its budget of 300 nodes"):
+            search(K)
+
+
+def test_one_group_search_per_complex(monkeypatch, tmp_path, capsys):
+    # automorphisms, the group order, the orbit maps and the vertex orbits
+    # all read one cached search, which on M6_16 is one coset search; so
+    # verify --suite m6_16 runs it and the involution search, nothing more
+    calls = []
+    search = symmetry._vertex_maps
+
+    def spy(K, *args):
+        calls.append(K)
+        return search(K, *args)
+
+    monkeypatch.setattr(symmetry, "_vertex_maps", spy)
+    M = SimplicialComplex(dataset("M6_16").facets)
+    assert len(automorphisms(M)) == automorphism_group_order(M) == 2
+    assert len(_some_automorphisms(M)) == 1 and len(set(v for v, _ in _vertex_orbits(M).values())) == 8
+    assert calls == [M]
+    calls.clear()
+    path = tmp_path / "M6_16.facets"
+    save_complex(M, str(path))
+    assert main(["verify", str(path), "--suite", "m6_16", "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+
+
+def test_group_order_needs_no_enumeration(monkeypatch):
+    # the order is the product of the search's orbit lengths: 10! maps
+    # are never composed
+    monkeypatch.setattr(symmetry, "_group", None)
+    B = SimplicialComplex(boundary_simplex(9).facets)
+    start = time.perf_counter()
+    assert automorphism_group_order(B, order_cap=10**8) == 3_628_800
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(SearchLimitError, match="exceeds cap 3628799"):
+        automorphism_group_order(B, order_cap=3_628_799)
+    with pytest.raises(SearchLimitError, match="at most 32 vertices, got 33"):
+        automorphism_group_order(_cycle(33))
+    assert automorphism_group_order(SimplicialComplex()) == 1
+
+
+def test_group_order_is_the_number_of_automorphisms():
+    fixtures = list(_small_fixtures()) + list(_relabelled_spheres(10, 4409))
+    fixtures += [dataset("M6_16"), dataset("walkup_M3"), kuehnel_series(2), kuehnel_series(5)]
+    fixtures += [cyclic_polytope_boundary(6, 12), stacked_sphere(3, 12, seed=0), _cycle(32), _cyclic_triples(7, [(0, 1, 3)])]
+    for K in fixtures:
+        K = SimplicialComplex(K.facets)
+        assert automorphism_group_order(K) == len(automorphisms(K)), K
+    assert automorphisms(SimplicialComplex()) == [{}]
 
 
 def test_central_involution_key_order_pinned():
