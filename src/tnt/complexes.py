@@ -396,13 +396,20 @@ def to_json(K: SimplicialComplex) -> str:
 
 
 def from_json(text: str) -> SimplicialComplex:
+    """Parse the JSON form; malformed input raises ValueError."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"line {e.lineno}: invalid JSON: {e.msg}") from None
     if not isinstance(obj, dict) or "facets" not in obj:
         raise ValueError("JSON object must have a 'facets' key")
-    return from_facets(obj["facets"])
+    rows = obj["facets"]
+    if not isinstance(rows, list) or not all(isinstance(f, list) for f in rows):
+        raise ValueError("'facets' must be a list of lists of vertex labels")
+    for v in chain.from_iterable(rows):
+        if not isinstance(v, (int, float)):  # numbers meet simplex's check once sorted
+            raise ValueError(f"vertex labels must be positive ints, got {v!r}")
+    return from_facets(rows)
 
 
 def load_complex(path: str) -> SimplicialComplex:

@@ -11,8 +11,9 @@ search builds a face lattice.
 
 The group is not enumerated leaf by leaf.  The group search finds one
 map per coset of a stabiliser chain along its vertex order (Sims 1970;
-McKay, "Practical graph isomorphism", 1981), and these maps generate the
-group: the orbit lengths multiply to its order, and its elements are
+McKay, "Practical graph isomorphism", 1981), each coset search starting
+at its own level with the vertices before it fixed; these maps generate
+the group: the orbit lengths multiply to its order, and its elements are
 their compositions, which need no facet check.  It runs at most once per
 complex, under one node budget, and everything that needs the group reads
 its cached result: ``automorphisms`` and the group order (which raise when
@@ -31,13 +32,12 @@ from operator import xor
 
 from .complexes import SimplicialComplex
 from .errors import SearchLimitError
-from .gf2 import bits_of
 
 __all__ = ["automorphisms", "automorphism_group_order", "is_automorphism", "find_central_involution"]
 
 _VERTEX_CAP = 32
 _SOME_MAPS = 63  # orbit sweeps mark a pass's images under at most this many maps
-_SOME_NODES = 20_000  # nodes of the group search: 500 find the order-39 group of the Steiner triple system on 13 points
+_SOME_NODES = 20_000  # nodes of the group search: 434 find the order-39 group of the Steiner triple system on 13 points
 
 
 def _signatures(K: SimplicialComplex):
@@ -70,20 +70,21 @@ def is_automorphism(K: SimplicialComplex, perm: dict[int, int]) -> bool:
     return all(tuple(sorted(perm[v] for v in f)) in facets for f in facets)
 
 
-def _vertex_maps(K: SimplicialComplex, sig, pairs, order, allowed, nodes=repeat(True)):
-    """Yield every automorphism with each ``order[k]`` mapped to a vertex w
-    with ``allowed(order[k], w, image)``, where ``image`` holds the vertices
-    before it; images are tried in ascending order, so maps come
+def _vertex_maps(K: SimplicialComplex, order):
+    """The backtracking search along ``order``, set up once per complex and
+    order: returns ``search(allowed, k=0, nodes)``, which yields every
+    automorphism that fixes ``order[:k]`` and maps each later ``order[j]``
+    to a w with ``allowed(order[j], w, image)``, ``image`` holding the
+    vertices before it.  Images are tried in ascending order, so maps come
     lexicographically by image tuple along ``order``.
 
-    A facet is checked once its last vertex along ``order`` is mapped, so
-    a complete map sends every facet to a facet and, being a bijection,
-    the facet set onto itself.  On a complex whose pair counts are all
-    equal, such as a 2-neighborly surface, this check is the only pruning:
-    signatures and pair counts leave all n! maps open.  Each search node
-    (call of its recursion) below the root takes one item of ``nodes``, and
-    the search stops for good when it runs out, so searches that share the
-    iterator share its budget."""
+    A facet is checked once its last vertex along ``order`` is mapped, so a
+    complete map sends the facet set onto itself.  On a complex whose pair
+    counts are all equal, such as a 2-neighborly surface, this check is the
+    only pruning.  Each search node below level k takes one item of
+    ``nodes``; the search stops for good when it runs out, so searches that
+    share the iterator share its budget."""
+    sig, pairs = _signatures(K), _pair_counts(K)
     by_sig: dict = {}
     for v in K.vertices:
         by_sig.setdefault(sig[v], []).append(v)
@@ -95,32 +96,35 @@ def _vertex_maps(K: SimplicialComplex, sig, pairs, order, allowed, nodes=repeat(
         closing[max(map(rank.__getitem__, f))].append(f)
     bit = {v: 1 << i for i, v in enumerate(K.vertices)}
     facets = {sum(map(bit.__getitem__, f)) for f in K.facets}
-    image: dict[int, int] = {}
-    image_bit: dict[int, int] = {}
-    used: set[int] = set()
 
-    def extend(k: int):
-        if k == len(order):
-            yield dict(image)
-            return
-        v = order[k]
-        before = list(map(image.__getitem__, order[:k]))
-        for w in by_sig[sig[v]]:
-            if w in used or not allowed(v, w, image):
-                continue
-            if list(map(pairs[w].get, before, repeat(0))) != want[k]:
-                continue
-            image[v], image_bit[v] = w, bit[w]
-            if all(sum(map(image_bit.__getitem__, f)) in facets for f in closing[k]):
-                if not next(nodes, False):  # the budget is spent
-                    del image[v]
-                    return
-                used.add(w)
-                yield from extend(k + 1)
-                used.discard(w)
-            del image[v]
+    def search(allowed, k=0, nodes=repeat(True)):
+        image = {v: v for v in order[:k]}
+        image_bit = {v: bit[v] for v in order[:k]}
+        used = set(order[:k])
 
-    return extend(0)
+        def extend(k: int):
+            if k == len(order):
+                yield dict(image)
+                return
+            v = order[k]
+            before = list(map(image.__getitem__, order[:k]))
+            for w in by_sig[sig[v]]:
+                if w in used or not allowed(v, w, image):
+                    continue
+                if list(map(pairs[w].get, before, repeat(0))) != want[k]:
+                    continue
+                image[v], image_bit[v] = w, bit[w]
+                if all(sum(map(image_bit.__getitem__, f)) in facets for f in closing[k]):
+                    if not next(nodes, False):  # the budget is spent: no map is yielded again
+                        return
+                    used.add(w)
+                    yield from extend(k + 1)
+                    used.discard(w)
+                del image[v]
+
+        return extend(k)
+
+    return search
 
 
 def _search_order(K: SimplicialComplex) -> list[int]:
@@ -133,7 +137,10 @@ def _search_order(K: SimplicialComplex) -> list[int]:
     sig_count: dict = {}
     for v in K.vertices:
         sig_count[sig[v]] = sig_count.get(sig[v], 0) + 1
-    star = {v: bits_of(m) for v, m in K._stars().items()}  # per vertex, the indices of its facets
+    star: dict[int, list[int]] = {v: [] for v in K.vertices}  # per vertex, the indices of its facets
+    for i, f in enumerate(K.facets):
+        for v in f:
+            star[v].append(i)
     left = [len(f) for f in K.facets]  # per facet, its vertices not yet ordered
     rest = [functools.reduce(xor, f) for f in K.facets]  # their XOR: the last one when one is left
     closes = dict.fromkeys(K.vertices, 0)  # per vertex, the facets it would close
@@ -165,9 +172,10 @@ def _generators(K: SimplicialComplex) -> tuple[list[dict[int, int]], int | None]
     vertices, where it finds no maps and no order.
 
     Along :func:`_search_order` b_1 ... b_n, let G_k fix b_1 ... b_{k-1}.
-    Level by level from the deepest up, each image x of b_k that the maps
-    found so far (all in G_k) do not already reach from b_k is searched
-    with :func:`_vertex_maps` for a map of G_k sending b_k to x; a map
+    One :func:`_vertex_maps` set-up serves every level.  Level by level from
+    the deepest up, a search starts at b_k with b_1 ... b_{k-1} fixed and
+    looks, for each image x of b_k that the maps found so far (all in G_k)
+    do not already reach from b_k, for a map of G_k sending b_k to x; a map
     found joins the generators, and the orbit of b_k under them grows.
     Every other candidate is searched, so the maps found at levels k and
     deeper move b_k as far as G_k does, and by induction generate G_k:
@@ -178,38 +186,28 @@ def _generators(K: SimplicialComplex) -> tuple[list[dict[int, int]], int | None]
     n = len(K.vertices)
     if "generators" in K._cache or n > _VERTEX_CAP:
         return K._cache.get("generators", ([], None))
-    sig, pairs = _signatures(K), _pair_counts(K)
     order = _search_order(K)
-    rank = {v: k for k, v in enumerate(order)}
+    search = _vertex_maps(K, order)
     nodes = chain(repeat(True, _SOME_NODES), [False])  # the False is taken only when the budget is spent
     gens: list[dict[int, int]] = []
     size = 1  # the order of the stabiliser G_{k+1}
     for k in reversed(range(n)):
-        b, fixed = order[k], order[:k]
-        # no search where b_k can only stay put: no other vertex shares its
-        # signature and its pair counts with b_1 ... b_{k-1}
-        if any(
-            rank[w] > k and all(pairs[w].get(u, 0) == pairs[b].get(u, 0) for u in fixed)
-            for w in K.vertices
-            if sig[w] == sig[b]
-        ):
-            orbit = {b}
+        b = order[k]
+        orbit = {b}
 
-            def allowed(v, w, image):
-                # b_1 ... b_{k-1} fixed, b_k to a new image, and no search
-                # below a b_k whose image a map already reaches
-                r = rank[v]
-                return w == v if r < k else w not in orbit if r == k else image[b] not in orbit
+        def allowed(v, w, image):
+            # b_k to a new image; nothing below a b_k that a map already reaches
+            return w not in orbit if v == b else image[b] not in orbit
 
-            for g in _vertex_maps(K, sig, pairs, order, allowed, nodes):
-                gens.append(g)
-                reached = list(orbit)
-                for x in reached:  # close the orbit of b under the generators
-                    for h in gens:
-                        if h[x] not in orbit:
-                            orbit.add(h[x])
-                            reached.append(h[x])
-            size *= len(orbit)
+        for g in search(allowed, k, nodes):
+            gens.append(g)
+            reached = list(orbit)
+            for x in reached:  # close the orbit of b under the generators
+                for h in gens:
+                    if h[x] not in orbit:
+                        orbit.add(h[x])
+                        reached.append(h[x])
+        size *= len(orbit)
     K._cache["generators"] = (gens, size if next(nodes, None) is not None else None)
     return K._cache["generators"]
 
@@ -349,7 +347,7 @@ def find_central_involution(K: SimplicialComplex) -> dict[int, int] | None:
             return image[w] == v
         return w != v and v not in image.values() and w not in pairs[v]
 
-    inv = next(_vertex_maps(K, _signatures(K), pairs, verts, paired), None)
+    inv = next(_vertex_maps(K, verts)(paired), None)
     if inv is None:
         return None
     return {u: inv[u] for v, w in inv.items() if v < w for u in (v, w)}

@@ -81,6 +81,16 @@ def test_info_parse_error_line_numbered(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", ['{"facets": 5}', '{"facets": null}', '{"facets": [5]}', '{"facets": [[1, 2], [2, "a"]]}'])
+def test_info_malformed_json_is_one_error_line(payload, tmp_path, capsys):
+    # a malformed payload is an input error (exit 2), not a failed check (exit 1)
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    assert run_cli(["info", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 # -- construct ------------------------------------------------------------------
 
 
@@ -88,6 +98,11 @@ def test_construct_stdout_round_trip(capsys):
     assert run_cli(["construct", "boundary-simplex", "--d", "4"]) == 0
     out = capsys.readouterr().out
     assert from_text(out) == boundary_simplex(4)
+
+
+def test_construct_cross_polytope(capsys):
+    assert run_cli(["construct", "cross-polytope", "--d", "2"]) == 0
+    assert capsys.readouterr().out == "1 3\n1 4\n2 3\n2 4\n"
 
 
 def test_construct_to_file(tmp_path, capsys):
@@ -182,6 +197,26 @@ def test_verify_m6_16_link_budget_runs_out(tmp_path, capsys):
     checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert [name for name, c in checks.items() if not c["ok"]] == ["links_2_stacked"]
     assert checks["links_2_stacked"]["detail"] == "unknown for links of: " + ", ".join(map(str, range(1, 17)))
+
+
+def test_verify_m6_16_group_search_out_of_budget(tmp_path, capsys, monkeypatch):
+    # with no node budget only the group order fails, naming the budget;
+    # each vertex is then its own orbit and every link is still certified
+    monkeypatch.setattr(tnt.symmetry, "_SOME_NODES", 0)
+    path = tmp_path / "m6.facets"
+    save_complex(dataset("M6_16"), str(path))
+    assert run_cli(["verify", str(path), "--suite", "m6_16", "--json"]) == 1
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert [name for name, c in checks.items() if not c["ok"]] == ["automorphism_group_order"]
+    assert checks["automorphism_group_order"]["detail"] == "automorphism search exceeds its budget of 0 nodes"
+    assert checks["links_2_stacked"]["detail"] == "all 16 links certified"
+
+
+def test_verify_lemma34_out_of_budget_is_unknown(tmp_path, capsys):
+    path = tmp_path / "c5.facets"
+    path.write_text("1 2\n2 3\n3 4\n4 5\n1 5\n")
+    assert run_cli(["verify", str(path), "--suite", "lemma34", "--budget", "0", "--seed", "1"]) == 3
+    assert "[FAIL] stacked_certificate: unknown within budget\n" in capsys.readouterr().out
 
 
 def test_verify_lemma34_requires_seed(walkup_file, capsys):
@@ -279,6 +314,14 @@ def test_tight_cross_needs_matching(tmp_path, capsys):
     save_complex(boundary_simplex(4), str(path))
     assert run_cli(["tight", str(path), "--ambient", "cross"]) == 2
     assert "diagonals" in capsys.readouterr().err
+
+
+def test_tight_cross_on_odd_cycle_needs_diagonals(tmp_path, capsys):
+    path = tmp_path / "c5.facets"
+    path.write_text("1 2\n2 3\n3 4\n4 5\n1 5\n")
+    assert run_cli(["tight", str(path), "--ambient", "cross"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: missing edges do not form a perfect matching; pass --diagonals\n"
 
 
 def test_tight_negative_imax_is_usage_error(tmp_path, capsys):
@@ -565,6 +608,12 @@ def test_module_entry(tmp_path):
     proc = run_tree([sys.executable, "-m", "tnt", "bounds", "heawood", "--chi", "2"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "bound 4" in proc.stdout
+
+
+def test_module_entry_version(tmp_path):
+    proc = run_tree([sys.executable, "-m", "tnt", "--version"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"tnt {tnt.__version__}\n"
 
 
 def test_import_without_numpy(tmp_path):

@@ -17,6 +17,7 @@ from tnt import (
     dataset,
     dataset_names,
     from_facets,
+    from_json,
     hamiltonian_check,
     from_text,
     load_complex,
@@ -346,6 +347,26 @@ def test_json_round_trip(tmp_path):
     payload = json.loads(p.read_text())
     assert payload["format"] == "facets-v1"
     assert payload["facets"] == [[1, 2, 3], [3, 4, 5]]
+
+
+# outside text that is not a list of facets of positive ints raises
+# ValueError, as from_text does, never TypeError
+MALFORMED_JSON = {
+    "number": ('{"facets": 5}', "'facets' must be a list of lists of vertex labels"),
+    "null": ('{"facets": null}', "'facets' must be a list of lists of vertex labels"),
+    "number_facet": ('{"facets": [5]}', "'facets' must be a list of lists of vertex labels"),
+    "string_label": ('{"facets": [[1, 2], [2, "a"]]}', "vertex labels must be positive ints, got 'a'"),
+    "float_label": ('{"facets": [[1.5, 2]]}', "vertex labels must be positive ints, got 1.5"),
+    "bool_label": ('{"facets": [[true, 3]]}', "vertex labels must be positive ints, got True"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_JSON)
+def test_from_json_rejects_malformed_facets(case):
+    text, message = MALFORMED_JSON[case]
+    with pytest.raises(ValueError) as info:
+        from_json(text)
+    assert str(info.value) == message
 
 
 def test_from_facets_rejects_empty():

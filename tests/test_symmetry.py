@@ -301,6 +301,40 @@ def test_one_group_search_per_complex(monkeypatch, tmp_path, capsys):
     assert len(calls) == 2
 
 
+def test_group_search_sets_up_once(monkeypatch):
+    # the search tables are built once per complex; each coset level runs
+    # the one set-up from its own level
+    calls = []
+    setup = symmetry._vertex_maps
+
+    def spy(K, *args):
+        calls.append(K)
+        return setup(K, *args)
+
+    monkeypatch.setattr(symmetry, "_vertex_maps", spy)
+    for K, order in ((kuehnel_series(5), 26), (_cyclic_triples(13, [(0, 1, 4), (0, 2, 7)]), 39), (cross_polytope_boundary(6), 46_080)):
+        K = SimplicialComplex(K.facets)
+        assert symmetry._generators(K)[1] == order
+        assert calls == [K]
+        calls.clear()
+
+
+@pytest.mark.parametrize(
+    "K, nodes, order",
+    [
+        (_cyclic_triples(13, [(0, 1, 4), (0, 2, 7)]), 434, 39),
+        (kuehnel_series(5), 25, 26),
+        (cross_polytope_boundary(8), 191, 2**8 * 40_320),
+    ],
+    ids=["steiner_13", "kuehnel_5", "cross_8"],
+)
+def test_coset_searches_spend_no_node_on_their_fixed_prefix(monkeypatch, K, nodes, order):
+    # a search from level k maps only b_k and later vertices: re-mapping
+    # b_1 ... b_{k-1} at every searched level would overrun these budgets
+    monkeypatch.setattr(symmetry, "_SOME_NODES", nodes)
+    assert symmetry._generators(SimplicialComplex(K.facets))[1] == order
+
+
 def test_group_order_needs_no_enumeration(monkeypatch):
     # the order is the product of the search's orbit lengths: 10! maps
     # are never composed
